@@ -11,13 +11,15 @@ Exit codes: 0 success or benign status, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from . import bpmn, diagnosis, distribution, repair, simulation
 from .config import ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
@@ -44,6 +46,24 @@ def atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _read_artifact(path: Path, producer: str) -> Any:
+    """The JSON value an earlier stage wrote to ``path``."""
+    if not path.is_file():
+        raise DataError(f"{path.name} not found (run {producer} first): {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path.name}: invalid JSON: {exc}")
+
+
+def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str):
+    """``payload[key]``, required to exist and to be an instance of ``kind``."""
+    value = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(value, kind):
+        raise DataError(f"{source}: {key!r} is missing or has the wrong type")
+    return value
 
 
 def _load_models(models_dir: Path, config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
@@ -121,10 +141,7 @@ def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
         raise DataError(f"KPI directory not found: {path}")
     entries: list[tuple[str, simulation.KpiVector, str]] = []
     for file in sorted(path.glob("*.json")):
-        try:
-            data = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{file.name}: invalid JSON: {exc}")
+        data = _read_artifact(file, "simulate")
         try:
             model_id = data["model_id"]
             kpis = data["kpis"]
@@ -141,9 +158,6 @@ def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
 
 def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
     """KPI vectors from a CSV with model_id plus one column per KPI."""
-    import csv
-    import io
-
     if not path.is_file():
         raise DataError(f"KPI CSV not found: {path}")
     reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
@@ -235,42 +249,50 @@ def _pick_pair(
     return models[first][0], models[second][0]
 
 
-def _run_direction(
-    config: RunConfig, requested: Sequence[str]
-) -> tuple[diagnosis.DirectionResult | None, dict]:
+def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
     models = _load_models(_require(config.models_dir, "models_dir"), config)
     cases = _load_cases(config)
     model_a, model_b = _pick_pair(config, models, requested)
+    path = config.out_dir / "diagnosis.json"
     try:
         result = diagnosis.choose_direction(
             model_a,
             model_b,
             cases,
-            config.kpi,
             step_cap=config.step_cap,
             max_cardinality=config.max_diagnosis_cardinality,
         )
     except diagnosis.NoDivergenceError:
-        return None, {
-            "status": "no_divergence",
-            "models": sorted([model_a.model_id, model_b.model_id]),
-        }
-    payload = {"status": "diagnosed", **diagnosis.diagnosis_report(result)}
-    return result, payload
-
-
-def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
-    result, payload = _run_direction(config, requested)
-    atomic_write(config.out_dir / "diagnosis.json", dump_json(payload))
-    if result is None:
-        print(f"no divergence -> {config.out_dir / 'diagnosis.json'}")
-    else:
-        refined = [list(d.sorted_gateways) for d in result.chosen.refined]
-        print(
-            f"reference={result.reference_model_id} target={result.target_model_id} "
-            f"refined_diagnoses={refined} -> {config.out_dir / 'diagnosis.json'}"
-        )
+        models_pair = sorted([model_a.model_id, model_b.model_id])
+        atomic_write(path, dump_json({"status": "no_divergence", "models": models_pair}))
+        print(f"no divergence -> {path}")
+        return 0
+    atomic_write(path, dump_json({"status": "diagnosed", **diagnosis.diagnosis_report(result)}))
+    refined = [list(d.sorted_gateways) for d in result.chosen.refined]
+    print(
+        f"reference={result.reference_model_id} target={result.target_model_id} "
+        f"refined_diagnoses={refined} -> {path}"
+    )
     return 0
+
+
+def _diagnosed_pair(payload: object) -> tuple[str, str, list[list[str]]] | None:
+    """(reference id, target id, refined gateway lists) from diagnosis.json,
+    or None when it records no divergence."""
+    source = "diagnosis.json"
+    status = _field(payload, "status", str, source)
+    if status == "no_divergence":
+        return None
+    if status != "diagnosed":
+        raise DataError(f"{source}: unknown status {status!r}")
+    refined = [
+        _field(entry, "gateways", list, source)
+        for entry in _field(payload, "refined_diagnoses", list, source)
+    ]
+    if not all(isinstance(gateway, str) for gateways in refined for gateway in gateways):
+        raise DataError(f"{source}: gateway ids must be strings")
+    reference = _field(payload, "reference_model", str, source)
+    return reference, _field(payload, "target_model", str, source), refined
 
 
 def _load_narrative(config: RunConfig) -> repair.NarrativeDocument:
@@ -286,42 +308,36 @@ def _load_narrative(config: RunConfig) -> repair.NarrativeDocument:
     return repair.NarrativeDocument.from_text(path.stem, text)
 
 
-def cmd_report(config: RunConfig, requested: Sequence[str]) -> int:
-    distribution_path = config.out_dir / "distribution.json"
-    if not distribution_path.is_file():
-        raise DataError(f"distribution not found (run entropy first): {distribution_path}")
-    dist_payload = json.loads(distribution_path.read_text(encoding="utf-8"))
+def cmd_report(config: RunConfig) -> int:
+    dist_payload = _read_artifact(config.out_dir / "distribution.json", "entropy")
+    diagnosed = _diagnosed_pair(_read_artifact(config.out_dir / "diagnosis.json", "diagnose"))
+    source = "distribution.json"
+    combo_fields = (("kpis", dict), ("count", int), ("probability", (int, float)))
     entropy_summary = {
-        "h_norm": dist_payload["h_norm"],
-        "category": dist_payload["category"],
+        "h_norm": _field(dist_payload, "h_norm", (int, float), source),
+        "category": _field(dist_payload, "category", str, source),
         "combos": [
-            {"kpis": combo["kpis"], "count": combo["count"], "probability": combo["probability"]}
-            for combo in dist_payload["combos"]
+            {key: _field(combo, key, kind, source) for key, kind in combo_fields}
+            for combo in _field(dist_payload, "combos", list, source)
         ],
     }
     document = _load_narrative(config)
-    result, _diag_payload = _run_direction(config, requested)
-    if result is None:
-        report_payload = repair.build_ambiguity_report(
-            document.doc_id,
-            repair.LocalizationResult((), ()),
-            entropy_summary,
-            None,
-        )
+    if diagnosed is None:
+        localization = repair.LocalizationResult((), ())
     else:
+        reference, target, refined = diagnosed
         models = _load_models(_require(config.models_dir, "models_dir"), config)
-        tgt_model = models[result.target_model_id][0]
-        ref_model = models[result.reference_model_id][0]
+        ref_model, tgt_model = _pick_pair(config, models, (reference, target))
         localization = repair.localize_ambiguity(
-            result,
+            refined,
             tgt_model,
             ref_model,
             document,
             threshold=config.localization_threshold,
         )
-        report_payload = repair.build_ambiguity_report(
-            document.doc_id, localization, entropy_summary, result
-        )
+    report_payload = repair.build_ambiguity_report(
+        document.doc_id, localization, entropy_summary, diagnosed
+    )
     atomic_write(config.out_dir / "ambiguity_report.json", dump_json(report_payload))
     print(
         f"ambiguities={len(report_payload['ambiguities'])} "
@@ -351,10 +367,8 @@ def _build_provider(config: RunConfig) -> repair.RewriteProvider:
 
 
 def cmd_repair(config: RunConfig) -> int:
-    report_path = config.out_dir / "ambiguity_report.json"
-    if not report_path.is_file():
-        raise DataError(f"ambiguity report not found (run report first): {report_path}")
-    report_payload = json.loads(report_path.read_text(encoding="utf-8"))
+    report_payload = _read_artifact(config.out_dir / "ambiguity_report.json", "report")
+    ambiguities = _field(report_payload, "ambiguities", list, "ambiguity_report.json")
     document = _load_narrative(config)
     supplemental_path = _require(config.supplemental, "supplemental")
     if not supplemental_path.is_file():
@@ -364,9 +378,7 @@ def cmd_repair(config: RunConfig) -> int:
     )
     provider = _build_provider(config)
     outcome = repair.propose_repairs(report_payload, document, supplemental, provider)
-    repaired = repair.reconstruct_narrative(
-        document, outcome.records, report_payload.get("ambiguities", [])
-    )
+    repaired = repair.reconstruct_narrative(document, outcome.records, ambiguities)
     atomic_write(
         config.out_dir / "repairs.json",
         dump_json(
@@ -467,8 +479,7 @@ def _build_parser() -> _Parser:
     p_diagnose = sub.add_parser("diagnose", help="divergence diagnosis for a model pair")
     p_diagnose.add_argument("models", nargs="*", help="two model ids (default: auto-pick)")
 
-    p_report = sub.add_parser("report", help="evidence-linked ambiguity report")
-    p_report.add_argument("models", nargs="*", help="two model ids (default: auto-pick)")
+    sub.add_parser("report", help="ambiguity report for the pair diagnose chose")
 
     sub.add_parser("repair", help="provider-backed narrative repair")
 
@@ -506,11 +517,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "entropy":
             return cmd_entropy(config, args.kpis, args.from_csv)
         if args.command == "diagnose":
-            _check_pair(args.models)
+            if args.models and len(args.models) != 2:
+                raise ConfigError("pass either no model ids (auto-pick) or exactly two")
             return cmd_diagnose(config, args.models)
         if args.command == "report":
-            _check_pair(args.models)
-            return cmd_report(config, args.models)
+            return cmd_report(config)
         if args.command == "repair":
             return cmd_repair(config)
         if args.command == "verify":
@@ -538,11 +549,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (repair.ProviderUnavailableError, repair.ProviderMalformedResponseError) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 3
-
-
-def _check_pair(models: Sequence[str]) -> None:
-    if models and len(models) != 2:
-        raise ConfigError("pass either no model ids (auto-pick) or exactly two")
 
 
 if __name__ == "__main__":

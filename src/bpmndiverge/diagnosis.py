@@ -26,18 +26,16 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
-from .conditions import ConditionAst, normalize, to_text
+from .conditions import ConditionAst, MissingVariableError, TypeMismatchError, normalize
 from .simulation import (
     CaseRecord,
     DEFAULT_STEP_CAP,
-    KpiConfig,
     KpiSequence,
     SimulationError,
     Trace,
     execute_case,
     kpi_sequence,
 )
-from .conditions import MissingVariableError, TypeMismatchError
 
 TRACE_END = "<end-of-trace>"
 
@@ -245,38 +243,44 @@ def conflict_from_divergence(
     return ConflictSet(tuple(seen), (divergence.case_id,))
 
 
-def _simulate_pair(
-    ref_model: ProcessModel,
-    tgt_model: ProcessModel,
-    cases: Sequence[CaseRecord],
-    step_cap: int,
-) -> tuple[dict[str, Trace], dict[str, Trace], list[tuple[str, str]]]:
-    """Run every case through both models; cases failing on either side are
-    excluded from both and reported with the reason."""
-    ref_traces: dict[str, Trace] = {}
-    tgt_traces: dict[str, Trace] = {}
-    failed: list[tuple[str, str]] = []
+_Walk = tuple[dict[str, Trace], dict[str, str]]
+
+
+def _walk_cases(model: ProcessModel, cases: Sequence[CaseRecord], step_cap: int) -> _Walk:
+    """Walk every case through one model: the traces of the cases that
+    complete, and the error message of each case that fails."""
+    traces: dict[str, Trace] = {}
+    errors: dict[str, str] = {}
     for case in cases:
         try:
-            ref_trace = execute_case(ref_model, case, step_cap=step_cap)
-            tgt_trace = execute_case(tgt_model, case, step_cap=step_cap)
+            traces[case.case_id] = execute_case(model, case, step_cap=step_cap)
         except (SimulationError, MissingVariableError, TypeMismatchError) as exc:
-            failed.append((case.case_id, str(exc)))
-            continue
-        ref_traces[case.case_id] = ref_trace
-        tgt_traces[case.case_id] = tgt_trace
-    return ref_traces, tgt_traces, failed
+            errors[case.case_id] = str(exc)
+    return traces, errors
 
 
 def _build_problem(
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
-    ref_traces: Mapping[str, Trace],
-    tgt_traces: Mapping[str, Trace],
-    failed: Sequence[tuple[str, str]],
+    ref_walk: _Walk,
+    tgt_walk: _Walk,
+    cases: Sequence[CaseRecord],
 ) -> DiagnosisProblem:
+    """Cases failing on either side are excluded from both and reported, in
+    case order, with the reference side's error if the reference walk
+    failed and the target's otherwise."""
+    ref_traces, ref_errors = ref_walk
+    tgt_traces, tgt_errors = tgt_walk
+    failed = [
+        (case.case_id, ref_errors.get(case.case_id, tgt_errors.get(case.case_id)))
+        for case in cases
+        if case.case_id in ref_errors or case.case_id in tgt_errors
+    ]
     observations = compare_observations(
-        list(ref_traces.values()), list(tgt_traces.values()), ref_model, tgt_model
+        [trace for case_id, trace in ref_traces.items() if case_id in tgt_traces],
+        [trace for case_id, trace in tgt_traces.items() if case_id in ref_traces],
+        ref_model,
+        tgt_model,
     )
     discrepant_cases = sorted({o.case_id for o in observations if o.discrepant})
     conflicts: dict[tuple[str, ...], list[str]] = {}
@@ -314,7 +318,6 @@ def collect_conflicts(
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
     cases: Sequence[CaseRecord],
-    config: KpiConfig,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> DiagnosisProblem:
@@ -324,8 +327,13 @@ def collect_conflicts(
     gateway sets arising from different cases are merged, keeping the union
     of their provenance.
     """
-    ref_traces, tgt_traces, failed = _simulate_pair(ref_model, tgt_model, cases, step_cap)
-    return _build_problem(ref_model, tgt_model, ref_traces, tgt_traces, failed)
+    return _build_problem(
+        ref_model,
+        tgt_model,
+        _walk_cases(ref_model, cases, step_cap),
+        _walk_cases(tgt_model, cases, step_cap),
+        cases,
+    )
 
 
 def minimal_hitting_sets(
@@ -401,11 +409,11 @@ def refine_diagnoses(
     problem: DiagnosisProblem,
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
-    ref_traces: Sequence[Trace],
-    tgt_traces: Sequence[Trace],
+    ref_by_case: Mapping[str, Trace],
+    tgt_by_case: Mapping[str, Trace],
 ) -> list[Diagnosis]:
     """Drop gateways whose divergent-case behavior is explained by syntactic
-    rewriting only.
+    rewriting only.  The traces of each side are keyed by case id.
 
     A gateway is removed when, in every divergent case supporting it, each
     condition it exercised on the target trace is canonically equal to some
@@ -413,8 +421,6 @@ def refine_diagnoses(
     diagnoses are dropped; the survivors are deduplicated and re-checked for
     subset-minimality.
     """
-    ref_by_case = {t.case_id: t for t in ref_traces}
-    tgt_by_case = {t.case_id: t for t in tgt_traces}
     cases_for_gateway: dict[str, set[str]] = {}
     for conflict in problem.conflicts:
         for gateway in conflict.gateways:
@@ -470,73 +476,57 @@ def refine_diagnoses(
 def _run_orientation(
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
+    ref_walk: _Walk,
+    tgt_walk: _Walk,
     cases: Sequence[CaseRecord],
-    config: KpiConfig,
-    *,
-    step_cap: int,
     max_cardinality: int,
 ) -> DiagnosisRun:
-    ref_traces, tgt_traces, failed = _simulate_pair(ref_model, tgt_model, cases, step_cap)
-    problem = _build_problem(ref_model, tgt_model, ref_traces, tgt_traces, failed)
+    problem = _build_problem(ref_model, tgt_model, ref_walk, tgt_walk, cases)
     hitting = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
     refined = refine_diagnoses(
-        hitting.diagnoses,
-        problem,
-        ref_model,
-        tgt_model,
-        list(ref_traces.values()),
-        list(tgt_traces.values()),
+        hitting.diagnoses, problem, ref_model, tgt_model, ref_walk[0], tgt_walk[0]
     )
     return DiagnosisRun(problem, hitting, tuple(refined))
 
 
-def _ranking_key(run: DiagnosisRun) -> tuple[float, float]:
-    """Smaller is better: (minimum refined cardinality, refined count).
+def _ranking_key(run: DiagnosisRun) -> tuple[float, float, str]:
+    """Smaller is better: (minimum refined cardinality, refined count,
+    reference model id).
 
     An orientation with no conflicts or no surviving nonempty diagnosis
-    localizes nothing and ranks last.
+    localizes nothing and ranks behind any that does.
     """
     nonempty = [d for d in run.refined if d.cardinality > 0]
+    reference = run.problem.reference_model_id
     if not run.problem.conflicts or not nonempty:
-        return (math.inf, math.inf)
-    return (nonempty[0].cardinality, len(nonempty))
+        return (math.inf, math.inf, reference)
+    return (nonempty[0].cardinality, len(nonempty), reference)
 
 
 def choose_direction(
     model_a: ProcessModel,
     model_b: ProcessModel,
     cases: Sequence[CaseRecord],
-    config: KpiConfig,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
     max_cardinality: int = 8,
 ) -> DirectionResult:
     """Diagnose in both orientations and keep the more parsimonious one.
 
-    Ties fall back to the number of minimal diagnoses, then to the
-    lexicographically smaller reference model id.  Raises NoDivergenceError
-    when the models agree on every case.
+    Each model walks the cases once; both orientations are built from the
+    same walks.  Ties fall back to the number of minimal diagnoses, then to
+    the lexicographically smaller reference model id.  Raises
+    NoDivergenceError when the models agree on every case.
     """
-    run_ab = _run_orientation(
-        model_a, model_b, cases, config, step_cap=step_cap, max_cardinality=max_cardinality
-    )
-    run_ba = _run_orientation(
-        model_b, model_a, cases, config, step_cap=step_cap, max_cardinality=max_cardinality
-    )
+    walk_a = _walk_cases(model_a, cases, step_cap)
+    walk_b = _walk_cases(model_b, cases, step_cap)
+    run_ab = _run_orientation(model_a, model_b, walk_a, walk_b, cases, max_cardinality)
+    run_ba = _run_orientation(model_b, model_a, walk_b, walk_a, cases, max_cardinality)
     if not any(o.discrepant for o in run_ab.problem.observations):
         raise NoDivergenceError(
             f"models {model_a.model_id!r} and {model_b.model_id!r} agree on all cases"
         )
-    key_ab = _ranking_key(run_ab)
-    key_ba = _ranking_key(run_ba)
-    if key_ab < key_ba:
-        chosen, reverse = run_ab, run_ba
-    elif key_ba < key_ab:
-        chosen, reverse = run_ba, run_ab
-    elif model_a.model_id <= model_b.model_id:
-        chosen, reverse = run_ab, run_ba
-    else:
-        chosen, reverse = run_ba, run_ab
+    chosen, reverse = sorted((run_ab, run_ba), key=_ranking_key)
     return DirectionResult(
         reference_model_id=chosen.problem.reference_model_id,
         target_model_id=chosen.problem.target_model_id,

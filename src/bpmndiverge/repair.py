@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import requests
 
 from .bpmn import NodeKind, ProcessModel
 from .conditions import normalize, to_text, variables
-from .diagnosis import DirectionResult
 
 DEFAULT_LOCALIZATION_THRESHOLD = 0.15
 
@@ -223,14 +222,15 @@ def _describe_gateway(model: ProcessModel, gateway_id: str) -> tuple[str, str]:
 
 
 def localize_ambiguity(
-    result: DirectionResult,
+    refined: Sequence[Sequence[str]],
     tgt_model: ProcessModel,
     ref_model: ProcessModel,
     document: NarrativeDocument,
     *,
     threshold: float = DEFAULT_LOCALIZATION_THRESHOLD,
 ) -> LocalizationResult:
-    """Map each diagnosed gateway to its best-scoring narrative segment.
+    """Map each gateway of the refined diagnoses (sorted gateway-id lists of
+    the target model) to its best-scoring narrative segment.
 
     The gateway token set is the union of its label tokens and the variable
     names (underscores split) from both models' branch conditions at the
@@ -239,15 +239,18 @@ def localize_ambiguity(
     unlocalized rather than guessed.
     """
     ordered_gateways: list[str] = []
-    for diagnosis in result.chosen.refined:
-        for gateway_id in diagnosis.sorted_gateways:
+    for gateways in refined:
+        for gateway_id in gateways:
             if gateway_id not in ordered_gateways:
                 ordered_gateways.append(gateway_id)
     instances: list[AmbiguityInstance] = []
     unlocalized: list[str] = []
     counter = 0
     for gateway_id in ordered_gateways:
-        node = tgt_model.node(gateway_id)
+        try:
+            node = tgt_model.node(gateway_id)
+        except KeyError:
+            raise ValueError(f"gateway {gateway_id!r} is not in model {tgt_model.model_id!r}")
         ref_gateway_id = _match_reference_gateway(ref_model, node.label)
         tokens = tokenize(node.label)
         for name in _gateway_condition_variables(tgt_model, gateway_id):
@@ -294,21 +297,22 @@ def build_ambiguity_report(
     doc_id: str,
     localization: LocalizationResult,
     entropy_summary: Mapping[str, object],
-    result: DirectionResult | None,
+    diagnosed: tuple[str, str, Sequence[Sequence[str]]] | None,
 ) -> dict:
     """Evidence-linked report tying entropy, diagnosis, and narrative spans
     together.  ``entropy_summary`` carries h_norm, category, and combos as
-    produced by the distribution stage."""
+    produced by the distribution stage; ``diagnosed`` is the reference id,
+    target id and refined gateway lists of the diagnosed pair, or None when
+    the pair showed no divergence."""
     diagnosis_block: dict[str, object]
-    if result is None:
+    if diagnosed is None:
         diagnosis_block = {"status": "no_divergence"}
     else:
+        reference, target, refined = diagnosed
         diagnosis_block = {
-            "reference": result.reference_model_id,
-            "target": result.target_model_id,
-            "minimal_diagnoses": [
-                {"gateways": list(d.sorted_gateways)} for d in result.chosen.refined
-            ],
+            "reference": reference,
+            "target": target,
+            "minimal_diagnoses": [{"gateways": list(gateways)} for gateways in refined],
         }
     return {
         "doc_id": doc_id,
@@ -486,7 +490,9 @@ def propose_repairs(
     rejected: list[RejectedRepair] = []
     supplemental_excerpts = [segment.text for segment in supplemental.segments]
     for entry in ambiguities:
-        ambiguity_id = str(entry.get("id", ""))
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("id"), str):
+            raise ValueError("every report ambiguity must be an object with a string id")
+        ambiguity_id = entry["id"]
         segment_id = str(entry.get("segment_id", ""))
         excerpt = str(entry.get("excerpt", ""))
         try:

@@ -13,11 +13,11 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
-from typing import Iterable, Mapping, Sequence
+from decimal import ROUND_HALF_EVEN, Decimal
+from typing import Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
-from .conditions import MissingVariableError, TypeMismatchError, Value, evaluate
+from .conditions import MissingVariableError, TypeMismatchError, Value, evaluate, format_value
 
 KPI_NAMES = ("NC", "HC", "RU", "HI", "CS")
 
@@ -110,21 +110,15 @@ class KpiVector:
         return tuple(k for k, _ in self.values)
 
     def quantized(self, round_decimals: int) -> "KpiVector":
-        from decimal import ROUND_HALF_EVEN
-
         exponent = Decimal(1).scaleb(-round_decimals)
         return KpiVector(
             tuple((k, v.quantize(exponent, rounding=ROUND_HALF_EVEN)) for k, v in self.values)
         )
 
     def label(self) -> str:
-        from .conditions import format_value
-
         return ";".join(f"{k}={format_value(v)}" for k, v in self.values)
 
     def as_json_dict(self) -> dict[str, str]:
-        from .conditions import format_value
-
         return {k: format_value(v) for k, v in self.values}
 
 

@@ -160,7 +160,7 @@ def test_criterion_4_single_fault_localization():
                 for i in range(50)
             ]
             try:
-                result = choose_direction(reference, mutated, cases, KpiConfig())
+                result = choose_direction(reference, mutated, cases)
             except NoDivergenceError:
                 continue  # no case sat on the mutated boundary
             divergent_pairs += 1
@@ -238,13 +238,13 @@ def test_criterion_5_refinement_correctness():
         rng = random.Random(5)
         for trial in range(200):
             reference, variant, cases = bystander_pair(rng, perturb=False)
-            result = choose_direction(reference, variant, cases, KpiConfig())
+            result = choose_direction(reference, variant, cases)
             for run in (result.chosen, result.reverse):
                 assert all("gp" not in d.gateways for d in run.refined), trial
             assert Diagnosis(frozenset({"gx"})) in result.chosen.refined, trial
         for trial in range(200):
             reference, variant, cases = bystander_pair(rng, perturb=True)
-            result = choose_direction(reference, variant, cases, KpiConfig())
+            result = choose_direction(reference, variant, cases)
             for run in (result.chosen, result.reverse):
                 assert any("gp" in d.gateways for d in run.refined), trial
 

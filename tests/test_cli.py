@@ -212,6 +212,7 @@ class TestReport:
     def test_report_payload(self, out, capsys):
         run_city1(out, "simulate")
         run_city1(out, "entropy")
+        run_city1(out, "diagnose")
         assert run_city1(out, "report") == 0
         payload = read_json(out / "ambiguity_report.json")
         assert payload["doc_id"] == "narrative"
@@ -226,6 +227,47 @@ class TestReport:
         run_city1(out, "simulate")
         assert run_city1(out, "report") == 2
         assert "run entropy first" in capsys.readouterr().err
+
+    def test_report_requires_diagnosis(self, out, capsys):
+        run_city1(out, "simulate")
+        run_city1(out, "entropy")
+        assert run_city1(out, "report") == 2
+        assert "run diagnose first" in capsys.readouterr().err
+
+    def test_report_reads_the_diagnosis_instead_of_redoing_it(self, out, tmp_path):
+        run_city1(out, "simulate")
+        run_city1(out, "entropy")
+        run_city1(out, "diagnose")
+        assert run_city1(out, "--cases", str(tmp_path / "missing.csv"), "report") == 0
+        payload = read_json(out / "ambiguity_report.json")
+        assert payload["diagnosis"] == {
+            "reference": "city1_and_strict",
+            "target": "city1_or_broad",
+            "minimal_diagnoses": [{"gateways": ["n3", "n5"]}],
+        }
+
+    def test_report_takes_no_model_ids(self, out, capsys):
+        assert run_city1(out, "report", "city1_and_strict", "city1_or_broad") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_divergence_report(self, out, tmp_path, repo_root):
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        original = (
+            repo_root / "fixtures" / "city1" / "models" / "city1_and_strict.bpmn"
+        ).read_text()
+        (models_dir / "a.bpmn").write_text(original)
+        (models_dir / "b.bpmn").write_text(
+            original.replace('id="city1_and_strict"', 'id="city1_twin"')
+        )
+        twin = ("--models", str(models_dir))
+        run_city1(out, *twin, "simulate")
+        run_city1(out, *twin, "entropy")
+        run_city1(out, *twin, "diagnose", "city1_and_strict", "city1_twin")
+        assert run_city1(out, *twin, "report") == 0
+        payload = read_json(out / "ambiguity_report.json")
+        assert payload["diagnosis"] == {"status": "no_divergence"}
+        assert payload["ambiguities"] == []
 
     def test_segments_sidecar(self, out, tmp_path, repo_root):
         narrative = (repo_root / "fixtures" / "city1" / "narrative.txt").read_text()
@@ -245,6 +287,7 @@ class TestReport:
         )
         run_city1(out, "simulate")
         run_city1(out, "entropy")
+        run_city1(out, "diagnose")
         assert (
             run(
                 "--config",
@@ -368,6 +411,50 @@ class TestRepair:
         full_pipeline(out)
         assert run("--config", str(cfg), "--out", str(out), "repair") == 1
         assert "no provider configured" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact,command,list_key",
+    [
+        ("distribution.json", "report", "combos"),
+        ("diagnosis.json", "report", "refined_diagnoses"),
+        ("ambiguity_report.json", "repair", "ambiguities"),
+    ],
+)
+@pytest.mark.parametrize("damage", ["empty object", "truncated", "wrong-typed entry"])
+def test_malformed_artifact_is_a_data_error(out, capsys, artifact, command, list_key, damage):
+    full_pipeline(out)
+    path = out / artifact
+    text = path.read_text()
+    if damage == "empty object":
+        path.write_text("{}")
+    elif damage == "truncated":
+        path.write_text(text[: len(text) // 2])
+    else:
+        payload = json.loads(text)
+        payload[list_key][0] = 1
+        path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_city1(out, command) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("reference_model", "gone_model", "gone_model"),
+        ("refined_diagnoses", [{"gateways": ["n99"]}], "n99"),
+        ("status", "pending", "pending"),
+    ],
+)
+def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
+    full_pipeline(out)
+    payload = read_json(out / "diagnosis.json")
+    payload[key] = value
+    (out / "diagnosis.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_city1(out, "report") == 2
+    assert message in capsys.readouterr().err
 
 
 class TestVerify:

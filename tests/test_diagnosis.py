@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from bpmndiverge import diagnosis
 from bpmndiverge.diagnosis import (
     TRACE_END,
     CaseMismatchError,
@@ -21,7 +22,7 @@ from bpmndiverge.diagnosis import (
     minimal_hitting_sets,
     refine_diagnoses,
 )
-from bpmndiverge.simulation import CaseRecord, KpiConfig, KpiSequence, Trace, execute_case
+from bpmndiverge.simulation import CaseRecord, KpiSequence, Trace, execute_case
 
 import modelkit as mk
 from oracles import brute_force_hitting_sets
@@ -145,7 +146,7 @@ class TestConflictWindows:
             ],
             [mk.flow("f1", "s", "t1"), mk.flow("f2", "t1", "t2"), mk.flow("f3", "t2", "e")],
         )
-        problem = collect_conflicts(ref, tgt, [CaseRecord("c1", {})], KpiConfig())
+        problem = collect_conflicts(ref, tgt, [CaseRecord("c1", {})])
         assert problem.conflicts == ()
         assert len(problem.unattributable) == 1
         assert problem.unattributable[0].kind is DivergenceKind.EXTRA_OUTPUT
@@ -153,7 +154,7 @@ class TestConflictWindows:
 
 class TestCollectConflicts:
     def test_city1_conflict_family(self, strict_model, broad_model, population):
-        problem = collect_conflicts(strict_model, broad_model, population, KpiConfig())
+        problem = collect_conflicts(strict_model, broad_model, population)
         assert problem.reference_model_id == "city1_and_strict"
         assert problem.target_model_id == "city1_or_broad"
         assert problem.components == ("n3", "n5")
@@ -171,7 +172,7 @@ class TestCollectConflicts:
         self, strict_model, broad_model, population
     ):
         cases = list(population) + [CaseRecord("cXX", {"HbA1c": Decimal("7")})]
-        problem = collect_conflicts(strict_model, broad_model, cases, KpiConfig())
+        problem = collect_conflicts(strict_model, broad_model, cases)
         assert len(problem.failed_cases) == 1
         assert problem.failed_cases[0][0] == "cXX"
         assert len({o.case_id for o in problem.observations}) <= 20
@@ -226,7 +227,7 @@ class TestHittingSets:
         ]
 
     def test_city1_single_diagnosis(self, strict_model, broad_model, population):
-        problem = collect_conflicts(strict_model, broad_model, population, KpiConfig())
+        problem = collect_conflicts(strict_model, broad_model, population)
         result = minimal_hitting_sets(problem)
         assert [d.sorted_gateways for d in result.diagnoses] == [("n3", "n5")]
         assert not result.truncated
@@ -273,9 +274,9 @@ def boundary_case() -> CaseRecord:
 
 class TestRefinement:
     def run_refined(self, ref, tgt, cases):
-        ref_traces = [execute_case(ref, c) for c in cases]
-        tgt_traces = [execute_case(tgt, c) for c in cases]
-        problem = collect_conflicts(ref, tgt, cases, KpiConfig())
+        ref_traces = {c.case_id: execute_case(ref, c) for c in cases}
+        tgt_traces = {c.case_id: execute_case(tgt, c) for c in cases}
+        problem = collect_conflicts(ref, tgt, cases)
         hitting = minimal_hitting_sets(problem)
         refined = refine_diagnoses(
             hitting.diagnoses, problem, ref, tgt, ref_traces, tgt_traces
@@ -321,7 +322,7 @@ class TestRefinement:
 
 class TestDirectionChoice:
     def test_city1_frozen_orientation(self, strict_model, broad_model, population):
-        result = choose_direction(strict_model, broad_model, population, KpiConfig())
+        result = choose_direction(strict_model, broad_model, population)
         assert result.reference_model_id == "city1_and_strict"
         assert result.target_model_id == "city1_or_broad"
         assert [d.sorted_gateways for d in result.chosen.refined] == [("n3", "n5")]
@@ -332,8 +333,8 @@ class TestDirectionChoice:
         assert "parsimony" in result.note
 
     def test_argument_order_is_irrelevant(self, strict_model, broad_model, population):
-        ab = choose_direction(strict_model, broad_model, population, KpiConfig())
-        ba = choose_direction(broad_model, strict_model, population, KpiConfig())
+        ab = choose_direction(strict_model, broad_model, population)
+        ba = choose_direction(broad_model, strict_model, population)
         assert ab.reference_model_id == ba.reference_model_id
         assert ab.chosen.refined == ba.chosen.refined
 
@@ -343,18 +344,49 @@ class TestDirectionChoice:
         ref, tgt = pipeline_models(
             "(w == 1 OR u == 1)", "(u == 1 OR w == 1)", "v >= 10", "v > 10"
         )
-        result = choose_direction(tgt, ref, [boundary_case()], KpiConfig())
+        result = choose_direction(tgt, ref, [boundary_case()])
         assert result.reference_model_id == "ref"
         assert [d.sorted_gateways for d in result.chosen.refined] == [("gx",)]
 
     def test_no_divergence(self, strict_model, population):
         with pytest.raises(NoDivergenceError):
-            choose_direction(strict_model, strict_model, population, KpiConfig())
+            choose_direction(strict_model, strict_model, population)
+
+    def test_each_model_walks_each_case_once(
+        self, strict_model, broad_model, population, monkeypatch
+    ):
+        walks = []
+
+        def counting_execute_case(model, case, **kwargs):
+            walks.append((model.model_id, case.case_id))
+            return execute_case(model, case, **kwargs)
+
+        monkeypatch.setattr(diagnosis, "execute_case", counting_execute_case)
+        choose_direction(strict_model, broad_model, population)
+        assert len(walks) == 2 * len(population)
+        assert len(set(walks)) == len(walks)
+
+    def test_failed_case_reports_reference_error(self):
+        mx = mk.branch_model("x >= 5", model_id="mx")
+        my = mk.branch_model("y >= 5", model_id="my")
+        cases = [
+            CaseRecord("c1", {"x": Decimal("5"), "y": Decimal("0")}),
+            CaseRecord("c_blank", {}),
+        ]
+        result = choose_direction(my, mx, cases)
+        # Both orientations rank equal, so the smaller id is the reference.
+        assert result.reference_model_id == "mx"
+        assert result.chosen.problem.failed_cases == (
+            ("c_blank", "variable 'x' not present in case record"),
+        )
+        assert result.reverse.problem.failed_cases == (
+            ("c_blank", "variable 'y' not present in case record"),
+        )
 
 
 class TestReport:
     def test_report_shape(self, strict_model, broad_model, population):
-        result = choose_direction(strict_model, broad_model, population, KpiConfig())
+        result = choose_direction(strict_model, broad_model, population)
         report = diagnosis_report(result)
         assert report["reference_model"] == "city1_and_strict"
         assert report["target_model"] == "city1_or_broad"

@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from bpmndiverge.diagnosis import choose_direction
+from bpmndiverge.diagnosis import choose_direction, diagnosis_report
 from bpmndiverge.repair import (
     REPAIR_PROCEDURE,
     CannedRewriteProvider,
@@ -26,27 +26,30 @@ from bpmndiverge.repair import (
     token_jaccard,
     tokenize,
 )
-from bpmndiverge.simulation import KpiConfig
-
 from oracles import jaccard_oracle
 
 
 @pytest.fixture(scope="module")
-def direction(strict_model, broad_model, population):
-    return choose_direction(strict_model, broad_model, population, KpiConfig())
+def diagnosed(strict_model, broad_model, population):
+    """(reference id, target id, refined gateway lists) as diagnosis.json
+    records them."""
+    payload = diagnosis_report(choose_direction(strict_model, broad_model, population))
+    refined = [entry["gateways"] for entry in payload["refined_diagnoses"]]
+    return payload["reference_model"], payload["target_model"], refined
 
 
 @pytest.fixture(scope="module")
-def localization(direction, strict_model, broad_model, narrative_doc):
+def localization(diagnosed, strict_model, broad_model, narrative_doc):
     # Chosen orientation: strict is reference, broad is target.
-    return localize_ambiguity(direction, broad_model, strict_model, narrative_doc)
+    assert diagnosed[:2] == ("city1_and_strict", "city1_or_broad")
+    return localize_ambiguity(diagnosed[2], broad_model, strict_model, narrative_doc)
 
 
 @pytest.fixture(scope="module")
-def report(direction, localization, narrative_doc):
+def report(diagnosed, localization, narrative_doc):
     entropy_summary = {"h_norm": 1.0, "category": "low", "combos": 2}
     return build_ambiguity_report(
-        narrative_doc.doc_id, localization, entropy_summary, direction
+        narrative_doc.doc_id, localization, entropy_summary, diagnosed
     )
 
 
@@ -172,10 +175,10 @@ class TestLocalization:
         assert by_model["city1_or_broad"].exercised_condition == "Consent_Submitted == 1"
 
     def test_high_threshold_leaves_gateways_unlocalized(
-        self, direction, strict_model, broad_model, narrative_doc
+        self, diagnosed, strict_model, broad_model, narrative_doc
     ):
         result = localize_ambiguity(
-            direction, broad_model, strict_model, narrative_doc, threshold=0.5
+            diagnosed[2], broad_model, strict_model, narrative_doc, threshold=0.5
         )
         assert result.instances == ()
         assert result.unlocalized == ("n3", "n5")
