@@ -64,6 +64,7 @@ from .repair import (
 )
 from .simulation import (
     CaseRecord,
+    ConditionTables,
     KpiConfig,
     KpiVector,
     Trace,
@@ -80,6 +81,7 @@ __all__ = [
     "CannedRewriteProvider",
     "CaseRecord",
     "Compare",
+    "ConditionTables",
     "ConsistencyCategory",
     "Diagnosis",
     "DirectionResult",

@@ -106,10 +106,16 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     models = _load_models(_require(config.models_dir, "models_dir"), config)
     cases = _load_cases(config)
     out_dir = _kpi_dir(config)
+    tables = simulation.ConditionTables(cases)
     for model_id in sorted(models):
         model, source = models[model_id]
         result = simulation.simulate_population(
-            model, cases, config.kpi, step_cap=config.step_cap
+            model,
+            cases,
+            config.kpi,
+            step_cap=config.step_cap,
+            traces=include_traces,
+            tables=tables,
         )
         payload: dict[str, object] = {
             "model_id": model_id,
@@ -186,7 +192,7 @@ def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
 
 def _distribution_payload(
     entries: Sequence[tuple[str, simulation.KpiVector, str]], round_decimals: int
-) -> tuple[dict, distribution.EmpiricalDistribution, dict[int, list[str]]]:
+) -> tuple[dict, distribution.EmpiricalDistribution]:
     vectors = [vector for _, vector, _ in entries]
     dist = distribution.build_distribution(vectors, round_decimals)
     members: dict[int, list[str]] = {}
@@ -209,7 +215,7 @@ def _distribution_payload(
             for index, combo in enumerate(dist.combos)
         ],
     }
-    return payload, dist, members
+    return payload, dist
 
 
 def cmd_entropy(config: RunConfig, kpis_path: Path | None, from_csv: Path | None) -> int:
@@ -217,7 +223,7 @@ def cmd_entropy(config: RunConfig, kpis_path: Path | None, from_csv: Path | None
         entries = _read_kpi_csv(from_csv)
     else:
         entries = _read_kpi_dir(kpis_path or _kpi_dir(config))
-    payload, dist, _members = _distribution_payload(entries, config.round_decimals)
+    payload, dist = _distribution_payload(entries, config.round_decimals)
     atomic_write(config.out_dir / "distribution.json", dump_json(payload))
     histogram_lines = ["label,count"]
     for combo in dist.combos:
@@ -240,12 +246,18 @@ def _pick_pair(
         if missing:
             raise DataError(f"model id(s) not found in models_dir: {', '.join(missing)}")
         return models[requested[0]][0], models[requested[1]][0]
-    entries = _read_kpi_dir(_kpi_dir(config))
-    known = [e for e in entries if e[0] in models]
-    if len(known) < 2:
-        raise DataError("auto-selection needs simulated KPIs for at least two known models")
-    _, dist, members = _distribution_payload(known, config.round_decimals)
-    first, second = distribution.select_representatives(dist, members)
+    source = "distribution.json"
+    combos = _field(_read_artifact(config.out_dir / source, "entropy"), "combos", list, source)
+    members = [_field(combo, "models", list, source) for combo in combos]
+    unknown = sorted(
+        {str(m) for ids in members for m in ids if not (isinstance(m, str) and m in models)}
+    )
+    if unknown:
+        raise DataError(
+            f"{source} names model(s) not in models_dir: {', '.join(unknown)} "
+            "(rerun simulate and entropy)"
+        )
+    first, second = distribution.select_representatives(members)
     return models[first][0], models[second][0]
 
 
@@ -412,7 +424,7 @@ def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
     payload = {}
     for key, path in (("before", before), ("after", after)):
         entries = _read_kpi_dir(path)
-        block, _dist, _members = _distribution_payload(entries, config.round_decimals)
+        block, _dist = _distribution_payload(entries, config.round_decimals)
         payload[key] = {
             "kpi_dir": str(path),
             "total": block["total"],

@@ -26,12 +26,12 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
-from .conditions import ConditionAst, MissingVariableError, TypeMismatchError, normalize
+from .conditions import ConditionAst, normalize
 from .simulation import (
+    CASE_ERRORS,
     CaseRecord,
     DEFAULT_STEP_CAP,
     KpiSequence,
-    SimulationError,
     Trace,
     execute_case,
     kpi_sequence,
@@ -254,7 +254,7 @@ def _walk_cases(model: ProcessModel, cases: Sequence[CaseRecord], step_cap: int)
     for case in cases:
         try:
             traces[case.case_id] = execute_case(model, case, step_cap=step_cap)
-        except (SimulationError, MissingVariableError, TypeMismatchError) as exc:
+        except CASE_ERRORS as exc:
             errors[case.case_id] = str(exc)
     return traces, errors
 

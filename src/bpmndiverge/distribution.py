@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .simulation import KpiVector
 
@@ -111,21 +111,18 @@ def consistency_category(h_norm: float) -> ConsistencyCategory:
     return ConsistencyCategory.LOW
 
 
-def select_representatives(
-    distribution: EmpiricalDistribution, members: Mapping[int, Sequence[str]]
-) -> tuple[str, str]:
+def select_representatives(members: Sequence[Sequence[str]]) -> tuple[str, str]:
     """Pick one model from each of the two most frequent combos.
 
-    ``members`` maps combo index to the model ids that landed in that combo.
-    Within a combo the lexicographically smallest model id wins, making the
-    choice deterministic.
+    ``members`` lists the model ids of each combo, in combo order (most
+    frequent first).  Within a combo the lexicographically smallest model id
+    wins, making the choice deterministic.
     """
-    if len(distribution.combos) < 2:
+    if len(members) < 2:
         raise SingleClassError("all models fall into a single outcome class")
     picks = []
     for index in (0, 1):
-        ids = members.get(index)
-        if not ids:
+        if not members[index]:
             raise ValueError(f"no member model ids for combo {index}")
-        picks.append(min(ids))
+        picks.append(min(members[index]))
     return picks[0], picks[1]

@@ -61,6 +61,11 @@ class NarrativeDocument:
     def __post_init__(self):
         last_end = 0
         for segment in self.segments:
+            if not 0 <= segment.start <= segment.end <= len(self.text):
+                raise ValueError(
+                    f"segment {segment.segment_id!r} range {segment.start}..{segment.end} "
+                    f"is not inside the {len(self.text)}-character text"
+                )
             if segment.start < last_end:
                 raise ValueError(f"segment {segment.segment_id!r} overlaps its predecessor")
             if self.text[segment.start : segment.end] != segment.text:
@@ -92,17 +97,22 @@ class NarrativeDocument:
     def with_segments(
         cls, doc_id: str, text: str, ranges: Sequence[Mapping[str, object]]
     ) -> "NarrativeDocument":
-        """Sidecar override: explicit [{segment_id, start, end}] ranges."""
-        segments = tuple(
-            Segment(
-                str(entry["segment_id"]),
-                int(entry["start"]),  # type: ignore[arg-type]
-                int(entry["end"]),  # type: ignore[arg-type]
-                text[int(entry["start"]) : int(entry["end"])],  # type: ignore[arg-type]
-            )
-            for entry in ranges
-        )
-        return cls(doc_id, text, segments)
+        """Sidecar override: explicit [{segment_id, start, end}] ranges.
+        Raises ValueError on any other shape."""
+        if not isinstance(ranges, (list, tuple)):
+            raise ValueError("segments sidecar must be a list of {segment_id, start, end} objects")
+        segments = []
+        for index, entry in enumerate(ranges):
+            try:
+                start = int(entry["start"])  # type: ignore[index, arg-type]
+                end = int(entry["end"])  # type: ignore[index, arg-type]
+                segment_id = str(entry["segment_id"])  # type: ignore[index]
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"segments sidecar entry {index} needs segment_id, start and end: {entry!r}"
+                )
+            segments.append(Segment(segment_id, start, end, text[start:end]))
+        return cls(doc_id, text, tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -527,6 +537,14 @@ def propose_repairs(
     return RepairOutcome(tuple(records), tuple(rejected))
 
 
+def _id_order(ambiguity_id: str) -> tuple[str, int, str]:
+    """Sort key that puts AMB-2 before AMB-10: the prefix, then the number
+    the id ends in."""
+    digits = re.search(r"\d*\Z", ambiguity_id).group()  # type: ignore[union-attr]
+    prefix = ambiguity_id[: len(ambiguity_id) - len(digits)]
+    return prefix, int(digits) if digits else -1, ambiguity_id
+
+
 def reconstruct_narrative(
     document: NarrativeDocument,
     repairs: Sequence[RepairRecord],
@@ -535,7 +553,8 @@ def reconstruct_narrative(
     """Splice revised excerpts into their segments.
 
     ``instances`` carries the ambiguity entries from the report (id, segment,
-    excerpt).  Only matched excerpts inside repaired segments change; every
+    excerpt), and the repairs are applied in the numeric order of their ids.
+    Only matched excerpts inside repaired segments change; every
     other character of the narrative is preserved.  A stale anchor raises
     ExcerptNotFoundError.
     """
@@ -545,7 +564,7 @@ def reconstruct_narrative(
         by_id = {str(entry["id"]): entry for entry in instances}
     segment_texts = {segment.segment_id: segment.text for segment in document.segments}
     applied: list[RepairRecord] = []
-    for record in sorted(repairs, key=lambda r: r.ambiguity_id):
+    for record in sorted(repairs, key=lambda r: _id_order(r.ambiguity_id)):
         entry = by_id.get(record.ambiguity_id)
         if entry is None:
             raise ExcerptNotFoundError(

@@ -1,23 +1,41 @@
-"""Deterministic single-case token simulation and KPI aggregation.
+"""Deterministic token simulation and KPI aggregation.
 
 Each case walks the process graph from the start event.  At an exclusive
 gateway the non-default branches are evaluated in document order and the
 first enabled one is taken; if none is enabled the default flow is taken.
 Tasks append one emission per configured KPI name, sorted lexicographically
 within the task.  All numeric work uses exact decimals.
+
+``execute_case`` walks one case and is the reference semantics.
+``simulate_population`` gets the same KPIs and errors for an acyclic model
+set-at-a-time: every case moves through the graph at once as a bit of an
+integer mask, and each distinct condition is evaluated once per case of the
+population (``ConditionTables``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
-from .conditions import MissingVariableError, TypeMismatchError, Value, evaluate, format_value
+from .conditions import (
+    BoolOp,
+    ConditionAst,
+    MissingVariableError,
+    Not,
+    TypeMismatchError,
+    Value,
+    evaluate,
+    format_value,
+    to_text,
+)
 
 KPI_NAMES = ("NC", "HC", "RU", "HI", "CS")
 
@@ -46,6 +64,10 @@ class StepLimitExceededError(SimulationError):
 
 class CaseDataError(Exception):
     """Raised for malformed case population input."""
+
+
+# What a single case can fail with: it is reported, and the population goes on.
+CASE_ERRORS = (SimulationError, MissingVariableError, TypeMismatchError)
 
 
 @dataclass(frozen=True)
@@ -124,7 +146,7 @@ class KpiVector:
 
 @dataclass(frozen=True)
 class PopulationResult:
-    traces: tuple[Trace, ...]
+    traces: tuple[Trace, ...]  # of the successful cases, when requested
     kpis: KpiVector
     errors: tuple[tuple[str, str], ...]  # (case id, message)
     cases_total: int
@@ -236,8 +258,6 @@ def aggregate_kpis(
     with at least one HC emission; RU the guidance load capped by the
     overload penalty; HI and CS the improvement and cost-saving projections.
     """
-    if cases_total <= 0:
-        raise ValueError("cases_total must be positive")
     nc = 0
     hc_cases: set[str] = set()
     for trace in traces:
@@ -246,7 +266,14 @@ def aggregate_kpis(
                 nc += 1
             elif kpi == "HC":
                 hc_cases.add(trace.case_id)
-    hc = len(hc_cases)
+    return _kpi_vector(nc, len(hc_cases), cases_total, config)
+
+
+def _kpi_vector(nc: int, hc: int, cases_total: int, config: KpiConfig) -> KpiVector:
+    """The KPI vector of a population with ``nc`` NC emissions and ``hc``
+    cases that emitted HC."""
+    if cases_total <= 0:
+        raise ValueError("cases_total must be positive")
     load = Decimal(hc) / Decimal(config.guidance_capacity)
     if load <= 1:
         ru = load
@@ -265,24 +292,206 @@ def aggregate_kpis(
     )
 
 
+Table = tuple[int, int, Mapping[int, str]]
+
+
+class ConditionTables:
+    """Condition outcomes over one case population, as bitmasks.
+
+    Bit ``i`` of a mask stands for ``cases[i]``.  A condition's table is
+    ``(true, error, messages)``: the cases on which it holds, the cases on
+    which evaluating it raises, and the message of each such error.  Each
+    distinct leaf (comparison, variable, literal) is evaluated once per case;
+    ``Not`` and ``BoolOp`` tables are composed from their operands' tables.
+    Like ``evaluate``, a ``BoolOp`` fails wherever any operand fails, with
+    the message of its first failing operand.
+
+    Tables are memoized by the condition's source rendering.  Neither AST
+    equality nor the normal form would do: ``x == TRUE`` equals ``x == 1``
+    as a dataclass but fails with another message on a string cell, and
+    normalizing reorders operands, which changes which error comes first.
+    """
+
+    def __init__(self, cases: Sequence[CaseRecord]):
+        self.cases = cases
+        self.everyone = (1 << len(cases)) - 1
+        self._memo: dict[str, Table] = {}
+
+    def table(self, ast: ConditionAst) -> Table:
+        key = to_text(ast)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = self._build(ast)
+        return found
+
+    def _build(self, ast: ConditionAst) -> Table:
+        if isinstance(ast, Not):
+            true, error, messages = self.table(ast.operand)
+            return self.everyone & ~(true | error), error, messages
+        if isinstance(ast, BoolOp):
+            operands = [self.table(operand) for operand in ast.operands]
+            combine = operator.and_ if ast.op == "AND" else operator.or_
+            error = reduce(operator.or_, (e for _t, e, _m in operands))
+            merged: dict[int, str] = {}
+            for _true, _error, messages in operands:
+                for index, message in messages.items():
+                    merged.setdefault(index, message)
+            return reduce(combine, (t for t, _e, _m in operands)) & ~error, error, merged
+        true, error = bytearray(b"0" * len(self.cases)), bytearray(b"0" * len(self.cases))
+        leaf_messages: dict[int, str] = {}
+        for index, case in enumerate(self.cases):
+            try:
+                if evaluate(ast, case.attributes):
+                    true[index] = ord("1")
+            except (MissingVariableError, TypeMismatchError) as exc:
+                error[index] = ord("1")
+                leaf_messages[index] = str(exc)
+        return _mask(true), _mask(error), leaf_messages
+
+
+def _mask(bits: bytearray) -> int:
+    """The int whose bit ``i`` is set where ``bits[i]`` is ``"1"``."""
+    return int(b"0" + bits[::-1], 2)
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    return [index for index, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _walk_order(model: ProcessModel) -> list[str] | None:
+    """The nodes a walk can reach, in topological order of the flows it can
+    take, or None when it can reach a cycle.  Only gateways choose among
+    their flows; any other node always takes its first one."""
+
+    def successors(node_id: str) -> list[str]:
+        kind = model.node(node_id).kind
+        out = model.outgoing(node_id)
+        if kind is NodeKind.EXCLUSIVE_GATEWAY:
+            return [flow.target for flow in out]
+        return [] if kind is NodeKind.END_EVENT else [out[0].target]
+
+    finished: list[str] = []
+    done: set[str] = set()
+    open_nodes = {model.start_node}
+    stack = [(model.start_node, iter(successors(model.start_node)))]
+    while stack:
+        node_id, pending = stack[-1]
+        for child in pending:
+            if child in open_nodes:
+                return None
+            if child not in done:
+                open_nodes.add(child)
+                stack.append((child, iter(successors(child))))
+                break
+        else:
+            stack.pop()
+            open_nodes.discard(node_id)
+            done.add(node_id)
+            finished.append(node_id)
+    return finished[::-1]
+
+
+def _walk_masks(
+    model: ProcessModel, order: Sequence[str], tables: ConditionTables
+) -> tuple[int, int, dict[int, str]]:
+    """(NC emissions, HC cases, case index -> error) of every case walked at
+    once: each node passes the mask of cases that reach it on to the flows
+    they take, in topological order."""
+    reach = {model.start_node: tables.everyone}
+    failures: dict[int, str] = {}
+    failed = hc = 0
+    nc_masks: list[int] = []
+
+    def send(target: str, mask: int) -> None:
+        reach[target] = reach.get(target, 0) | mask
+
+    for node_id in order:
+        mask = reach.pop(node_id, 0)
+        node = model.node(node_id)
+        if not mask or node.kind is NodeKind.END_EVENT:
+            continue
+        if "NC" in node.kpi_outputs:
+            nc_masks.append(mask)
+        if "HC" in node.kpi_outputs:
+            hc |= mask
+        out = model.outgoing(node_id)
+        if node.kind is not NodeKind.EXCLUSIVE_GATEWAY:
+            send(out[0].target, mask)
+            continue
+        rest, default = mask, None
+        for flow in out:
+            if flow.is_default:
+                default = flow
+            elif rest and flow.condition is None:
+                send(flow.target, rest)
+                rest = 0
+            elif rest:
+                true, error, messages = tables.table(flow.condition)
+                for index in _indices(rest & error):
+                    failures[index] = messages[index]
+                failed |= rest & error
+                send(flow.target, rest & true)
+                rest &= ~(true | error)
+        if rest and default is not None:
+            send(default.target, rest)
+        elif rest:
+            for index in _indices(rest):
+                failures[index] = str(NoEnabledBranchError(node_id, tables.cases[index].case_id))
+            failed |= rest
+    nc = sum((nc_mask & ~failed).bit_count() for nc_mask in nc_masks)
+    return nc, (hc & ~failed).bit_count(), failures
+
+
 def simulate_population(
     model: ProcessModel,
     cases: Sequence[CaseRecord],
     config: KpiConfig,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
+    traces: bool = True,
+    tables: ConditionTables | None = None,
 ) -> PopulationResult:
-    """Simulate every case sequentially.  Per-case failures are collected with
-    their case id; aggregation runs over the successful traces only, while the
-    HI denominator stays the full population size."""
+    """Simulate every case.  Per-case failures are collected with their case
+    id, in case order; aggregation runs over the successful cases only, while
+    the HI denominator stays the full population size.
+
+    An acyclic model with at most ``step_cap`` nodes is simulated with case
+    masks over ``tables`` (built here unless a caller shares one across
+    models), and ``execute_case`` runs only to build the traces of the
+    successful cases.  Any other model walks every case with
+    ``execute_case``.  Traces are returned only when ``traces`` is set.
+    """
     if not cases:
         raise CaseDataError("case population is empty")
-    traces: list[Trace] = []
-    errors: list[tuple[str, str]] = []
-    for case in cases:
-        try:
-            traces.append(execute_case(model, case, step_cap=step_cap))
-        except (SimulationError, MissingVariableError, TypeMismatchError) as exc:
-            errors.append((case.case_id, str(exc)))
-    kpis = aggregate_kpis(traces, len(cases), config)
-    return PopulationResult(tuple(traces), kpis, tuple(errors), len(cases))
+    order = _walk_order(model) if len(model.nodes) <= step_cap else None
+    if order is None:
+        walked: list[Trace] = []
+        errors: list[tuple[str, str]] = []
+        for case in cases:
+            try:
+                walked.append(execute_case(model, case, step_cap=step_cap))
+            except CASE_ERRORS as exc:
+                errors.append((case.case_id, str(exc)))
+        kpis = aggregate_kpis(walked, len(cases), config)
+        return PopulationResult(tuple(walked) if traces else (), kpis, tuple(errors), len(cases))
+    if tables is None:
+        tables = ConditionTables(cases)
+    elif tables.cases is not cases:
+        raise ValueError("condition tables were built over another case population")
+    nc, hc, failures = _walk_masks(model, order, tables)
+    successful = (
+        tuple(
+            execute_case(model, case, step_cap=step_cap)
+            for index, case in enumerate(cases)
+            if index not in failures
+        )
+        if traces
+        else ()
+    )
+    return PopulationResult(
+        successful,
+        _kpi_vector(nc, hc, len(cases), config),
+        tuple((cases[index].case_id, failures[index]) for index in sorted(failures)),
+        len(cases),
+    )

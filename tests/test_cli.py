@@ -146,6 +146,7 @@ class TestEntropy:
 class TestDiagnose:
     def test_auto_pick_matches_explicit_pair(self, out):
         run_city1(out, "simulate")
+        run_city1(out, "entropy")
         assert run_city1(out, "diagnose") == 0
         auto = (out / "diagnosis.json").read_bytes()
         assert run_city1(out, "diagnose", "city1_and_strict", "city1_or_broad") == 0
@@ -153,6 +154,7 @@ class TestDiagnose:
 
     def test_diagnosis_payload(self, out, capsys):
         run_city1(out, "simulate")
+        run_city1(out, "entropy")
         run_city1(out, "diagnose")
         payload = read_json(out / "diagnosis.json")
         assert payload["status"] == "diagnosed"
@@ -196,8 +198,34 @@ class TestDiagnose:
             original.replace('id="city1_and_strict"', 'id="city1_twin"')
         )
         run_city1(out, "--models", str(models_dir), "simulate")
+        run_city1(out, "--models", str(models_dir), "entropy")
         assert run_city1(out, "--models", str(models_dir), "diagnose") == 2
         assert "single outcome class" in capsys.readouterr().err
+
+    def test_auto_pick_requires_distribution(self, out, capsys):
+        run_city1(out, "simulate")
+        assert run_city1(out, "diagnose") == 2
+        assert "run entropy first" in capsys.readouterr().err
+
+    def test_auto_pick_reads_the_distribution_not_the_kpis(self, out):
+        run_city1(out, "simulate")
+        run_city1(out, "entropy")
+        for path in (out / "kpis").glob("*.json"):
+            path.unlink()
+        assert run_city1(out, "diagnose") == 0
+        assert read_json(out / "diagnosis.json")["target_model"] == "city1_or_broad"
+
+    def test_auto_pick_rejects_a_model_missing_from_models_dir(
+        self, out, tmp_path, repo_root, capsys
+    ):
+        run_city1(out, "simulate")
+        run_city1(out, "entropy")
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        strict = repo_root / "fixtures" / "city1" / "models" / "city1_and_strict.bpmn"
+        (models_dir / strict.name).write_text(strict.read_text())
+        assert run_city1(out, "--models", str(models_dir), "diagnose") == 2
+        assert "not in models_dir: city1_or_broad" in capsys.readouterr().err
 
     def test_single_model_id_is_usage_error(self, out, capsys):
         assert run_city1(out, "diagnose", "city1_and_strict") == 1
@@ -302,6 +330,24 @@ class TestReport:
         )
         payload = read_json(out / "ambiguity_report.json")
         assert [a["segment_id"] for a in payload["ambiguities"]] == ["para-2", "para-4"]
+
+    @pytest.mark.parametrize(
+        "ranges,message",
+        [
+            ([{"segment_id": "para-1", "end": 5}], "entry 0 needs segment_id, start and end"),
+            (5, "must be a list"),
+            ([{"segment_id": "para-1", "start": 50, "end": 10}], "range 50..10 is not inside"),
+            ([{"segment_id": "para-1", "start": 0, "end": 10**6}], "is not inside the"),
+        ],
+    )
+    def test_malformed_segments_sidecar_is_a_data_error(
+        self, out, tmp_path, capsys, ranges, message
+    ):
+        sidecar = tmp_path / "segments.json"
+        sidecar.write_text(json.dumps(ranges))
+        full_pipeline(out)
+        assert run_city1(out, "--segments", str(sidecar), "report") == 2
+        assert message in capsys.readouterr().err
 
 
 def full_pipeline(out) -> None:

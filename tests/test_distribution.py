@@ -118,19 +118,15 @@ class TestCategories:
 
 class TestRepresentatives:
     def test_min_id_from_each_of_top_two(self):
-        dist = build_distribution([vec("1"), vec("1"), vec("2")])
-        members = {0: ["m_b", "m_a"], 1: ["m_z"]}
-        assert select_representatives(dist, members) == ("m_a", "m_z")
+        assert select_representatives([["m_b", "m_a"], ["m_z"], ["m_0"]]) == ("m_a", "m_z")
 
     def test_single_class_rejected(self):
-        dist = build_distribution([vec("1"), vec("1")])
         with pytest.raises(SingleClassError):
-            select_representatives(dist, {0: ["m_a", "m_b"]})
+            select_representatives([["m_a", "m_b"]])
 
     def test_missing_members_rejected(self):
-        dist = build_distribution([vec("1"), vec("2")])
         with pytest.raises(ValueError, match="combo 1"):
-            select_representatives(dist, {0: ["m_a"]})
+            select_representatives([["m_a"], []])
 
 
 class TestProperties:

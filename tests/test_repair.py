@@ -491,6 +491,18 @@ class TestReconstruction:
         repaired = reconstruct_narrative(narrative_doc, records, instances)
         assert [r.ambiguity_id for r in repaired.applied] == ["AMB-1", "AMB-2"]
 
+    def test_repairs_applied_in_numeric_id_order(self):
+        # Each repair rewrites the word the next one looks for, so the text
+        # only comes out right when AMB-2 runs before AMB-10.
+        doc = NarrativeDocument.from_text("d", "w1\n")
+        records = [RepairRecord(f"AMB-{n}", f"w{n + 1}", "r", ("e",)) for n in range(11, 0, -1)]
+        instances = [
+            {"id": f"AMB-{n}", "segment_id": "seg-1", "excerpt": f"w{n}"} for n in range(1, 12)
+        ]
+        repaired = reconstruct_narrative(doc, records, instances)
+        assert [r.ambiguity_id for r in repaired.applied] == [f"AMB-{n}" for n in range(1, 12)]
+        assert repaired.text == "w12\n"
+
     def test_stale_excerpt(self, narrative_doc):
         record = RepairRecord("AMB-1", "x", "r", ("e",))
         instances = [{"id": "AMB-1", "segment_id": "seg-1", "excerpt": "never there"}]

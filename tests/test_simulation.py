@@ -1,14 +1,29 @@
-"""Case loading, trace execution, and KPI aggregation."""
+"""Case loading, trace execution, KPI aggregation, and set-at-a-time
+population runs checked against per-case walks."""
 
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bpmndiverge.conditions import MissingVariableError
+from bpmndiverge import cli, simulation
+from bpmndiverge.bpmn import SequenceFlow, parse_bpmn
+from bpmndiverge.conditions import (
+    BoolOp,
+    MissingVariableError,
+    Not,
+    TypeMismatchError,
+    evaluate,
+    parse_condition,
+    to_text,
+)
 from bpmndiverge.simulation import (
+    CASE_ERRORS,
     CaseDataError,
     CaseRecord,
+    ConditionTables,
     KpiConfig,
     KpiVector,
     NoEnabledBranchError,
@@ -24,6 +39,7 @@ from bpmndiverge.simulation import (
 
 import modelkit as mk
 from oracles import recount_vector
+from test_conditions import _NAMES, _asts
 
 
 class TestCellParsing:
@@ -282,3 +298,217 @@ class TestPopulationRuns:
         result = simulate_population(m, cases, KpiConfig())
         assert result.kpis["NC"] == Decimal("2")
         assert result.errors == ()
+
+
+# --- set-at-a-time runs against per-case walks --------------------------------
+
+_CELLS = st.integers(-2, 2).map(Decimal) | st.booleans() | st.sampled_from(["", "a", "abc"])
+_populations = st.lists(st.dictionaries(_NAMES, _CELLS), min_size=1, max_size=12).map(
+    lambda rows: [CaseRecord(f"c{index}", row) for index, row in enumerate(rows)]
+)
+
+
+def walk_each_case(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
+    """The per-case oracle: ``execute_case`` on every case, then
+    ``aggregate_kpis`` over the successful traces."""
+    traces, errors = [], []
+    for case in cases:
+        try:
+            traces.append(execute_case(model, case, step_cap=step_cap))
+        except CASE_ERRORS as exc:
+            errors.append((case.case_id, str(exc)))
+    return tuple(traces), aggregate_kpis(traces, len(cases), config), tuple(errors)
+
+
+def assert_matches_walks(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
+    traces, kpis, errors = walk_each_case(model, cases, config, step_cap)
+    full = simulate_population(model, cases, config, step_cap=step_cap)
+    assert (full.traces, full.kpis, full.errors) == (traces, kpis, errors)
+    bare = simulate_population(model, cases, config, step_cap=step_cap, traces=False)
+    assert (bare.traces, bare.kpis, bare.errors) == ((), kpis, errors)
+
+
+class TestConditionTables:
+    @given(_asts, _populations)
+    def test_table_matches_evaluate_on_every_case(self, ast, cases):
+        true, error, messages = ConditionTables(cases).table(ast)
+        for index, case in enumerate(cases):
+            bit = 1 << index
+            try:
+                expected = evaluate(ast, case.attributes)
+            except (MissingVariableError, TypeMismatchError) as exc:
+                assert error & bit and not true & bit
+                assert messages[index] == str(exc)
+            else:
+                assert not error & bit
+                assert bool(true & bit) == expected
+        assert (true | error) >> len(cases) == 0
+        assert set(messages) == {i for i in range(len(cases)) if error >> i & 1}
+
+    def test_equal_asts_with_different_errors_get_their_own_tables(self):
+        boolean, number = parse_condition("x == TRUE"), parse_condition("x == 1")
+        assert boolean == number  # True == Decimal(1), so the dataclasses compare equal
+        tables = ConditionTables([CaseRecord("c0", {"x": "yes"}), CaseRecord("c1", {"x": True})])
+        assert tables.table(boolean)[2] == {0: "variable 'x': expected boolean, found string"}
+        assert tables.table(number)[2] == {0: "variable 'x': expected number, found string"}
+        assert tables.table(boolean)[:2] == tables.table(number)[:2] == (0b10, 0b01)
+
+    def test_bool_op_reports_its_first_failing_operand_in_source_order(self):
+        # Both conditions normalize alike, but each reports its own first error.
+        tables = ConditionTables([CaseRecord("c0", {"b": "s"})])
+        first_b = tables.table(parse_condition("b > 1 OR a == 1"))
+        first_a = tables.table(parse_condition("a == 1 OR b > 1"))
+        assert first_b == (0, 1, {0: "variable 'b': expected number, found string"})
+        assert first_a == (0, 1, {0: "variable 'a' not present in case record"})
+
+    def test_tables_belong_to_one_population(self, strict_model, population):
+        other = ConditionTables(list(population))
+        with pytest.raises(ValueError, match="another case population"):
+            simulate_population(strict_model, population, KpiConfig(), tables=other)
+
+
+@st.composite
+def _acyclic_models(draw):
+    """Random models whose flows only lead to later nodes: tasks with any KPI
+    outputs (a second outgoing flow is never taken), and gateways with
+    conditioned and unconditioned branches, with or without a default flow."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    nodes, flows = [mk.start("s"), mk.end("e1"), mk.end("e2")], [mk.flow("fs", "s", "n0")]
+    for i, name in enumerate(names):
+        later = st.sampled_from(names[i + 1 :] + ["e1", "e2"])
+        if draw(st.booleans()):
+            kpis = draw(st.lists(st.sampled_from(["NC", "HC", "RU"]), unique=True))
+            nodes.append(mk.task(name, f"Task {i}", tuple(kpis)))
+            for j, target in enumerate(draw(st.lists(later, min_size=1, max_size=2))):
+                flows.append(SequenceFlow(f"f{i}_{j}", name, target))
+            continue
+        nodes.append(mk.gateway(name, f"Gateway {i}"))
+        conditions = st.none() | _asts | _asts
+        branches = draw(st.lists(st.tuples(later, conditions), min_size=1, max_size=3))
+        entries = [(target, condition, False) for target, condition in branches]
+        default = draw(st.none() | st.integers(0, len(entries)))
+        if default is not None:
+            entries.insert(default, (draw(later), None, True))
+        for j, (target, condition, is_default) in enumerate(entries):
+            flows.append(SequenceFlow(f"f{i}_{j}", name, target, condition, is_default))
+    return mk.model("random", nodes, flows)
+
+
+class TestSetAtATime:
+    @settings(deadline=None)
+    @given(_acyclic_models(), _populations, st.integers(1, 4))
+    def test_masks_match_per_case_walks(self, model, cases, capacity):
+        assert_matches_walks(model, cases, KpiConfig(guidance_capacity=capacity))
+
+    def test_failed_cases_emit_nothing(self):
+        # NC and HC come before a gateway that fails: on a type error for c1
+        # and with no enabled branch and no default for c2.
+        m = mk.model(
+            "m",
+            [mk.start("s"), mk.task("t", "Both", ("NC", "HC")), mk.gateway("g"), mk.end("e")],
+            [mk.flow("f1", "s", "t"), mk.flow("f2", "t", "g"), mk.flow("f3", "g", "e", "x > 0")],
+        )
+        cases = [
+            CaseRecord("c0", {"x": Decimal(1)}),
+            CaseRecord("c1", {"x": "n/a"}),
+            CaseRecord("c2", {"x": Decimal(0)}),
+        ]
+        result = simulate_population(m, cases, KpiConfig(), traces=False)
+        assert (result.kpis["NC"], result.kpis["HC"]) == (Decimal(1), Decimal(1))
+        assert [case_id for case_id, _ in result.errors] == ["c1", "c2"]
+        assert_matches_walks(m, cases, KpiConfig())
+
+    def test_unconditioned_branch_takes_every_remaining_case(self):
+        m = mk.model(
+            "m",
+            [
+                mk.start("s"),
+                mk.gateway("g"),
+                mk.task("a", "A", ("NC",)),
+                mk.task("b", "B", ("HC",)),
+                mk.end("e"),
+            ],
+            [
+                mk.flow("f1", "s", "g"),
+                mk.flow("f2", "g", "a", "x == 1"),
+                mk.flow("f3", "g", "b"),
+                mk.flow("f4", "g", "e", "x == 2"),
+                mk.flow("f5", "a", "e"),
+                mk.flow("f6", "b", "e"),
+            ],
+        )
+        cases = [CaseRecord(f"c{v}", {"x": Decimal(v)}) for v in range(4)]
+        result = simulate_population(m, cases, KpiConfig(), traces=False)
+        assert (result.kpis["NC"], result.kpis["HC"]) == (Decimal(1), Decimal(3))
+        assert result.errors == ()
+        assert_matches_walks(m, cases, KpiConfig())
+
+    def test_cyclic_model_walks_each_case(self):
+        cases = [CaseRecord("c0", {"Loop": Decimal(0)}), CaseRecord("c1", {"Loop": Decimal(1)})]
+        assert_matches_walks(mk.loop_model(), cases, KpiConfig(), step_cap=10)
+        result = simulate_population(mk.loop_model(), cases, KpiConfig(), step_cap=10)
+        assert [case_id for case_id, _ in result.errors] == ["c1"]
+        assert "step limit" in result.errors[0][1]
+
+    @pytest.mark.parametrize("step_cap", [3, 4, 5])
+    def test_step_cap_below_the_node_count_walks_each_case(self, step_cap):
+        # Five nodes in a row: a cap of 3 stops every walk at the third task.
+        chain = mk.model(
+            "chain",
+            [mk.start("s"), *(mk.task(f"t{i}", f"T{i}", ("NC",)) for i in range(3)), mk.end("e")],
+            [
+                mk.flow("f0", "s", "t0"),
+                mk.flow("f1", "t0", "t1"),
+                mk.flow("f2", "t1", "t2"),
+                mk.flow("f3", "t2", "e"),
+            ],
+        )
+        cases = [CaseRecord("c0", {}), CaseRecord("c1", {})]
+        assert_matches_walks(chain, cases, KpiConfig(), step_cap=step_cap)
+        errors = simulate_population(chain, cases, KpiConfig(), step_cap=step_cap).errors
+        assert len(errors) == (2 if step_cap < 4 else 0)
+
+    def test_city1_and_families_match_per_case_walks(self, repo_root, population):
+        for family in ("city1/models", "family_original", "family_repaired"):
+            for path in sorted((repo_root / "fixtures" / family).glob("*.bpmn"))[::9]:
+                assert_matches_walks(parse_bpmn(path.read_text()), population, KpiConfig())
+
+
+def _leaves(ast):
+    if isinstance(ast, Not):
+        return _leaves(ast.operand)
+    if isinstance(ast, BoolOp):
+        return [leaf for operand in ast.operands for leaf in _leaves(operand)]
+    return [ast]
+
+
+def test_acyclic_simulate_evaluates_each_leaf_once_per_case(
+    repo_root, population, tmp_path, monkeypatch
+):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(simulation, "execute_case", counted("walks", simulation.execute_case))
+    monkeypatch.setattr(simulation, "evaluate", counted("evaluate", simulation.evaluate))
+    monkeypatch.chdir(repo_root)
+    models_dir = repo_root / "fixtures" / "family_original"
+    argv = ["--config", "fixtures/city1/config.cfg", "--models", str(models_dir)]
+    argv += ["--out", str(tmp_path)]
+    assert cli.main(argv + ["simulate"]) == 0
+    leaves = {
+        to_text(leaf)
+        for path in models_dir.glob("*.bpmn")
+        for flow in parse_bpmn(path.read_text()).flows
+        if flow.condition is not None
+        for leaf in _leaves(flow.condition)
+    }
+    assert calls["walks"] == 0
+    assert 0 < calls["evaluate"] <= len(leaves) * len(population)
+    assert cli.main(argv + ["simulate", "--traces"]) == 0
+    assert 0 < calls["walks"] <= 100 * len(population)
