@@ -126,19 +126,54 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
                 {"case_id": case_id, "reason": reason} for case_id, reason in result.errors
             ],
         }
-        if include_traces:
-            payload["traces"] = [
-                {
-                    "case_id": trace.case_id,
-                    "steps": list(trace.steps),
-                    "flows": list(trace.flows),
-                    "emissions": [[task, kpi] for task, kpi in trace.emissions],
-                }
-                for trace in result.traces
-            ]
-        atomic_write(out_dir / f"{model_id}.json", dump_json(payload))
+        text = _kpi_json(payload, result.traces) if include_traces else dump_json(payload)
+        atomic_write(out_dir / f"{model_id}.json", text)
     print(f"simulated {len(models)} model(s) over {len(cases)} case(s) -> {out_dir}")
     return 0
+
+
+def _kpi_json(payload: dict[str, object], traces: Sequence[simulation.Trace]) -> str:
+    """``dump_json`` of ``payload`` with a ``"traces"`` list appended, written
+    without building it: the steps, flows and emissions of each distinct
+    path are rendered once, and each trace adds only its case id."""
+    head = dump_json({**payload, "traces": []})
+    if not traces:
+        return head
+    bodies: dict[tuple, str] = {}
+    entries = []
+    for trace in traces:
+        key = (trace.steps, trace.flows, trace.emissions)
+        body = bodies.get(key)
+        if body is None:
+            rendered = json.dumps(
+                {
+                    "steps": list(trace.steps),
+                    "flows": list(trace.flows),
+                    "emissions": [list(emission) for emission in trace.emissions],
+                },
+                indent=2,
+                ensure_ascii=False,
+            )
+            # Drop the opening brace and indent two levels, into the list.
+            body = bodies[key] = rendered[1:].replace("\n", "\n    ")
+        case_id = json.dumps(trace.case_id, ensure_ascii=False)
+        entries.append(f'    {{\n      "case_id": {case_id},{body}')
+    return head[: -len("[]\n}\n")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
+
+
+def _parse_kpis(values: dict, source: str) -> simulation.KpiVector:
+    """The vector of the five KPIs in ``values``, each a finite decimal."""
+    pairs = []
+    for name in simulation.KPI_NAMES:
+        try:
+            value = Decimal(values[name])
+        except (KeyError, TypeError, InvalidOperation):
+            value = None
+        if value is None or not value.is_finite():
+            found = values.get(name)
+            raise DataError(f"{source}: KPI {name} must be a finite number, found {found!r}")
+        pairs.append((name, value))
+    return simulation.KpiVector(tuple(pairs))
 
 
 def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
@@ -146,16 +181,14 @@ def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
     if not path.is_dir():
         raise DataError(f"KPI directory not found: {path}")
     entries: list[tuple[str, simulation.KpiVector, str]] = []
+    files: dict[str, str] = {}
     for file in sorted(path.glob("*.json")):
         data = _read_artifact(file, "simulate")
-        try:
-            model_id = data["model_id"]
-            kpis = data["kpis"]
-            vector = simulation.KpiVector(
-                tuple((name, Decimal(kpis[name])) for name in simulation.KPI_NAMES)
-            )
-        except (KeyError, TypeError, InvalidOperation) as exc:
-            raise DataError(f"{file.name}: malformed KPI payload: {exc}")
+        model_id = _field(data, "model_id", str, file.name)
+        if model_id in files:
+            raise DataError(f"{file.name}: model_id {model_id!r} is also in {files[model_id]}")
+        files[model_id] = file.name
+        vector = _parse_kpis(_field(data, "kpis", dict, file.name), file.name)
         entries.append((model_id, vector, str(data.get("source", ""))))
     if not entries:
         raise DataError(f"no KPI JSON files in {path}")
@@ -173,21 +206,17 @@ def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
     header = [h.strip() for h in rows[0]]
     if header[:1] != ["model_id"] or set(header[1:]) != set(simulation.KPI_NAMES):
         raise DataError("KPI CSV header must be model_id plus the five KPI names")
-    entries = []
+    vectors: dict[str, simulation.KpiVector] = {}
     for row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
-        values = dict(zip(header[1:], row[1:]))
-        try:
-            vector = simulation.KpiVector(
-                tuple((name, Decimal(values[name].strip())) for name in simulation.KPI_NAMES)
-            )
-        except (KeyError, InvalidOperation) as exc:
-            raise DataError(f"KPI CSV row {row[0]!r}: {exc}")
-        entries.append((row[0].strip(), vector, ""))
-    if not entries:
+        model_id, source = row[0].strip(), f"KPI CSV row {row[0]!r}"
+        if model_id in vectors:
+            raise DataError(f"{source}: duplicate model_id")
+        vectors[model_id] = _parse_kpis(dict(zip(header[1:], row[1:])), source)
+    if not vectors:
         raise DataError("KPI CSV has no data rows")
-    return sorted(entries)
+    return [(model_id, vectors[model_id], "") for model_id in sorted(vectors)]
 
 
 def _distribution_payload(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import InvalidOperation
 from enum import Enum
 from typing import Sequence
 
@@ -70,7 +71,13 @@ def build_distribution(
         raise OutOfRangeError(f"round_decimals {round_decimals} outside [0, 12]")
     counts: dict[str, tuple[KpiVector, int]] = {}
     for vector in vectors:
-        quantized = vector.quantized(round_decimals)
+        try:
+            quantized = vector.quantized(round_decimals)
+        except InvalidOperation:
+            raise OutOfRangeError(
+                f"KPI vector {vector.label()} has too many digits to round to "
+                f"{round_decimals} decimals"
+            )
         key = quantized.label()
         if key in counts:
             counts[key] = (counts[key][0], counts[key][1] + 1)

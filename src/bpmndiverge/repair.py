@@ -107,7 +107,7 @@ class NarrativeDocument:
                 start = int(entry["start"])  # type: ignore[index, arg-type]
                 end = int(entry["end"])  # type: ignore[index, arg-type]
                 segment_id = str(entry["segment_id"])  # type: ignore[index]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"segments sidecar entry {index} needs segment_id, start and end: {entry!r}"
                 )

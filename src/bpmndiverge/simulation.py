@@ -394,17 +394,20 @@ def _walk_order(model: ProcessModel) -> list[str] | None:
 
 def _walk_masks(
     model: ProcessModel, order: Sequence[str], tables: ConditionTables
-) -> tuple[int, int, dict[int, str]]:
-    """(NC emissions, HC cases, case index -> error) of every case walked at
-    once: each node passes the mask of cases that reach it on to the flows
-    they take, in topological order."""
+) -> tuple[int, int, dict[int, str], list[int]]:
+    """(NC emissions, HC cases, case index -> error, the mask of the cases
+    that take each flow) of every case walked at once: each node passes the
+    mask of cases that reach it on to the flows they take, in topological
+    order."""
     reach = {model.start_node: tables.everyone}
     failures: dict[int, str] = {}
     failed = hc = 0
     nc_masks: list[int] = []
+    taken: list[int] = []
 
     def send(target: str, mask: int) -> None:
         reach[target] = reach.get(target, 0) | mask
+        taken.append(mask)
 
     for node_id in order:
         mask = reach.pop(node_id, 0)
@@ -440,7 +443,21 @@ def _walk_masks(
                 failures[index] = str(NoEnabledBranchError(node_id, tables.cases[index].case_id))
             failed |= rest
     nc = sum((nc_mask & ~failed).bit_count() for nc_mask in nc_masks)
-    return nc, (hc & ~failed).bit_count(), failures
+    return nc, (hc & ~failed).bit_count(), failures, taken
+
+
+def _path_classes(everyone: int, taken: Sequence[int]) -> list[int]:
+    """``everyone`` split into the classes of cases that take the same flows.
+
+    Cases that take the same flows walk the same path and stop at the same
+    node, so every member of a class has the same steps and emissions, and
+    either every member fails or none does."""
+    classes = [everyone]
+    for mask in taken:
+        classes = [
+            part for members in classes for part in (members & mask, members & ~mask) if part
+        ]
+    return classes
 
 
 def simulate_population(
@@ -458,9 +475,11 @@ def simulate_population(
 
     An acyclic model with at most ``step_cap`` nodes is simulated with case
     masks over ``tables`` (built here unless a caller shares one across
-    models), and ``execute_case`` runs only to build the traces of the
-    successful cases.  Any other model walks every case with
-    ``execute_case``.  Traces are returned only when ``traces`` is set.
+    models).  For its traces, ``execute_case`` walks only the first case of
+    each distinct successful path, and every case on that path shares the
+    walk's steps, flows and emissions under its own case id.  Any other
+    model walks every case with ``execute_case``.  Traces are returned only
+    when ``traces`` is set.
     """
     if not cases:
         raise CaseDataError("case population is empty")
@@ -479,18 +498,19 @@ def simulate_population(
         tables = ConditionTables(cases)
     elif tables.cases is not cases:
         raise ValueError("condition tables were built over another case population")
-    nc, hc, failures = _walk_masks(model, order, tables)
-    successful = (
-        tuple(
-            execute_case(model, case, step_cap=step_cap)
-            for index, case in enumerate(cases)
-            if index not in failures
-        )
-        if traces
-        else ()
-    )
+    nc, hc, failures, taken = _walk_masks(model, order, tables)
+    walks: dict[int, Trace] = {}
+    if traces:
+        for members in _path_classes(tables.everyone, taken):
+            indices = _indices(members)
+            if indices[0] not in failures:
+                walk = execute_case(model, cases[indices[0]], step_cap=step_cap)
+                walks.update(dict.fromkeys(indices, walk))
     return PopulationResult(
-        successful,
+        tuple(
+            Trace(cases[index].case_id, walk.steps, walk.flows, walk.emissions)
+            for index, walk in sorted(walks.items())
+        ),
         _kpi_vector(nc, hc, len(cases), config),
         tuple((cases[index].case_id, failures[index]) for index in sorted(failures)),
         len(cases),

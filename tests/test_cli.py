@@ -6,9 +6,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bpmndiverge import cli
 from bpmndiverge.repair import NarrativeDocument
+from bpmndiverge.simulation import Trace
 
 CONFIG = "fixtures/city1/config.cfg"
 
@@ -71,6 +73,69 @@ class TestSimulate:
         assert (out / "kpis" / "city1_and_strict.json").read_bytes() == first
 
 
+def plain_kpi_json(payload, traces):
+    """The KPI JSON text built the plain way: a dict per trace, then dump_json."""
+    entries = [
+        {
+            "case_id": trace.case_id,
+            "steps": list(trace.steps),
+            "flows": list(trace.flows),
+            "emissions": [[task, kpi] for task, kpi in trace.emissions],
+        }
+        for trace in traces
+    ]
+    return cli.dump_json({**payload, "traces": entries})
+
+
+KPI_PAYLOAD = {
+    "model_id": "m",
+    "source": "m.bpmn",
+    "cases_total": 4,
+    "kpis": STRICT_KPIS,
+    "errors": [{"case_id": "c3", "reason": "no enabled branch"}],
+}
+
+_TEXTS = st.text(max_size=3)
+
+
+@st.composite
+def _shared_traces(draw):
+    """Traces with arbitrary ids that share a few steps/flows/emissions bodies."""
+    strings = st.lists(_TEXTS).map(tuple)
+    bodies = st.tuples(strings, strings, st.lists(st.tuples(_TEXTS, _TEXTS)).map(tuple))
+    pool = draw(st.lists(bodies, min_size=1, max_size=3))
+    count = draw(st.integers(0, 6))
+    return [Trace(draw(_TEXTS), *draw(st.sampled_from(pool))) for _ in range(count)]
+
+
+class TestKpiJson:
+    def test_shared_bodies_render_like_dump_json(self):
+        emissions = (("tä", "HC"), ("tä", "NC"))
+        walk = Trace("c0", ("s", "g", "tä", "e"), ("f1", "f2", "f3"), emissions)
+        bare = Trace("c1", ("s", "e"), ("f0",), ())
+        traces = [walk, bare, Trace('q"ü\\', walk.steps, walk.flows, walk.emissions)]
+        assert cli._kpi_json(KPI_PAYLOAD, traces) == plain_kpi_json(KPI_PAYLOAD, traces)
+
+    def test_no_successful_case(self):
+        text = cli._kpi_json(KPI_PAYLOAD, ())
+        assert text == plain_kpi_json(KPI_PAYLOAD, ()) and '"traces": []' in text
+
+    @given(_shared_traces())
+    def test_any_traces_render_like_dump_json(self, traces):
+        assert cli._kpi_json(KPI_PAYLOAD, traces) == plain_kpi_json(KPI_PAYLOAD, traces)
+
+    def test_simulate_writes_what_dump_json_would(self, out, tmp_path):
+        # The strict model fails every case on a population without its variables.
+        cases = tmp_path / "cases.csv"
+        cases.write_text("case_id,Other\nc1,1\nc2,2\n")
+        for extra in ([], ["--cases", str(cases)]):
+            assert run_city1(out, *extra, "simulate", "--traces") == 0
+            for path in (out / "kpis").glob("*.json"):
+                text = path.read_text()
+                assert text == cli.dump_json(json.loads(text))
+        assert read_json(out / "kpis" / "city1_and_strict.json")["traces"] == []
+
+
 class TestEntropy:
     def test_distribution_and_histogram(self, out, capsys):
         run_city1(out, "simulate")
@@ -121,6 +186,51 @@ class TestEntropy:
         csv_path.write_text("model_id,NC\nm1,1\n")
         assert run_city1(out, "entropy", "--from-csv", str(csv_path)) == 2
         assert "five KPI names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            ("Infinity", "KPI CSV row 'm2': KPI NC must be a finite number, found 'Infinity'"),
+            ("sNaN", "KPI CSV row 'm2': KPI NC must be a finite number, found 'sNaN'"),
+            ("1e30", "too many digits to round to 6 decimals"),
+        ],
+    )
+    def test_from_csv_rejects_values_it_cannot_round(self, out, tmp_path, capsys, cell, message):
+        csv_path = tmp_path / "vectors.csv"
+        csv_path.write_text(f"model_id,NC,HC,RU,HI,CS\nm1,1,0,0,0,0\nm2,{cell},0,0,0,0\n")
+        assert run_city1(out, "entropy", "--from-csv", str(csv_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "distribution.json").exists()
+
+    def test_from_csv_rejects_a_duplicate_model_id(self, out, tmp_path, capsys):
+        csv_path = tmp_path / "vectors.csv"
+        csv_path.write_text("model_id,NC,HC,RU,HI,CS\nm1,1,0,0,0,0\nm1,2,0,0,0,0\n")
+        assert run_city1(out, "entropy", "--from-csv", str(csv_path)) == 2
+        assert "KPI CSV row 'm1': duplicate model_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("kpis", {**STRICT_KPIS, "CS": "NaN"}, "KPI CS must be a finite number, found 'NaN'"),
+            ("kpis", ["8"], "'kpis' is missing or has the wrong type"),
+            ("model_id", ["x"], "'model_id' is missing or has the wrong type"),
+        ],
+    )
+    def test_malformed_kpi_json_is_a_data_error(self, out, capsys, key, value, message):
+        assert run_city1(out, "simulate") == 0
+        path = out / "kpis" / "city1_and_strict.json"
+        path.write_text(json.dumps({**read_json(path), key: value}))
+        assert run_city1(out, "entropy") == 2
+        assert f"city1_and_strict.json: {message}" in capsys.readouterr().err
+        assert not (out / "distribution.json").exists()
+
+    def test_kpi_files_with_one_model_id_are_a_data_error(self, out, capsys):
+        assert run_city1(out, "simulate") == 0
+        kpis = out / "kpis"
+        (kpis / "copy.json").write_text((kpis / "city1_and_strict.json").read_text())
+        assert run_city1(out, "entropy") == 2
+        message = "copy.json: model_id 'city1_and_strict' is also in city1_and_strict.json"
+        assert message in capsys.readouterr().err
 
     def test_round_decimals_override_reaches_quantizer(self, out, tmp_path):
         csv_path = tmp_path / "vectors.csv"

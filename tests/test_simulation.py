@@ -1,9 +1,11 @@
 """Case loading, trace execution, KPI aggregation, and set-at-a-time
 population runs checked against per-case walks."""
 
+import json
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,6 +476,27 @@ class TestSetAtATime:
                 assert_matches_walks(parse_bpmn(path.read_text()), population, KpiConfig())
 
 
+# Few distinct cells over many cases, so that cases share paths.  Comparisons
+# raise on a blank cell, so some successful cases would raise on a condition
+# off their path.
+_sharing_populations = st.lists(
+    st.dictionaries(_NAMES, st.sampled_from([Decimal(0), Decimal(1), True, ""])),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: [CaseRecord(f"c{index}", row) for index, row in enumerate(rows)])
+
+
+class TestSharedTraces:
+    @settings(deadline=None)
+    @given(_acyclic_models(), _sharing_populations)
+    def test_traces_match_per_case_walks_with_one_walk_per_path(self, model, cases):
+        traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig())
+        with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
+            shared = simulate_population(model, cases, KpiConfig()).traces
+        assert shared == traces
+        assert walk.call_count == len({(trace.steps, trace.flows) for trace in traces})
+
+
 def _leaves(ast):
     if isinstance(ast, Not):
         return _leaves(ast.operand)
@@ -511,4 +534,9 @@ def test_acyclic_simulate_evaluates_each_leaf_once_per_case(
     assert calls["walks"] == 0
     assert 0 < calls["evaluate"] <= len(leaves) * len(population)
     assert cli.main(argv + ["simulate", "--traces"]) == 0
-    assert 0 < calls["walks"] <= 100 * len(population)
+    # Traced, each model walks one case per distinct path, not every case.
+    paths = 0
+    for path in (tmp_path / "kpis").glob("*.json"):
+        traces = json.loads(path.read_text())["traces"]
+        paths += len({(tuple(trace["steps"]), tuple(trace["flows"])) for trace in traces})
+    assert 0 < calls["walks"] == paths < 100 * len(population)
