@@ -19,7 +19,7 @@ import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import bpmn, diagnosis, distribution, repair, simulation
 from .config import ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
@@ -49,11 +49,16 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def _read_artifact(path: Path, producer: str) -> Any:
-    """The JSON value an earlier stage wrote to ``path``."""
+    """The JSON value an earlier stage wrote to ``path``.  The non-standard
+    ``NaN``, ``Infinity`` and ``-Infinity`` tokens are rejected."""
     if not path.is_file():
         raise DataError(f"{path.name} not found (run {producer} first): {path}")
+
+    def non_finite(token: str) -> NoReturn:
+        raise DataError(f"{path.name}: non-finite number {token}")
+
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name}: invalid JSON: {exc}")
 

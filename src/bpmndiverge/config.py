@@ -126,31 +126,17 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
         elif key in ("localization_threshold", "provider_timeout"):
             updates[key] = _to_float(key, value)
         elif key == "guidance_capacity":
-            kpi_kwargs["guidance_capacity"] = _to_int(key, value)
-        elif key == "overload_penalty_alpha":
-            kpi_kwargs["overload_penalty_alpha"] = _to_decimal(key, value)
-        elif key == "response_rate":
-            kpi_kwargs["response_rate"] = _to_decimal(key, value)
-        elif key == "cost_saving_per_improved_patient":
-            kpi_kwargs["cost_saving_per_improved_patient"] = _to_decimal(key, value)
+            kpi_kwargs[key] = _to_int(key, value)
+        elif key in ("overload_penalty_alpha", "response_rate",
+                     "cost_saving_per_improved_patient"):
+            kpi_kwargs[key] = _to_decimal(key, value)
         elif key in ("provider", "provider_endpoint", "provider_model", "provider_auth_env"):
             updates[key] = value
         else:  # pragma: no cover - parse_config_text screens keys
             raise ConfigError(f"unknown key {key!r}")
     if kpi_kwargs or kpi_tags != dict(config.kpi.kpi_task_tags):
         try:
-            updates["kpi"] = KpiConfig(
-                guidance_capacity=kpi_kwargs.get("guidance_capacity", config.kpi.guidance_capacity),  # type: ignore[arg-type]
-                overload_penalty_alpha=kpi_kwargs.get(
-                    "overload_penalty_alpha", config.kpi.overload_penalty_alpha
-                ),  # type: ignore[arg-type]
-                response_rate=kpi_kwargs.get("response_rate", config.kpi.response_rate),  # type: ignore[arg-type]
-                cost_saving_per_improved_patient=kpi_kwargs.get(
-                    "cost_saving_per_improved_patient",
-                    config.kpi.cost_saving_per_improved_patient,
-                ),  # type: ignore[arg-type]
-                kpi_task_tags=kpi_tags,
-            )
+            updates["kpi"] = replace(config.kpi, **kpi_kwargs, kpi_task_tags=kpi_tags)
         except ValueError as exc:
             raise ConfigError(str(exc))
     config = replace(config, **updates)  # type: ignore[arg-type]

@@ -5,14 +5,16 @@ target gateways can explain the observed differences in KPI emissions.
 Cross-model matching uses task and gateway labels because independently
 generated models do not share element ids.
 
-For each divergent case the earliest difference between the reference and
-target KPI sequences is located, and the gateways on the target trace
-strictly between the last agreeing emission and the first diverging one form
-a conflict set.  Subset-minimal hitting sets over the conflict family are
-the diagnosis candidates; a refinement pass removes gateways whose exercised
-branch conditions are syntactically equal (after canonicalization) to
-conditions exercised on the reference side, which discharges harmless
-operand-order rewrites without hiding real logic changes.
+A case diverges when its reference and target KPI sequences differ, so
+order and repeated emissions count.  For each divergent case the earliest
+difference between the two sequences is located, and the gateways on the
+target trace strictly between the last agreeing emission and the first
+diverging one form a conflict set.  Subset-minimal hitting sets over the
+conflict family are the diagnosis candidates; a refinement pass removes
+gateways whose exercised branch conditions are syntactically equal (after
+canonicalization) to conditions exercised on the reference side, which
+discharges harmless operand-order rewrites without hiding real logic
+changes.
 
 Choosing which model is reference and which is target carries no claim of
 correctness; the orientation is picked only for explanatory parsimony.
@@ -23,18 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
 from .conditions import ConditionAst, normalize
 from .simulation import (
-    CASE_ERRORS,
     CaseRecord,
+    ConditionTables,
     DEFAULT_STEP_CAP,
+    KpiConfig,
     KpiSequence,
     Trace,
-    execute_case,
+    execute_case,  # unused here; perfbench/tracer.py wraps diagnosis.execute_case
     kpi_sequence,
+    simulate_population,
 )
 
 TRACE_END = "<end-of-trace>"
@@ -246,17 +250,18 @@ def conflict_from_divergence(
 _Walk = tuple[dict[str, Trace], dict[str, str]]
 
 
-def _walk_cases(model: ProcessModel, cases: Sequence[CaseRecord], step_cap: int) -> _Walk:
-    """Walk every case through one model: the traces of the cases that
-    complete, and the error message of each case that fails."""
-    traces: dict[str, Trace] = {}
-    errors: dict[str, str] = {}
-    for case in cases:
-        try:
-            traces[case.case_id] = execute_case(model, case, step_cap=step_cap)
-        except CASE_ERRORS as exc:
-            errors[case.case_id] = str(exc)
-    return traces, errors
+def _walk_models(
+    models: Sequence[ProcessModel], cases: Sequence[CaseRecord], step_cap: int
+) -> list[_Walk]:
+    """Each model's traces of the cases that complete and error message of
+    each case that fails, both keyed by case id, from ``simulate_population``
+    over condition tables shared between the models."""
+    tables = ConditionTables(cases)
+    walks: list[_Walk] = []
+    for model in models:
+        result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap, tables=tables)
+        walks.append(({trace.case_id: trace for trace in result.traces}, dict(result.errors)))
+    return walks
 
 
 def _build_problem(
@@ -268,7 +273,8 @@ def _build_problem(
 ) -> DiagnosisProblem:
     """Cases failing on either side are excluded from both and reported, in
     case order, with the reference side's error if the reference walk
-    failed and the target's otherwise."""
+    failed and the target's otherwise.  Every other case whose KPI
+    sequences differ yields a conflict or an unattributable divergence."""
     ref_traces, ref_errors = ref_walk
     tgt_traces, tgt_errors = tgt_walk
     failed = [
@@ -282,15 +288,15 @@ def _build_problem(
         ref_model,
         tgt_model,
     )
-    discrepant_cases = sorted({o.case_id for o in observations if o.discrepant})
     conflicts: dict[tuple[str, ...], list[str]] = {}
     unattributable: list[Divergence] = []
-    for case_id in discrepant_cases:
-        ref_seq = kpi_sequence(ref_traces[case_id], ref_model)
-        tgt_seq = kpi_sequence(tgt_traces[case_id], tgt_model)
-        divergence = first_divergence(ref_seq, tgt_seq)
+    for case_id in sorted(ref_traces.keys() & tgt_traces.keys()):
+        divergence = first_divergence(
+            kpi_sequence(ref_traces[case_id], ref_model),
+            kpi_sequence(tgt_traces[case_id], tgt_model),
+        )
         if divergence is None:
-            continue  # presence differs but aligned prefixes agree; not expected
+            continue
         conflict = conflict_from_divergence(divergence, tgt_traces[case_id], tgt_model)
         if conflict is None:
             unattributable.append(divergence)
@@ -328,11 +334,16 @@ def collect_conflicts(
     of their provenance.
     """
     return _build_problem(
-        ref_model,
-        tgt_model,
-        _walk_cases(ref_model, cases, step_cap),
-        _walk_cases(tgt_model, cases, step_cap),
-        cases,
+        ref_model, tgt_model, *_walk_models((ref_model, tgt_model), cases, step_cap), cases
+    )
+
+
+def _minimal_diagnoses(candidates: Iterable[frozenset[str]]) -> tuple[Diagnosis, ...]:
+    """The subset-minimal candidates, smallest first, then by sorted ids."""
+    distinct = set(candidates)
+    minimal = [c for c in distinct if not any(other < c for other in distinct)]
+    return tuple(
+        Diagnosis(c) for c in sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
     )
 
 
@@ -347,8 +358,6 @@ def minimal_hitting_sets(
     conflict family yields the single empty diagnosis.
     """
     conflict_sets = [frozenset(c.gateways) for c in problem.conflicts]
-    if not conflict_sets:
-        return HittingSetResult((Diagnosis(frozenset()),), truncated=False)
     complete: set[frozenset[str]] = set()
     visited: set[frozenset[str]] = set()
     truncated = False
@@ -369,16 +378,7 @@ def minimal_hitting_sets(
             search(partial | {element})
 
     search(frozenset())
-    minimal = [
-        candidate
-        for candidate in complete
-        if not any(other < candidate for other in complete)
-    ]
-    diagnoses = tuple(
-        Diagnosis(candidate)
-        for candidate in sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
-    )
-    return HittingSetResult(diagnoses, truncated)
+    return HittingSetResult(_minimal_diagnoses(complete), truncated)
 
 
 def _conditions_taken_at(
@@ -452,25 +452,10 @@ def refine_diagnoses(
                     return False
         return True
 
-    removable_cache = {
-        gateway: removable(gateway)
-        for diagnosis in diagnoses
-        for gateway in diagnosis.gateways
-    }
-    pruned: list[frozenset[str]] = []
-    for diagnosis in diagnoses:
-        remaining = frozenset(
-            g for g in diagnosis.gateways if not removable_cache.get(g, False)
-        )
-        if remaining and remaining not in pruned:
-            pruned.append(remaining)
-    minimal = [
-        candidate for candidate in pruned if not any(other < candidate for other in pruned)
-    ]
-    return [
-        Diagnosis(candidate)
-        for candidate in sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
-    ]
+    gateways = {g for diagnosis in diagnoses for g in diagnosis.gateways}
+    removed = {g for g in gateways if removable(g)}
+    pruned = {diagnosis.gateways - removed for diagnosis in diagnoses}
+    return list(_minimal_diagnoses(pruned - {frozenset()}))
 
 
 def _run_orientation(
@@ -516,13 +501,12 @@ def choose_direction(
     Each model walks the cases once; both orientations are built from the
     same walks.  Ties fall back to the number of minimal diagnoses, then to
     the lexicographically smaller reference model id.  Raises
-    NoDivergenceError when the models agree on every case.
+    NoDivergenceError when no case that completes on both models diverges.
     """
-    walk_a = _walk_cases(model_a, cases, step_cap)
-    walk_b = _walk_cases(model_b, cases, step_cap)
+    walk_a, walk_b = _walk_models((model_a, model_b), cases, step_cap)
     run_ab = _run_orientation(model_a, model_b, walk_a, walk_b, cases, max_cardinality)
     run_ba = _run_orientation(model_b, model_a, walk_b, walk_a, cases, max_cardinality)
-    if not any(o.discrepant for o in run_ab.problem.observations):
+    if not (run_ab.problem.conflicts or run_ab.problem.unattributable):
         raise NoDivergenceError(
             f"models {model_a.model_id!r} and {model_b.model_id!r} agree on all cases"
         )

@@ -70,3 +70,32 @@ def branch_model(condition: str, *, model_id: str = "brancher") -> ProcessModel:
             flow("fn2", "tn", "e"),
         ],
     )
+
+
+def repeated_call_pair() -> tuple[ProcessModel, ProcessModel]:
+    """``Call`` then end, against ``Call``, a gateway on ``x == 1`` and a
+    second ``Call``.  Where x == 1 the second model emits the same (Call, NC)
+    pair twice, so the two emit equal sets of pairs but unequal sequences."""
+    once = model(
+        "once",
+        [start("s"), task("t1", "Call", ("NC",)), end("e")],
+        [flow("f1", "s", "t1"), flow("f2", "t1", "e")],
+    )
+    twice = model(
+        "twice",
+        [
+            start("s"),
+            task("t1", "Call", ("NC",)),
+            gateway("g", "Again?"),
+            task("t2", "Call", ("NC",)),
+            end("e"),
+        ],
+        [
+            flow("f1", "s", "t1"),
+            flow("f2", "t1", "g"),
+            flow("f3", "g", "t2", "x == 1"),
+            flow("f4", "g", "e", default=True),
+            flow("f5", "t2", "e"),
+        ],
+    )
+    return once, twice

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bpmndiverge import cli
+from bpmndiverge.bpmn import serialize_bpmn
 from bpmndiverge.repair import NarrativeDocument
 from bpmndiverge.simulation import Trace
+
+import modelkit as mk
 
 CONFIG = "fixtures/city1/config.cfg"
 
@@ -274,6 +277,20 @@ class TestDiagnose:
         assert payload["observations"]["total"] == 30
         text = capsys.readouterr().out
         assert "reference=city1_and_strict target=city1_or_broad" in text
+
+    def test_repeated_label_is_diagnosed(self, out, tmp_path):
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        for model in mk.repeated_call_pair():
+            (models_dir / f"{model.model_id}.bpmn").write_text(serialize_bpmn(model))
+        cases = tmp_path / "cases.csv"
+        cases.write_text("case_id,x\nc1,1\nc2,0\n")
+        for command in ("simulate", "entropy", "diagnose"):
+            assert run_city1(out, "--models", str(models_dir), "--cases", str(cases), command) == 0
+        payload = read_json(out / "diagnosis.json")
+        assert payload["status"] == "diagnosed"
+        assert (payload["reference_model"], payload["target_model"]) == ("once", "twice")
+        assert payload["conflicts"] == [{"gateways": ["g"], "case_ids": ["c1"]}]
 
     def test_no_divergence(self, out, tmp_path, repo_root):
         models_dir = tmp_path / "models"
@@ -613,6 +630,18 @@ def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,number,token", [("h_norm", "1.0", "NaN"), ("probability", "0.5", "Infinity")]
+)
+def test_non_finite_number_in_an_artifact_is_a_data_error(out, capsys, key, number, token):
+    full_pipeline(out)
+    path = out / "distribution.json"
+    path.write_text(path.read_text().replace(f'"{key}": {number}', f'"{key}": {token}', 1))
+    capsys.readouterr()
+    assert run_city1(out, "report") == 2
+    assert f"distribution.json: non-finite number {token}" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_self_comparison_is_zero_delta(self, out, capsys):
         run_city1(out, "simulate")
@@ -635,9 +664,6 @@ class TestValidate:
         assert "validated 2 model(s), 0 issue(s)" in capsys.readouterr().out
 
     def test_structural_issues_listed(self, out, tmp_path, capsys):
-        from bpmndiverge.bpmn import serialize_bpmn
-        import modelkit as mk
-
         bad = mk.model(
             "wonky",
             [mk.start("s"), mk.gateway("g"), mk.end("e1"), mk.end("e2")],

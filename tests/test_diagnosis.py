@@ -1,10 +1,12 @@
 """Divergence diagnosis: observations, conflicts, hitting sets, refinement."""
 
 from decimal import Decimal
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
 
-from bpmndiverge import diagnosis
+from bpmndiverge import simulation
 from bpmndiverge.diagnosis import (
     TRACE_END,
     CaseMismatchError,
@@ -22,10 +24,18 @@ from bpmndiverge.diagnosis import (
     minimal_hitting_sets,
     refine_diagnoses,
 )
-from bpmndiverge.simulation import CaseRecord, KpiSequence, Trace, execute_case
+from bpmndiverge.simulation import (
+    CASE_ERRORS,
+    CaseRecord,
+    KpiSequence,
+    Trace,
+    execute_case,
+    kpi_sequence,
+)
 
 import modelkit as mk
 from oracles import brute_force_hitting_sets
+from test_simulation import _acyclic_models, _sharing_populations
 
 
 def problem_with(conflicts: list[tuple[tuple[str, ...], tuple[str, ...]]]) -> DiagnosisProblem:
@@ -352,19 +362,17 @@ class TestDirectionChoice:
         with pytest.raises(NoDivergenceError):
             choose_direction(strict_model, strict_model, population)
 
-    def test_each_model_walks_each_case_once(
-        self, strict_model, broad_model, population, monkeypatch
+    def test_each_model_walks_each_distinct_path_once(
+        self, strict_model, broad_model, population
     ):
-        walks = []
-
-        def counting_execute_case(model, case, **kwargs):
-            walks.append((model.model_id, case.case_id))
-            return execute_case(model, case, **kwargs)
-
-        monkeypatch.setattr(diagnosis, "execute_case", counting_execute_case)
-        choose_direction(strict_model, broad_model, population)
-        assert len(walks) == 2 * len(population)
-        assert len(set(walks)) == len(walks)
+        paths = {
+            (model.model_id, trace.steps, trace.flows)
+            for model in (strict_model, broad_model)
+            for trace in (execute_case(model, case) for case in population)
+        }
+        with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
+            choose_direction(strict_model, broad_model, population)
+        assert walk.call_count == len(paths) < 2 * len(population)
 
     def test_failed_case_reports_reference_error(self):
         mx = mk.branch_model("x >= 5", model_id="mx")
@@ -382,6 +390,56 @@ class TestDirectionChoice:
         assert result.reverse.problem.failed_cases == (
             ("c_blank", "variable 'y' not present in case record"),
         )
+
+
+REPEATED_CALL_CASES = [CaseRecord("c1", {"x": Decimal(1)}), CaseRecord("c2", {"x": Decimal(0)})]
+
+
+class TestStageAgreement:
+    """A case diverges when its KPI sequences differ, so models that the
+    simulation tells apart on a case that completes on both get diagnosed."""
+
+    # Random models seldom emit equal sets of (label, KPI) pairs in unequal
+    # numbers or orders, so the repeated-label pair always runs as well.
+    @settings(deadline=None)
+    @given(
+        _acyclic_models("a", task_labels=("Call", "Visit")),
+        _acyclic_models("b", task_labels=("Call", "Visit")),
+        _sharing_populations,
+    )
+    @example(*mk.repeated_call_pair(), REPEATED_CALL_CASES)
+    def test_every_divergent_case_is_attributed(self, model_a, model_b, cases):
+        divergent = set()
+        for case in cases:
+            try:
+                seq_a = kpi_sequence(execute_case(model_a, case), model_a)
+                seq_b = kpi_sequence(execute_case(model_b, case), model_b)
+            except CASE_ERRORS:
+                continue
+            if seq_a.pairs != seq_b.pairs:
+                divergent.add(case.case_id)
+        if not divergent:
+            with pytest.raises(NoDivergenceError):
+                choose_direction(model_a, model_b, cases)
+            return
+        result = choose_direction(model_a, model_b, cases)
+        for run in (result.chosen, result.reverse):
+            attributed = {c for conflict in run.problem.conflicts for c in conflict.case_ids}
+            attributed |= {d.case_id for d in run.problem.unattributable}
+            assert attributed == divergent
+
+    def test_repeated_label_is_diagnosed(self):
+        once, twice = mk.repeated_call_pair()
+        result = choose_direction(twice, once, REPEATED_CALL_CASES)
+        assert (result.reference_model_id, result.target_model_id) == ("once", "twice")
+        problem = result.chosen.problem
+        assert problem.conflicts == (ConflictSet(("g",), ("c1",)),)
+        assert [d.sorted_gateways for d in result.chosen.refined] == [("g",)]
+        # Both sides emit the same set of pairs; only the sequences differ.
+        assert not any(o.discrepant for o in problem.observations)
+        assert [d.kind for d in result.reverse.problem.unattributable] == [
+            DivergenceKind.MISSING_OUTPUT
+        ]
 
 
 class TestReport:

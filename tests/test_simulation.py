@@ -370,17 +370,19 @@ class TestConditionTables:
 
 
 @st.composite
-def _acyclic_models(draw):
+def _acyclic_models(draw, model_id="random", task_labels=None):
     """Random models whose flows only lead to later nodes: tasks with any KPI
     outputs (a second outgoing flow is never taken), and gateways with
-    conditioned and unconditioned branches, with or without a default flow."""
+    conditioned and unconditioned branches, with or without a default flow.
+    Task labels are drawn from ``task_labels`` when given, so they can repeat."""
     names = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
     nodes, flows = [mk.start("s"), mk.end("e1"), mk.end("e2")], [mk.flow("fs", "s", "n0")]
     for i, name in enumerate(names):
         later = st.sampled_from(names[i + 1 :] + ["e1", "e2"])
         if draw(st.booleans()):
             kpis = draw(st.lists(st.sampled_from(["NC", "HC", "RU"]), unique=True))
-            nodes.append(mk.task(name, f"Task {i}", tuple(kpis)))
+            label = draw(st.sampled_from(task_labels)) if task_labels else f"Task {i}"
+            nodes.append(mk.task(name, label, tuple(kpis)))
             for j, target in enumerate(draw(st.lists(later, min_size=1, max_size=2))):
                 flows.append(SequenceFlow(f"f{i}_{j}", name, target))
             continue
@@ -393,7 +395,7 @@ def _acyclic_models(draw):
             entries.insert(default, (draw(later), None, True))
         for j, (target, condition, is_default) in enumerate(entries):
             flows.append(SequenceFlow(f"f{i}_{j}", name, target, condition, is_default))
-    return mk.model("random", nodes, flows)
+    return mk.model(model_id, nodes, flows)
 
 
 class TestSetAtATime:
