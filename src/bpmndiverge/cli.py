@@ -209,13 +209,17 @@ def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
     if not rows:
         raise DataError("KPI CSV is empty")
     header = [h.strip() for h in rows[0]]
-    if header[:1] != ["model_id"] or set(header[1:]) != set(simulation.KPI_NAMES):
-        raise DataError("KPI CSV header must be model_id plus the five KPI names")
+    if header[:1] != ["model_id"] or sorted(header[1:]) != sorted(simulation.KPI_NAMES):
+        raise DataError("KPI CSV header must be model_id plus the five KPI names, each once")
     vectors: dict[str, simulation.KpiVector] = {}
-    for row in rows[1:]:
+    for line_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) != len(header):
+            raise DataError(f"KPI CSV line {line_no}: expected {len(header)} cells, got {len(row)}")
         model_id, source = row[0].strip(), f"KPI CSV row {row[0]!r}"
+        if not model_id:
+            raise DataError(f"KPI CSV line {line_no}: empty model_id")
         if model_id in vectors:
             raise DataError(f"{source}: duplicate model_id")
         vectors[model_id] = _parse_kpis(dict(zip(header[1:], row[1:])), source)

@@ -240,22 +240,25 @@ def localize_ambiguity(
     threshold: float = DEFAULT_LOCALIZATION_THRESHOLD,
 ) -> LocalizationResult:
     """Map each gateway of the refined diagnoses (sorted gateway-id lists of
-    the target model) to its best-scoring narrative segment.
+    the target model) to its best-scoring narrative segment, and report one
+    ambiguity per segment with every gateway that localized there.
 
     The gateway token set is the union of its label tokens and the variable
     names (underscores split) from both models' branch conditions at the
     matched gateways.  Scoring is token Jaccard; the earliest segment wins
     ties, and gateways scoring below the threshold are reported as
-    unlocalized rather than guessed.
+    unlocalized rather than guessed.  An ambiguity lists its gateways and
+    interpretations in gateway order and scores as its best gateway, so each
+    paragraph is rewritten once however many gateways point at it.
     """
     ordered_gateways: list[str] = []
     for gateways in refined:
         for gateway_id in gateways:
             if gateway_id not in ordered_gateways:
                 ordered_gateways.append(gateway_id)
-    instances: list[AmbiguityInstance] = []
+    # segment id -> (segment, gateway scores, gateway refs, interpretations)
+    found: dict[str, tuple[Segment, list[float], list[GatewayRef], list[Interpretation]]] = {}
     unlocalized: list[str] = []
-    counter = 0
     for gateway_id in ordered_gateways:
         try:
             node = tgt_model.node(gateway_id)
@@ -276,9 +279,11 @@ def localize_ambiguity(
         if best_segment is None or best_score < threshold:
             unlocalized.append(gateway_id)
             continue
-        counter += 1
-        refs = [GatewayRef("target", tgt_model.model_id, gateway_id, node.label)]
-        interpretations = []
+        _segment, scores, refs, interpretations = found.setdefault(
+            best_segment.segment_id, (best_segment, [], [], [])
+        )
+        scores.append(best_score)
+        refs.append(GatewayRef("target", tgt_model.model_id, gateway_id, node.label))
         tgt_reading, tgt_condition = _describe_gateway(tgt_model, gateway_id)
         if ref_gateway_id is not None:
             ref_node = ref_model.node(ref_gateway_id)
@@ -290,16 +295,17 @@ def localize_ambiguity(
                 Interpretation(ref_model.model_id, ref_reading, ref_condition)
             )
         interpretations.append(Interpretation(tgt_model.model_id, tgt_reading, tgt_condition))
-        instances.append(
-            AmbiguityInstance(
-                ambiguity_id=f"AMB-{counter}",
-                gateways=tuple(refs),
-                segment_id=best_segment.segment_id,
-                excerpt=best_segment.text,
-                score=best_score,
-                interpretations=tuple(interpretations),
-            )
+    instances = [
+        AmbiguityInstance(
+            ambiguity_id=f"AMB-{counter}",
+            gateways=tuple(dict.fromkeys(refs)),
+            segment_id=segment.segment_id,
+            excerpt=segment.text,
+            score=max(scores),
+            interpretations=tuple(dict.fromkeys(interpretations)),
         )
+        for counter, (segment, scores, refs, interpretations) in enumerate(found.values(), 1)
+    ]
     return LocalizationResult(tuple(instances), tuple(unlocalized))
 
 

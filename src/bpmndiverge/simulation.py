@@ -7,10 +7,10 @@ Tasks append one emission per configured KPI name, sorted lexicographically
 within the task.  All numeric work uses exact decimals.
 
 ``execute_case`` walks one case and is the reference semantics.
-``simulate_population`` gets the same KPIs and errors for an acyclic model
-set-at-a-time: every case moves through the graph at once as a bit of an
-integer mask, and each distinct condition is evaluated once per case of the
-population (``ConditionTables``).
+``simulate_population`` gets the same KPIs, errors and traces for any model,
+cyclic or not, set-at-a-time: every case is a bit of an integer mask, all of
+them move one step per round up to the step cap, and each distinct condition
+is evaluated once per case of the population (``ConditionTables``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
 from .conditions import (
@@ -56,10 +56,13 @@ class NoEnabledBranchError(SimulationError):
 
 
 class StepLimitExceededError(SimulationError):
-    def __init__(self, case_id: str, partial: "Trace"):
+    """A case is still walking after ``steps`` steps; ``partial`` holds the
+    walk so far when ``execute_case`` raised it."""
+
+    def __init__(self, case_id: str, steps: int, partial: "Trace | None" = None):
         self.case_id = case_id
         self.partial = partial
-        super().__init__(f"case {case_id!r}: step limit exceeded after {len(partial.steps)} steps")
+        super().__init__(f"case {case_id!r}: step limit exceeded after {steps} steps")
 
 
 class CaseDataError(Exception):
@@ -218,7 +221,7 @@ def execute_case(
             partial = Trace(
                 case.case_id, tuple(steps), tuple(flows), tuple(emissions), truncated=True
             )
-            raise StepLimitExceededError(case.case_id, partial)
+            raise StepLimitExceededError(case.case_id, len(steps), partial)
         out = model.outgoing(current.id)
         if current.kind is NodeKind.EXCLUSIVE_GATEWAY:
             chosen = None
@@ -359,89 +362,65 @@ def _indices(mask: int) -> list[int]:
     return [index for index, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _walk_order(model: ProcessModel) -> list[str] | None:
-    """The nodes a walk can reach, in topological order of the flows it can
-    take, or None when it can reach a cycle.  Only gateways choose among
-    their flows; any other node always takes its first one."""
-
-    def successors(node_id: str) -> list[str]:
-        kind = model.node(node_id).kind
-        out = model.outgoing(node_id)
-        if kind is NodeKind.EXCLUSIVE_GATEWAY:
-            return [flow.target for flow in out]
-        return [] if kind is NodeKind.END_EVENT else [out[0].target]
-
-    finished: list[str] = []
-    done: set[str] = set()
-    open_nodes = {model.start_node}
-    stack = [(model.start_node, iter(successors(model.start_node)))]
-    while stack:
-        node_id, pending = stack[-1]
-        for child in pending:
-            if child in open_nodes:
-                return None
-            if child not in done:
-                open_nodes.add(child)
-                stack.append((child, iter(successors(child))))
-                break
-        else:
-            stack.pop()
-            open_nodes.discard(node_id)
-            done.add(node_id)
-            finished.append(node_id)
-    return finished[::-1]
-
-
 def _walk_masks(
-    model: ProcessModel, order: Sequence[str], tables: ConditionTables
+    model: ProcessModel, tables: ConditionTables, step_cap: int
 ) -> tuple[int, int, dict[int, str], list[int]]:
     """(NC emissions, HC cases, case index -> error, the mask of the cases
-    that take each flow) of every case walked at once: each node passes the
-    mask of cases that reach it on to the flows they take, in topological
-    order."""
+    that take each flow in each round) of every case walked at once.  Each
+    round moves every case one step: the cases on a node pass on to the flows
+    they take, and a case still on a node other than an end after
+    ``step_cap`` steps fails as in ``execute_case``."""
     reach = {model.start_node: tables.everyone}
     failures: dict[int, str] = {}
-    failed = hc = 0
+    failed = hc = steps = 0
     nc_masks: list[int] = []
     taken: list[int] = []
 
     def send(target: str, mask: int) -> None:
-        reach[target] = reach.get(target, 0) | mask
-        taken.append(mask)
+        if mask:
+            reach[target] = reach.get(target, 0) | mask
+            taken.append(mask)
 
-    for node_id in order:
-        mask = reach.pop(node_id, 0)
-        node = model.node(node_id)
-        if not mask or node.kind is NodeKind.END_EVENT:
-            continue
-        if "NC" in node.kpi_outputs:
-            nc_masks.append(mask)
-        if "HC" in node.kpi_outputs:
-            hc |= mask
-        out = model.outgoing(node_id)
-        if node.kind is not NodeKind.EXCLUSIVE_GATEWAY:
-            send(out[0].target, mask)
-            continue
-        rest, default = mask, None
-        for flow in out:
-            if flow.is_default:
-                default = flow
-            elif rest and flow.condition is None:
-                send(flow.target, rest)
-                rest = 0
+    def fail(mask: int, message: Callable[[int], str]) -> None:
+        nonlocal failed
+        for index in _indices(mask):
+            failures[index] = message(index)
+        failed |= mask
+
+    while reach:
+        steps += 1
+        here, reach = reach, {}
+        for node_id, mask in here.items():
+            node = model.node(node_id)
+            if node.kind is NodeKind.END_EVENT:
+                continue
+            if "NC" in node.kpi_outputs:
+                nc_masks.append(mask)
+            if "HC" in node.kpi_outputs:
+                hc |= mask
+            if steps > step_cap:
+                fail(mask, lambda i: str(StepLimitExceededError(tables.cases[i].case_id, steps)))
+                continue
+            out = model.outgoing(node_id)
+            if node.kind is not NodeKind.EXCLUSIVE_GATEWAY:
+                send(out[0].target, mask)
+                continue
+            rest, default = mask, None
+            for flow in out:
+                if flow.is_default:
+                    default = flow
+                elif rest and flow.condition is None:
+                    send(flow.target, rest)
+                    rest = 0
+                elif rest:
+                    true, error, messages = tables.table(flow.condition)
+                    fail(rest & error, messages.__getitem__)
+                    send(flow.target, rest & true)
+                    rest &= ~(true | error)
+            if rest and default is not None:
+                send(default.target, rest)
             elif rest:
-                true, error, messages = tables.table(flow.condition)
-                for index in _indices(rest & error):
-                    failures[index] = messages[index]
-                failed |= rest & error
-                send(flow.target, rest & true)
-                rest &= ~(true | error)
-        if rest and default is not None:
-            send(default.target, rest)
-        elif rest:
-            for index in _indices(rest):
-                failures[index] = str(NoEnabledBranchError(node_id, tables.cases[index].case_id))
-            failed |= rest
+                fail(rest, lambda i: str(NoEnabledBranchError(node_id, tables.cases[i].case_id)))
     nc = sum((nc_mask & ~failed).bit_count() for nc_mask in nc_masks)
     return nc, (hc & ~failed).bit_count(), failures, taken
 
@@ -473,32 +452,21 @@ def simulate_population(
     id, in case order; aggregation runs over the successful cases only, while
     the HI denominator stays the full population size.
 
-    An acyclic model with at most ``step_cap`` nodes is simulated with case
-    masks over ``tables`` (built here unless a caller shares one across
-    models).  For its traces, ``execute_case`` walks only the first case of
-    each distinct successful path, and every case on that path shares the
-    walk's steps, flows and emissions under its own case id.  Any other
-    model walks every case with ``execute_case``.  Traces are returned only
+    Every model, with or without cycles, is simulated with case masks over
+    ``tables`` (built here unless a caller shares one across models), one
+    step of every case per round, for at most ``step_cap`` steps.  For the
+    traces, ``execute_case`` walks only the first case of each distinct
+    successful path, and every case on that path shares the walk's steps,
+    flows and emissions under its own case id.  Traces are returned only
     when ``traces`` is set.
     """
     if not cases:
         raise CaseDataError("case population is empty")
-    order = _walk_order(model) if len(model.nodes) <= step_cap else None
-    if order is None:
-        walked: list[Trace] = []
-        errors: list[tuple[str, str]] = []
-        for case in cases:
-            try:
-                walked.append(execute_case(model, case, step_cap=step_cap))
-            except CASE_ERRORS as exc:
-                errors.append((case.case_id, str(exc)))
-        kpis = aggregate_kpis(walked, len(cases), config)
-        return PopulationResult(tuple(walked) if traces else (), kpis, tuple(errors), len(cases))
     if tables is None:
         tables = ConditionTables(cases)
     elif tables.cases is not cases:
         raise ValueError("condition tables were built over another case population")
-    nc, hc, failures, taken = _walk_masks(model, order, tables)
+    nc, hc, failures, taken = _walk_masks(model, tables, step_cap)
     walks: dict[int, Trace] = {}
     if traces:
         for members in _path_classes(tables.everyone, taken):

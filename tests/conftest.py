@@ -3,12 +3,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from bpmndiverge.bpmn import parse_bpmn
 from bpmndiverge.repair import NarrativeDocument
 from bpmndiverge.simulation import KpiConfig, load_cases_csv
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# A longer search for CI (``--hypothesis-profile=ci``); plain runs keep the
+# default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from bpmndiverge.simulation import (
 
 import modelkit as mk
 from oracles import brute_force_hitting_sets
-from test_simulation import _acyclic_models, _sharing_populations
+from test_simulation import _random_models, _sharing_populations
 
 
 def problem_with(conflicts: list[tuple[tuple[str, ...], tuple[str, ...]]]) -> DiagnosisProblem:
@@ -399,12 +399,13 @@ class TestStageAgreement:
     """A case diverges when its KPI sequences differ, so models that the
     simulation tells apart on a case that completes on both get diagnosed."""
 
-    # Random models seldom emit equal sets of (label, KPI) pairs in unequal
-    # numbers or orders, so the repeated-label pair always runs as well.
+    # About 1 in 60 random pairs emits equal sets of (label, KPI) pairs in
+    # unequal numbers or orders on some case, so the repeated-label pair
+    # always runs as well.
     @settings(deadline=None)
     @given(
-        _acyclic_models("a", task_labels=("Call", "Visit")),
-        _acyclic_models("b", task_labels=("Call", "Visit")),
+        _random_models("a", task_labels=("Call", "Visit")),
+        _random_models("b", task_labels=("Call", "Visit")),
         _sharing_populations,
     )
     @example(*mk.repeated_call_pair(), REPEATED_CALL_CASES)

@@ -1,5 +1,6 @@
 """Every command on damaged versions of each input it can read: each run
-ends with an exit code of 0, 1, 2 or 3, never with a traceback."""
+ends with an exit code of 0, 1, 2 or 3, never with a traceback.  A KPI CSV
+that still parses but is malformed is a data error (exit 2)."""
 
 import json
 import re
@@ -113,3 +114,27 @@ def test_damaged_input_never_raises(intact, tmp_path, monkeypatch, capsys, name,
         assert code in (0, 1, 2, 3), (command, code)
         if code:
             assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ("empty model_id", "KPI CSV line 2: empty model_id"),
+        ("extra cell", "KPI CSV line 2: expected 6 cells, got 7"),
+        ("KPI named twice", "KPI CSV header must be model_id plus the five KPI names, each once"),
+    ],
+)
+def test_malformed_kpi_csv_is_a_data_error(intact, tmp_path, monkeypatch, capsys, fault, message):
+    header, first, *rest = (intact / "kpis.csv").read_text().splitlines()
+    if fault == "empty model_id":
+        first = first[first.index(",") :]
+    elif fault == "extra cell":
+        first += ",0"
+    else:
+        header, first, rest = header + ",NC", first + ",0", [row + ",0" for row in rest]
+    work = tmp_path / "work"
+    shutil.copytree(intact, work)
+    (work / "kpis.csv").write_text("\n".join([header, first, *rest]) + "\n")
+    monkeypatch.chdir(work)
+    assert run("entropy", "--from-csv", "kpis.csv") == 2
+    assert message in capsys.readouterr().err

@@ -7,6 +7,7 @@ from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpmndiverge.diagnosis import choose_direction, diagnosis_report
 from bpmndiverge.repair import (
@@ -26,6 +27,7 @@ from bpmndiverge.repair import (
     token_jaccard,
     tokenize,
 )
+import modelkit as mk
 from oracles import jaccard_oracle
 
 
@@ -182,6 +184,86 @@ class TestLocalization:
         )
         assert result.instances == ()
         assert result.unlocalized == ("n3", "n5")
+
+
+def _gateway_chain(model_id, gateways):
+    """Start, then each (label, variable) gateway in turn, then the end: a
+    gateway goes on when its variable is 1 and to the end otherwise."""
+    ids = [f"g{i}" for i in range(1, len(gateways) + 1)] + ["e"]
+    flows = [mk.flow("f0", "s", ids[0])]
+    for i, (label, variable) in enumerate(gateways):
+        flows.append(mk.flow(f"f{i}_on", ids[i], ids[i + 1], f"{variable} == 1"))
+        flows.append(mk.flow(f"f{i}_off", ids[i], "e", default=True))
+    nodes = [mk.start("s"), *(mk.gateway(ids[i], label) for i, (label, _) in enumerate(gateways))]
+    return mk.model(model_id, [*nodes, mk.end("e")], flows)
+
+
+_WORDS = ("age", "weight", "consent", "risk", "call")
+_gateway_specs = st.lists(
+    st.tuples(st.sampled_from(_WORDS).map(lambda w: f"Check {w}"), st.sampled_from(_WORDS)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestOneAmbiguityPerSegment:
+    def test_two_gateways_in_one_paragraph_give_one_ambiguity(self):
+        gateways = [("Check age", "Age"), ("Check weight", "Weight")]
+        target = _gateway_chain("target", gateways)
+        reference = _gateway_chain("reference", gateways)
+        doc = NarrativeDocument.from_text("d", "Check age and weight.\n\nSend the bill.\n")
+        result = localize_ambiguity([["g1", "g2"]], target, reference, doc)
+        (instance,) = result.instances
+        assert (instance.ambiguity_id, instance.segment_id) == ("AMB-1", "seg-1")
+        assert instance.excerpt == "Check age and weight."
+        assert instance.score == 0.5
+        assert [(ref.role, ref.gateway_id) for ref in instance.gateways] == [
+            ("target", "g1"),
+            ("reference", "g1"),
+            ("target", "g2"),
+            ("reference", "g2"),
+        ]
+        assert [(i.model_id, i.exercised_condition) for i in instance.interpretations] == [
+            ("reference", "Age == 1"),
+            ("target", "Age == 1"),
+            ("reference", "Weight == 1"),
+            ("target", "Weight == 1"),
+        ]
+        report = build_ambiguity_report("d", result, {}, ("reference", "target", [["g1", "g2"]]))
+        record = RepairRecord("AMB-1", "Check age, then weight.", "r", ("e",))
+        repaired = reconstruct_narrative(doc, [record], report["ambiguities"])
+        assert repaired.text == "Check age, then weight.\n\nSend the bill.\n"
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4), min_size=1, max_size=4),
+        _gateway_specs,
+        _gateway_specs,
+        st.text(min_size=1),
+    )
+    def test_one_repair_per_ambiguity_always_applies(
+        self, paragraphs, target_gateways, reference_gateways, revised
+    ):
+        doc = NarrativeDocument.from_text("d", "\n\n".join(map(" ".join, paragraphs)) + "\n")
+        target = _gateway_chain("target", target_gateways)
+        refined = [[f"g{i}" for i in range(1, len(target_gateways) + 1)]]
+        result = localize_ambiguity(
+            refined, target, _gateway_chain("reference", reference_gateways), doc
+        )
+        segment_ids = [instance.segment_id for instance in result.instances]
+        assert len(segment_ids) == len(set(segment_ids))
+        for instance in result.instances:
+            assert len(set(instance.gateways)) == len(instance.gateways)
+            assert len(set(instance.interpretations)) == len(instance.interpretations)
+        localized = [
+            ref.gateway_id for i in result.instances for ref in i.gateways if ref.role == "target"
+        ]
+        assert sorted(localized + list(result.unlocalized)) == sorted(refined[0])
+        report = build_ambiguity_report(doc.doc_id, result, {}, ("reference", "target", refined))
+        ambiguities = report["ambiguities"]
+        records = [RepairRecord(entry["id"], revised, "r", ("e",)) for entry in ambiguities]
+        repaired = reconstruct_narrative(doc, records, ambiguities)
+        assert len(repaired.applied) == len(result.instances)
 
 
 class TestReport:

@@ -370,29 +370,39 @@ class TestConditionTables:
 
 
 @st.composite
-def _acyclic_models(draw, model_id="random", task_labels=None):
-    """Random models whose flows only lead to later nodes: tasks with any KPI
-    outputs (a second outgoing flow is never taken), and gateways with
-    conditioned and unconditioned branches, with or without a default flow.
-    Task labels are drawn from ``task_labels`` when given, so they can repeat."""
+def _random_models(draw, model_id="random", task_labels=None, back_edges=False):
+    """Random models: tasks with any KPI outputs (a second outgoing flow is
+    never taken), and gateways with conditioned and unconditioned branches,
+    with or without a default flow.  Flows lead only to later nodes unless
+    ``back_edges`` is set; then they may lead to any node, so walks can loop.
+    A task's first flow leads to the next node about half the time, so paths
+    run long.  Task labels are drawn from ``task_labels`` when given, so they
+    can repeat, and then every task emits a KPI, so that two models more
+    often emit equal sets of (label, KPI) pairs in unequal numbers or orders."""
     names = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
     nodes, flows = [mk.start("s"), mk.end("e1"), mk.end("e2")], [mk.flow("fs", "s", "n0")]
     for i, name in enumerate(names):
-        later = st.sampled_from(names[i + 1 :] + ["e1", "e2"])
+        later = names[i + 1 :] + ["e1", "e2"]
+        targets = st.sampled_from(names + ["e1", "e2"] if back_edges else later)
         if draw(st.booleans()):
-            kpis = draw(st.lists(st.sampled_from(["NC", "HC", "RU"]), unique=True))
+            kpis = draw(
+                st.lists(
+                    st.sampled_from(["NC", "HC", "RU"]), min_size=bool(task_labels), unique=True
+                )
+            )
             label = draw(st.sampled_from(task_labels)) if task_labels else f"Task {i}"
             nodes.append(mk.task(name, label, tuple(kpis)))
-            for j, target in enumerate(draw(st.lists(later, min_size=1, max_size=2))):
+            first = draw(st.just(later[0]) | targets)
+            for j, target in enumerate([first, *draw(st.lists(targets, max_size=1))]):
                 flows.append(SequenceFlow(f"f{i}_{j}", name, target))
             continue
         nodes.append(mk.gateway(name, f"Gateway {i}"))
         conditions = st.none() | _asts | _asts
-        branches = draw(st.lists(st.tuples(later, conditions), min_size=1, max_size=3))
+        branches = draw(st.lists(st.tuples(targets, conditions), min_size=1, max_size=3))
         entries = [(target, condition, False) for target, condition in branches]
         default = draw(st.none() | st.integers(0, len(entries)))
         if default is not None:
-            entries.insert(default, (draw(later), None, True))
+            entries.insert(default, (draw(targets), None, True))
         for j, (target, condition, is_default) in enumerate(entries):
             flows.append(SequenceFlow(f"f{i}_{j}", name, target, condition, is_default))
     return mk.model(model_id, nodes, flows)
@@ -400,7 +410,7 @@ def _acyclic_models(draw, model_id="random", task_labels=None):
 
 class TestSetAtATime:
     @settings(deadline=None)
-    @given(_acyclic_models(), _populations, st.integers(1, 4))
+    @given(_random_models(), _populations, st.integers(1, 4))
     def test_masks_match_per_case_walks(self, model, cases, capacity):
         assert_matches_walks(model, cases, KpiConfig(guidance_capacity=capacity))
 
@@ -447,15 +457,30 @@ class TestSetAtATime:
         assert result.errors == ()
         assert_matches_walks(m, cases, KpiConfig())
 
-    def test_cyclic_model_walks_each_case(self):
+    @settings(deadline=None)
+    @given(_random_models(back_edges=True), _populations, st.integers(1, 12))
+    def test_cyclic_masks_match_per_case_walks(self, model, cases, step_cap):
+        assert_matches_walks(model, cases, KpiConfig(guidance_capacity=2), step_cap)
+
+    def test_looping_case_fails_at_the_step_cap(self):
         cases = [CaseRecord("c0", {"Loop": Decimal(0)}), CaseRecord("c1", {"Loop": Decimal(1)})]
         assert_matches_walks(mk.loop_model(), cases, KpiConfig(), step_cap=10)
         result = simulate_population(mk.loop_model(), cases, KpiConfig(), step_cap=10)
         assert [case_id for case_id, _ in result.errors] == ["c1"]
         assert "step limit" in result.errors[0][1]
 
+    def test_untraced_cyclic_model_walks_no_case(self):
+        cases = [CaseRecord(f"c{i}", {"Loop": Decimal(i % 2)}) for i in range(20)]
+        with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
+            result = simulate_population(mk.loop_model(), cases, KpiConfig(), traces=False)
+        assert walk.call_count == 0
+        assert [message for _case_id, message in result.errors] == [
+            f"case 'c{i}': step limit exceeded after 10001 steps" for i in range(1, 20, 2)
+        ]
+        assert result.kpis["NC"] == Decimal(10)
+
     @pytest.mark.parametrize("step_cap", [3, 4, 5])
-    def test_step_cap_below_the_node_count_walks_each_case(self, step_cap):
+    def test_step_cap_fails_only_longer_walks(self, step_cap):
         # Five nodes in a row: a cap of 3 stops every walk at the third task.
         chain = mk.model(
             "chain",
@@ -488,15 +513,26 @@ _sharing_populations = st.lists(
 ).map(lambda rows: [CaseRecord(f"c{index}", row) for index, row in enumerate(rows)])
 
 
+def assert_one_walk_per_path(model, cases, step_cap=simulation.DEFAULT_STEP_CAP):
+    traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig(), step_cap)
+    with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
+        shared = simulate_population(model, cases, KpiConfig(), step_cap=step_cap).traces
+    assert shared == traces
+    assert walk.call_count == len({(trace.steps, trace.flows) for trace in traces})
+
+
 class TestSharedTraces:
     @settings(deadline=None)
-    @given(_acyclic_models(), _sharing_populations)
+    @given(_random_models(), _sharing_populations)
     def test_traces_match_per_case_walks_with_one_walk_per_path(self, model, cases):
-        traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig())
-        with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
-            shared = simulate_population(model, cases, KpiConfig()).traces
-        assert shared == traces
-        assert walk.call_count == len({(trace.steps, trace.flows) for trace in traces})
+        assert_one_walk_per_path(model, cases)
+
+    @settings(deadline=None)
+    @given(_random_models(back_edges=True), _sharing_populations, st.integers(1, 12))
+    def test_cyclic_traces_match_per_case_walks_with_one_walk_per_path(
+        self, model, cases, step_cap
+    ):
+        assert_one_walk_per_path(model, cases, step_cap)
 
 
 def _leaves(ast):
