@@ -15,7 +15,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
-from xml.sax.saxutils import escape, quoteattr
 
 from .conditions import ConditionAst, ConditionParseError, parse_condition, to_text
 
@@ -301,6 +300,22 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
         start_node=starts[0].id,
         metadata=metadata,
     )
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its ``urllib.request`` import."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr``: an escaped attribute value with its
+    quotes, which are single when the value holds only a double quote."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 _TAG_BY_KIND = {

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import locale  # noqa: F401  argparse's gettext imports it at the first parser build
 import os
 import sys
 import tempfile
@@ -406,13 +407,16 @@ def _build_provider(config: RunConfig) -> repair.RewriteProvider:
         endpoint = config.provider_endpoint
         if not endpoint:
             raise ConfigError("provider_endpoint is required for the http provider")
-        return repair.HttpRewriteProvider(
-            endpoint,
-            model=config.provider_model,
-            auth_token=provider_auth_token(config),
-            timeout=config.provider_timeout,
-            retries=config.provider_retries,
-        )
+        try:
+            return repair.HttpRewriteProvider(
+                endpoint,
+                model=config.provider_model,
+                auth_token=provider_auth_token(config),
+                timeout=config.provider_timeout,
+                retries=config.provider_retries,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     raise ConfigError("no provider configured (set provider = canned or http)")
 
 

@@ -148,6 +148,10 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
         raise ConfigError("max_diagnosis_cardinality must be positive")
     if not 0.0 <= config.localization_threshold <= 1.0:
         raise ConfigError("localization_threshold must be in [0, 1]")
+    if not 0 < config.provider_timeout < float("inf"):
+        raise ConfigError("provider_timeout must be a finite number of seconds above 0")
+    if config.provider_retries < 0:
+        raise ConfigError("provider_retries must be 0 or more")
     if config.provider not in (None, "canned", "http"):
         raise ConfigError("provider must be 'canned' or 'http'")
     return config

@@ -16,8 +16,7 @@ import re
 import time
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .bpmn import NodeKind, ProcessModel
 from .conditions import normalize, to_text, variables
@@ -407,11 +406,16 @@ class CannedRewriteProvider:
 
 
 class HttpRewriteProvider:
-    """Generic JSON-over-HTTP provider: one POST per ambiguity.
+    """Generic JSON-over-HTTP provider: one POST per ambiguity, through the
+    standard library's ``urllib.request``, which is imported on the first
+    call so that offline runs never load it.
 
-    The auth token is injected by the caller (read from an environment
-    variable, never from config files).  Retries cover connection errors and
-    5xx responses with a short fixed backoff.
+    Only ``http`` and ``https`` endpoints are accepted, and redirects are not
+    followed: a 3xx status fails like any other non-200 one, so the bearer
+    token never travels to another host.  The auth token is injected by the
+    caller (read from an environment variable, never from config files).
+    Retries cover connection errors, timeouts, dropped connections and 5xx
+    responses with a short fixed backoff.
     """
 
     def __init__(
@@ -424,41 +428,63 @@ class HttpRewriteProvider:
         retries: int = 2,
         backoff: float = 0.2,
     ):
+        if urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ValueError(f"provider endpoint must be an http or https URL: {endpoint!r}")
         self.endpoint = endpoint
         self.model = model
         self.auth_token = auth_token
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self._opener = None  # built on the first call, see rewrite
 
     def rewrite(self, request: Mapping[str, object]) -> Mapping[str, object]:
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        if self._opener is None:
+            # No redirect handler: a followed redirect would carry the bearer
+            # token to whatever host it names, and would drop the POST body.
+            self._opener = urllib.request.OpenerDirector()
+            for handler in (
+                urllib.request.ProxyHandler(),
+                urllib.request.UnknownHandler(),
+                urllib.request.HTTPHandler(),
+                urllib.request.HTTPSHandler(),
+                urllib.request.HTTPDefaultErrorHandler(),
+                urllib.request.HTTPErrorProcessor(),
+            ):
+                self._opener.add_handler(handler)
         payload = dict(request)
         if self.model:
             payload["model"] = self.model
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         ambiguity_id = str(request.get("ambiguity_id", ""))
         last_error = "no attempt made"
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff)
+            post = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")
             try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                with self._opener.open(post, timeout=self.timeout) as response:
+                    status, text = response.status, response.read()
+            except urllib.error.HTTPError as exc:  # every non-2xx status arrives here
+                exc.close()
+                status, text = exc.code, b""
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = str(exc)
                 continue
-            if response.status_code >= 500:
-                last_error = f"server error {response.status_code}"
+            if status >= 500:
+                last_error = f"server error {status}"
                 continue
-            if response.status_code != 200:
-                raise ProviderUnavailableError(
-                    f"provider returned status {response.status_code}"
-                )
+            if status != 200:
+                raise ProviderUnavailableError(f"provider returned status {status}")
             try:
-                data = response.json()
+                data = json.loads(text)
             except ValueError as exc:
                 raise ProviderMalformedResponseError(ambiguity_id, f"non-JSON body: {exc}")
             if not isinstance(data, dict):

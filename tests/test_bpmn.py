@@ -1,8 +1,10 @@
 """Model parsing, serialization, and structural validation."""
 
 from decimal import Decimal
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bpmndiverge.bpmn import (
     DanglingReferenceError,
@@ -15,8 +17,10 @@ from bpmndiverge.bpmn import (
     SequenceFlow,
     UnsupportedElementError,
     XmlSyntaxError,
+    escape,
     gateways,
     parse_bpmn,
+    quoteattr,
     serialize_bpmn,
     validate_structure,
 )
@@ -261,6 +265,14 @@ class TestSerialization:
         text = serialize_bpmn(m)
         assert "&lt;=" in text
         assert parse_bpmn(text) == m
+
+    @given(st.text(alphabet=st.sampled_from("&<>\"'\n\r\ta;#é") | st.characters()))
+    @example('say "hi"')
+    @example("it's")
+    @example("both \" and ' &lt;\n\r\t")
+    def test_escaping_matches_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+        assert quoteattr(text) == saxutils.quoteattr(text)
 
 
 class TestGatewayViews:

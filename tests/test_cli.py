@@ -477,6 +477,26 @@ class TestReport:
         assert message in capsys.readouterr().err
 
 
+def http_config(tmp_path, *lines: str):
+    """A city1 config file for the http provider, with ``lines`` appended."""
+    cfg = tmp_path / "http.cfg"
+    cfg.write_text(
+        "models_dir = fixtures/city1/models\n"
+        "cases_csv = fixtures/city1/population.csv\n"
+        "narrative = fixtures/city1/narrative.txt\n"
+        "supplemental = fixtures/city1/supplemental.txt\n"
+        "provider = http\n" + "".join(f"{line}\n" for line in lines)
+    )
+    return cfg
+
+
+def dead_endpoint() -> str:
+    """An http URL on a local port that nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{probe.getsockname()[1]}/rewrite"
+
+
 def full_pipeline(out) -> None:
     run_city1(out, "simulate")
     run_city1(out, "entropy")
@@ -532,16 +552,11 @@ class TestRepair:
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
-            cfg = tmp_path / "http.cfg"
-            cfg.write_text(
-                "models_dir = fixtures/city1/models\n"
-                "cases_csv = fixtures/city1/population.csv\n"
-                "narrative = fixtures/city1/narrative.txt\n"
-                "supplemental = fixtures/city1/supplemental.txt\n"
-                "provider = http\n"
-                f"provider_endpoint = http://127.0.0.1:{server.server_address[1]}/rewrite\n"
-                "provider_model = rewriter-1\n"
-                "provider_auth_env = REWRITE_TOKEN\n"
+            cfg = http_config(
+                tmp_path,
+                f"provider_endpoint = http://127.0.0.1:{server.server_address[1]}/rewrite",
+                "provider_model = rewriter-1",
+                "provider_auth_env = REWRITE_TOKEN",
             )
             monkeypatch.setenv("REWRITE_TOKEN", "hunter2")
             full_pipeline(out)
@@ -556,22 +571,32 @@ class TestRepair:
         assert repairs["records"][0]["revised_excerpt"] == "rewritten AMB-1"
 
     def test_unreachable_http_provider_exits_3(self, out, tmp_path, capsys):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            dead_port = probe.getsockname()[1]
-        cfg = tmp_path / "http.cfg"
-        cfg.write_text(
-            "models_dir = fixtures/city1/models\n"
-            "cases_csv = fixtures/city1/population.csv\n"
-            "narrative = fixtures/city1/narrative.txt\n"
-            "supplemental = fixtures/city1/supplemental.txt\n"
-            "provider = http\n"
-            f"provider_endpoint = http://127.0.0.1:{dead_port}/rewrite\n"
-            "provider_retries = 0\n"
-        )
+        cfg = http_config(tmp_path, f"provider_endpoint = {dead_endpoint()}", "provider_retries = 0")
         full_pipeline(out)
         assert run("--config", str(cfg), "--out", str(out), "repair") == 3
         assert "provider error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("provider_timeout = -1", "provider_timeout must be a finite number"),
+            ("provider_timeout = 0", "provider_timeout must be a finite number"),
+            ("provider_timeout = nan", "provider_timeout must be a finite number"),
+            ("provider_timeout = inf", "provider_timeout must be a finite number"),
+            ("provider_retries = -1", "provider_retries must be 0 or more"),
+            ("provider_endpoint = file:///etc/hostname", "http or https"),
+            ("provider_endpoint = ftp://127.0.0.1/rewrite", "http or https"),
+            ('provider_endpoint = data:application/json,{"rationale": "x"}', "http or https"),
+        ],
+    )
+    def test_invalid_http_provider_setting_is_a_config_error(
+        self, out, tmp_path, capsys, setting, message
+    ):
+        cfg = http_config(tmp_path, f"provider_endpoint = {dead_endpoint()}", setting)
+        full_pipeline(out)
+        capsys.readouterr()
+        assert run("--config", str(cfg), "--out", str(out), "repair") == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_provider_config(self, out, tmp_path, capsys):
         cfg = tmp_path / "none.cfg"

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -424,11 +425,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
         type(self).seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
+            {
+                "body": json.loads(raw) if length else {},
+                "raw": raw,
+                "content_type": self.headers.get("Content-Type"),
+                "auth": self.headers.get("Authorization"),
+            }
         )
         type(self).behavior(len(type(self).seen), self)
+
+    do_GET = do_POST  # a redirected POST would arrive as a GET
 
     def log_message(self, *args):
         pass
@@ -530,6 +538,47 @@ class TestHttpProvider:
         )
         with pytest.raises(ProviderUnavailableError, match="2 attempts"):
             provider.rewrite(self.request())
+
+    def test_timeout_is_retried_then_gives_up(self, http_server):
+        url, handler = http_server(lambda n, h: time.sleep(1.0))
+        provider = HttpRewriteProvider(url, timeout=0.3, retries=1, backoff=0.01)
+        with pytest.raises(ProviderUnavailableError, match="2 attempts.*timed out"):
+            provider.rewrite(self.request())
+        assert len(handler.seen) == 2
+
+    def test_dropped_connection_is_retried(self, http_server):
+        def behavior(n, h):
+            if n > 1:  # the first request gets no reply at all
+                h.reply(200, GOOD_BODY)
+
+        url, handler = http_server(behavior)
+        provider = HttpRewriteProvider(url, retries=1, backoff=0.01)
+        assert provider.rewrite(self.request())["revised_excerpt"] == "clarified text"
+        assert len(handler.seen) == 2
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, http_server, status):
+        target, elsewhere = http_server(lambda n, h: h.reply(200, GOOD_BODY))
+
+        def behavior(n, h):
+            h.send_response(status)
+            h.send_header("Location", target)
+            h.send_header("Content-Length", "0")
+            h.end_headers()
+
+        url, handler = http_server(behavior)
+        provider = HttpRewriteProvider(url, auth_token="sekret", retries=2, backoff=0.01)
+        with pytest.raises(ProviderUnavailableError, match=f"status {status}"):
+            provider.rewrite(self.request())
+        assert len(handler.seen) == 1
+        assert elsewhere.seen == []  # so the bearer token never reached it
+
+    def test_non_ascii_excerpt_is_sent_as_utf8_json(self, http_server):
+        url, handler = http_server(lambda n, h: h.reply(200, GOOD_BODY))
+        request = {"ambiguity_id": "AMB-1", "excerpt": "HbA1c ≥ 7 % – naïve Größe 🩺"}
+        HttpRewriteProvider(url).rewrite(request)
+        assert handler.seen[0]["content_type"] == "application/json"
+        assert json.loads(handler.seen[0]["raw"].decode("utf-8")) == request
 
 
 class TestReconstruction:

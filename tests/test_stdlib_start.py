@@ -1,0 +1,47 @@
+"""The CLI starts on the standard library alone.
+
+Importing ``bpmndiverge.cli`` loads no HTTP client, no XML SAX package and no
+TLS, and a whole city1 pipeline run in that same interpreter loads no further
+module.  A module that a stage imports lazily (argparse's ``locale`` is one)
+would otherwise be paid inside every forked stage of the benchmark.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+FORBIDDEN = ("requests", "urllib.request", "http.client", "xml.sax", "ssl")
+
+PIPELINE = """
+import json, sys
+before = set(sys.modules)
+from bpmndiverge import cli
+imported = set(sys.modules)
+out = sys.argv[1]
+stages = [["simulate"], ["entropy"], ["diagnose"], ["report"], ["repair"],
+          ["verify", "--before", out + "/kpis", "--after", out + "/kpis"]]
+codes = [cli.main(["--config", "fixtures/city1/config.cfg", "--out", out, *argv]) for argv in stages]
+print(json.dumps({"imported": sorted(imported - before), "codes": codes,
+                  "later": sorted(set(sys.modules) - imported)}))
+"""
+
+
+def test_cli_import_is_stdlib_only_and_the_pipeline_loads_nothing_more(repo_root, tmp_path):
+    paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE, str(tmp_path / "out")],
+        cwd=repo_root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert [
+        module for module in result["imported"]
+        if any(module == name or module.startswith(name + ".") for name in FORBIDDEN)
+    ] == []
+    assert result["later"] == []
