@@ -11,8 +11,6 @@ Exit codes: 0 success or benign status, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import locale  # noqa: F401  argparse's gettext imports it at the first parser build
 import os
@@ -23,7 +21,7 @@ from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
 from . import bpmn, diagnosis, distribution, repair, simulation
-from .config import ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
+from .config import KEYS, ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
 
 
 class DataError(Exception):
@@ -49,19 +47,35 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _read_artifact(path: Path, producer: str) -> Any:
-    """The JSON value an earlier stage wrote to ``path``.  The non-standard
-    ``NaN``, ``Infinity`` and ``-Infinity`` tokens are rejected."""
+def _read_input(path: Path | None, key: str, hint: str = "") -> str:
+    """The text of the UTF-8 file ``path``, configured as ``key``; ``hint``
+    follows "not found" when the file is missing."""
+    if path is None:
+        raise ConfigError(f"{key} is not configured")
     if not path.is_file():
-        raise DataError(f"{path.name} not found (run {producer} first): {path}")
+        raise DataError(f"{key} not found{hint}: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}")
+
+
+def _parse_json(text: str, source: str) -> Any:
+    """The JSON value in ``text``.  The non-standard ``NaN``, ``Infinity``
+    and ``-Infinity`` tokens are rejected."""
 
     def non_finite(token: str) -> NoReturn:
-        raise DataError(f"{path.name}: non-finite number {token}")
+        raise DataError(f"{source}: non-finite number {token}")
 
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_constant=non_finite)
+        return json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path.name}: invalid JSON: {exc}")
+        raise DataError(f"{source}: invalid JSON: {exc}")
+
+
+def _read_artifact(path: Path, producer: str) -> Any:
+    """The JSON value an earlier stage wrote to ``path``."""
+    return _parse_json(_read_input(path, path.name, f" (run {producer} first)"), path.name)
 
 
 def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str):
@@ -72,9 +86,12 @@ def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str
     return value
 
 
-def _load_models(models_dir: Path, config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
-    """Parse every model file in the directory; returns model_id -> (model,
+def _load_models(config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
+    """Parse every model file in ``models_dir``; returns model_id -> (model,
     file name).  Sorted file order keeps ids deterministic on collision."""
+    models_dir = config.models_dir
+    if models_dir is None:
+        raise ConfigError("models_dir is not configured")
     if not models_dir.is_dir():
         raise DataError(f"models directory not found: {models_dir}")
     found: dict[str, tuple[bpmn.ProcessModel, str]] = {}
@@ -84,9 +101,11 @@ def _load_models(models_dir: Path, config: RunConfig) -> dict[str, tuple[bpmn.Pr
     if not files:
         raise DataError(f"no .bpmn or .xml files in {models_dir}")
     for path in files:
-        model = bpmn.parse_bpmn(
-            path.read_text(encoding="utf-8"), config.kpi.kpi_task_tags or None
-        )
+        try:
+            text = path.read_text(encoding="utf-8")
+            model = bpmn.parse_bpmn(text, config.kpi.kpi_task_tags or None)
+        except (UnicodeDecodeError, bpmn.ModelError) as exc:
+            raise DataError(f"{path.name}: {exc}")
         if model.model_id in found:
             raise DataError(
                 f"duplicate model id {model.model_id!r} in {path.name} and "
@@ -97,11 +116,8 @@ def _load_models(models_dir: Path, config: RunConfig) -> dict[str, tuple[bpmn.Pr
 
 
 def _load_cases(config: RunConfig) -> list[simulation.CaseRecord]:
-    if config.cases_csv is None:
-        raise DataError("cases_csv is not configured")
-    if not config.cases_csv.is_file():
-        raise DataError(f"case population not found: {config.cases_csv}")
-    return simulation.load_cases_csv(config.cases_csv.read_text(encoding="utf-8"))
+    text = _read_input(config.cases_csv, "cases_csv")
+    return simulation.load_cases_csv(text, str(config.cases_csv))
 
 
 def _kpi_dir(config: RunConfig) -> Path:
@@ -109,7 +125,7 @@ def _kpi_dir(config: RunConfig) -> Path:
 
 
 def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
-    models = _load_models(_require(config.models_dir, "models_dir"), config)
+    models = _load_models(config)
     cases = _load_cases(config)
     out_dir = _kpi_dir(config)
     tables = simulation.ConditionTables(cases)
@@ -203,29 +219,17 @@ def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
 
 def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
     """KPI vectors from a CSV with model_id plus one column per KPI."""
-    if not path.is_file():
-        raise DataError(f"KPI CSV not found: {path}")
-    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
-    rows = list(reader)
-    if not rows:
-        raise DataError("KPI CSV is empty")
-    header = [h.strip() for h in rows[0]]
-    if header[:1] != ["model_id"] or sorted(header[1:]) != sorted(simulation.KPI_NAMES):
-        raise DataError("KPI CSV header must be model_id plus the five KPI names, each once")
-    vectors: dict[str, simulation.KpiVector] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"KPI CSV line {line_no}: expected {len(header)} cells, got {len(row)}")
-        model_id, source = row[0].strip(), f"KPI CSV row {row[0]!r}"
-        if not model_id:
-            raise DataError(f"KPI CSV line {line_no}: empty model_id")
-        if model_id in vectors:
-            raise DataError(f"{source}: duplicate model_id")
-        vectors[model_id] = _parse_kpis(dict(zip(header[1:], row[1:])), source)
-    if not vectors:
-        raise DataError("KPI CSV has no data rows")
+    header, rows = simulation.read_csv_table(
+        _read_input(path, "KPI CSV"),
+        "KPI CSV",
+        "model_id",
+        "the five KPI names, each once",
+        simulation.KPI_NAMES,
+    )
+    vectors = {
+        row[0].strip(): _parse_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}")
+        for row in rows
+    }
     return [(model_id, vectors[model_id], "") for model_id in sorted(vectors)]
 
 
@@ -234,9 +238,9 @@ def _distribution_payload(
 ) -> tuple[dict, distribution.EmpiricalDistribution]:
     vectors = [vector for _, vector, _ in entries]
     dist = distribution.build_distribution(vectors, round_decimals)
-    members: dict[int, list[str]] = {}
-    for model_id, vector, _ in entries:
-        members.setdefault(dist.combo_index_of(vector), []).append(model_id)
+    members: list[list[str]] = [[] for _ in dist.combos]
+    for (model_id, _, _), index in zip(entries, dist.combo_of):
+        members[index].append(model_id)
     h_norm = distribution.normalized_entropy(dist)
     category = distribution.consistency_category(h_norm)
     payload = {
@@ -249,9 +253,9 @@ def _distribution_payload(
                 "kpis": combo.vector.as_json_dict(),
                 "count": combo.count,
                 "probability": combo.probability,
-                "models": sorted(members.get(index, [])),
+                "models": sorted(models),
             }
-            for index, combo in enumerate(dist.combos)
+            for combo, models in zip(dist.combos, members)
         ],
     }
     return payload, dist
@@ -301,7 +305,7 @@ def _pick_pair(
 
 
 def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
-    models = _load_models(_require(config.models_dir, "models_dir"), config)
+    models = _load_models(config)
     cases = _load_cases(config)
     model_a, model_b = _pick_pair(config, models, requested)
     path = config.out_dir / "diagnosis.json"
@@ -347,16 +351,13 @@ def _diagnosed_pair(payload: object) -> tuple[str, str, list[list[str]]] | None:
 
 
 def _load_narrative(config: RunConfig) -> repair.NarrativeDocument:
-    path = _require(config.narrative, "narrative")
-    if not path.is_file():
-        raise DataError(f"narrative not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    if config.segments_json is not None:
-        if not config.segments_json.is_file():
-            raise DataError(f"segments file not found: {config.segments_json}")
-        ranges = json.loads(config.segments_json.read_text(encoding="utf-8"))
-        return repair.NarrativeDocument.with_segments(path.stem, text, ranges)
-    return repair.NarrativeDocument.from_text(path.stem, text)
+    text = _read_input(config.narrative, "narrative")
+    doc_id = config.narrative.stem  # type: ignore[union-attr]
+    sidecar = config.segments_json
+    if sidecar is None:
+        return repair.NarrativeDocument.from_text(doc_id, text)
+    ranges = _parse_json(_read_input(sidecar, "segments_json"), str(sidecar))
+    return repair.NarrativeDocument.with_segments(doc_id, text, ranges)
 
 
 def cmd_report(config: RunConfig) -> int:
@@ -377,7 +378,7 @@ def cmd_report(config: RunConfig) -> int:
         localization = repair.LocalizationResult((), ())
     else:
         reference, target, refined = diagnosed
-        models = _load_models(_require(config.models_dir, "models_dir"), config)
+        models = _load_models(config)
         ref_model, tgt_model = _pick_pair(config, models, (reference, target))
         localization = repair.localize_ambiguity(
             refined,
@@ -399,10 +400,11 @@ def cmd_report(config: RunConfig) -> int:
 
 def _build_provider(config: RunConfig) -> repair.RewriteProvider:
     if config.provider == "canned":
-        path = _require(config.provider_canned_path, "provider_canned_path")
-        if not path.is_file():
-            raise DataError(f"canned responses not found: {path}")
-        return repair.CannedRewriteProvider.from_file(str(path))
+        path = config.provider_canned_path
+        responses = _parse_json(_read_input(path, "provider_canned_path"), str(path))
+        if not isinstance(responses, dict):
+            raise DataError(f"{path}: canned responses must be a JSON object")
+        return repair.CannedRewriteProvider(responses)
     if config.provider == "http":
         endpoint = config.provider_endpoint
         if not endpoint:
@@ -424,11 +426,9 @@ def cmd_repair(config: RunConfig) -> int:
     report_payload = _read_artifact(config.out_dir / "ambiguity_report.json", "report")
     ambiguities = _field(report_payload, "ambiguities", list, "ambiguity_report.json")
     document = _load_narrative(config)
-    supplemental_path = _require(config.supplemental, "supplemental")
-    if not supplemental_path.is_file():
-        raise DataError(f"supplemental document not found: {supplemental_path}")
+    supplemental_text = _read_input(config.supplemental, "supplemental")
     supplemental = repair.NarrativeDocument.from_text(
-        supplemental_path.stem, supplemental_path.read_text(encoding="utf-8")
+        config.supplemental.stem, supplemental_text  # type: ignore[union-attr]
     )
     provider = _build_provider(config)
     outcome = repair.propose_repairs(report_payload, document, supplemental, provider)
@@ -484,7 +484,7 @@ def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    models = _load_models(_require(config.models_dir, "models_dir"), config)
+    models = _load_models(config)
     total_issues = 0
     for model_id in sorted(models):
         model, source = models[model_id]
@@ -496,12 +496,6 @@ def cmd_validate(config: RunConfig) -> int:
                 print(f"  {issue.category.value}: {issue.node_id}: {issue.detail}")
     print(f"validated {len(models)} model(s), {total_issues} issue(s)")
     return 0
-
-
-def _require(value: Path | None, name: str) -> Path:
-    if value is None:
-        raise ConfigError(f"{name} is not configured")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -549,12 +543,9 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
         config = load_config(args.config, config)
-    overrides: dict[str, str] = {}
-    for key in ("models_dir", "cases_csv", "narrative", "segments_json", "supplemental",
-                "out_dir", "round_decimals"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = str(value)
+    overrides = {
+        key: str(value) for key in KEYS if (value := getattr(args, key, None)) is not None
+    }
     return build_run_config(overrides, config)
 
 

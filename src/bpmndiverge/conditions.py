@@ -279,8 +279,8 @@ class _Parser:
                 "comparison needs a variable on one side", op_tok.offset
             )
         if left_is_var:
-            return Compare(left[1], op_tok.text, _literal_value(right), var_on_left=True)
-        return Compare(right[1], op_tok.text, _literal_value(left), var_on_left=False)
+            return Compare(left[1], op_tok.text, right[1], var_on_left=True)  # type: ignore
+        return Compare(right[1], op_tok.text, left[1], var_on_left=False)  # type: ignore
 
     def _operand(self) -> tuple[str, object]:
         tok = self.peek()
@@ -304,15 +304,6 @@ class _Parser:
             tok.offset,
             "variable or literal",
         )
-
-
-def _literal_value(operand: tuple[str, object]) -> Value:
-    kind, value = operand
-    if kind == "number":
-        return value  # type: ignore[return-value]
-    if kind == "string":
-        return value  # type: ignore[return-value]
-    return bool(value)
 
 
 def parse_condition(text: str) -> ConditionAst:

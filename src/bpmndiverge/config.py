@@ -10,8 +10,8 @@ time.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 from .simulation import DEFAULT_STEP_CAP, KpiConfig
@@ -21,29 +21,35 @@ class ConfigError(Exception):
     pass
 
 
-_KNOWN_KEYS = {
-    "models_dir",
-    "cases_csv",
-    "narrative",
-    "segments_json",
-    "supplemental",
-    "out_dir",
-    "round_decimals",
-    "step_cap",
-    "max_diagnosis_cardinality",
-    "localization_threshold",
-    "guidance_capacity",
-    "overload_penalty_alpha",
-    "response_rate",
-    "cost_saving_per_improved_patient",
-    "provider",
-    "provider_canned_path",
-    "provider_endpoint",
-    "provider_model",
-    "provider_auth_env",
-    "provider_timeout",
-    "provider_retries",
+# Every key a configuration may set, with the type of its value.  The KPI
+# parameters among them are fields of ``RunConfig.kpi``; ``kpi_tag.<TAG>``
+# keys come on top.
+KEYS: dict[str, type] = {
+    "models_dir": Path,
+    "cases_csv": Path,
+    "narrative": Path,
+    "segments_json": Path,
+    "supplemental": Path,
+    "out_dir": Path,
+    "round_decimals": int,
+    "step_cap": int,
+    "max_diagnosis_cardinality": int,
+    "localization_threshold": float,
+    "guidance_capacity": int,
+    "overload_penalty_alpha": Decimal,
+    "response_rate": Decimal,
+    "cost_saving_per_improved_patient": Decimal,
+    "provider": str,
+    "provider_canned_path": Path,
+    "provider_endpoint": str,
+    "provider_model": str,
+    "provider_auth_env": str,
+    "provider_timeout": float,
+    "provider_retries": int,
 }
+
+_KPI_KEYS = {f.name for f in fields(KpiConfig)}
+_TYPE_NAMES = {int: "integer", float: "number", Decimal: "decimal"}
 
 
 @dataclass(frozen=True)
@@ -81,31 +87,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
-        if not (key in _KNOWN_KEYS or key.startswith("kpi_tag.")):
+        if not (key in KEYS or key.startswith("kpi_tag.")):
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         values[key] = value
     return values
-
-
-def _to_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected integer, got {value!r}")
-
-
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected number, got {value!r}")
-
-
-def _to_decimal(key: str, value: str) -> Decimal:
-    try:
-        return Decimal(value)
-    except InvalidOperation:
-        raise ConfigError(f"{key}: expected decimal, got {value!r}")
 
 
 def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> RunConfig:
@@ -117,23 +102,15 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
     for key, value in values.items():
         if key.startswith("kpi_tag."):
             kpi_tags[key[len("kpi_tag.") :]] = value
-        elif key in ("models_dir", "cases_csv", "narrative", "segments_json", "supplemental",
-                     "out_dir", "provider_canned_path"):
-            updates[key] = Path(value)
-        elif key in ("round_decimals", "step_cap", "max_diagnosis_cardinality",
-                     "provider_retries"):
-            updates[key] = _to_int(key, value)
-        elif key in ("localization_threshold", "provider_timeout"):
-            updates[key] = _to_float(key, value)
-        elif key == "guidance_capacity":
-            kpi_kwargs[key] = _to_int(key, value)
-        elif key in ("overload_penalty_alpha", "response_rate",
-                     "cost_saving_per_improved_patient"):
-            kpi_kwargs[key] = _to_decimal(key, value)
-        elif key in ("provider", "provider_endpoint", "provider_model", "provider_auth_env"):
-            updates[key] = value
-        else:  # pragma: no cover - parse_config_text screens keys
+            continue
+        kind = KEYS.get(key)
+        if kind is None:
             raise ConfigError(f"unknown key {key!r}")
+        try:
+            converted = kind(value)
+        except (ValueError, ArithmeticError):
+            raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
+        (kpi_kwargs if key in _KPI_KEYS else updates)[key] = converted
     if kpi_kwargs or kpi_tags != dict(config.kpi.kpi_task_tags):
         try:
             updates["kpi"] = replace(config.kpi, **kpi_kwargs, kpi_task_tags=kpi_tags)

@@ -9,7 +9,7 @@ consistently the family behaves, and maps onto four consistency categories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import InvalidOperation
 from enum import Enum
 from typing import Sequence
@@ -50,14 +50,9 @@ class EmpiricalDistribution:
     combos: tuple[DistributionCombo, ...]
     total: int
     round_decimals: int
-
-    def combo_index_of(self, vector: KpiVector) -> int:
-        """Index of the combo a raw vector falls into after quantization."""
-        key = vector.quantized(self.round_decimals).label()
-        for index, combo in enumerate(self.combos):
-            if combo.vector.label() == key:
-                return index
-        raise KeyError(key)
+    # The combo index of each input vector, in input order; it does not take
+    # part in comparisons, which look at the distribution only.
+    combo_of: tuple[int, ...] = field(compare=False)
 
 
 def build_distribution(
@@ -70,6 +65,7 @@ def build_distribution(
     if not 0 <= round_decimals <= 12:
         raise OutOfRangeError(f"round_decimals {round_decimals} outside [0, 12]")
     counts: dict[str, tuple[KpiVector, int]] = {}
+    keys = []
     for vector in vectors:
         try:
             quantized = vector.quantized(round_decimals)
@@ -79,16 +75,19 @@ def build_distribution(
                 f"{round_decimals} decimals"
             )
         key = quantized.label()
+        keys.append(key)
         if key in counts:
             counts[key] = (counts[key][0], counts[key][1] + 1)
         else:
             counts[key] = (quantized, 1)
     total = len(vectors)
-    ordered = sorted(counts.values(), key=lambda item: (-item[1], item[0].label()))
+    ordered = sorted(counts, key=lambda key: (-counts[key][1], key))
     combos = tuple(
-        DistributionCombo(vector, count, count / total) for vector, count in ordered
+        DistributionCombo(vector, count, count / total)
+        for vector, count in (counts[key] for key in ordered)
     )
-    return EmpiricalDistribution(combos, total, round_decimals)
+    index = {key: position for position, key in enumerate(ordered)}
+    return EmpiricalDistribution(combos, total, round_decimals, tuple(index[key] for key in keys))
 
 
 def normalized_entropy(distribution: EmpiricalDistribution) -> float:

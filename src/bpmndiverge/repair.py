@@ -96,19 +96,22 @@ class NarrativeDocument:
     def with_segments(
         cls, doc_id: str, text: str, ranges: Sequence[Mapping[str, object]]
     ) -> "NarrativeDocument":
-        """Sidecar override: explicit [{segment_id, start, end}] ranges.
-        Raises ValueError on any other shape."""
+        """Sidecar override: explicit [{segment_id, start, end}] ranges with
+        integer bounds.  Raises ValueError on any other shape."""
         if not isinstance(ranges, (list, tuple)):
             raise ValueError("segments sidecar must be a list of {segment_id, start, end} objects")
         segments = []
         for index, entry in enumerate(ranges):
             try:
-                start = int(entry["start"])  # type: ignore[index, arg-type]
-                end = int(entry["end"])  # type: ignore[index, arg-type]
+                start, end = entry["start"], entry["end"]  # type: ignore[index]
                 segment_id = str(entry["segment_id"])  # type: ignore[index]
-            except (KeyError, TypeError, ValueError, OverflowError):
+            except (KeyError, TypeError):
                 raise ValueError(
                     f"segments sidecar entry {index} needs segment_id, start and end: {entry!r}"
+                )
+            if not (type(start) is int and type(end) is int):
+                raise ValueError(
+                    f"segments sidecar entry {index}: start and end must be integers: {entry!r}"
                 )
             segments.append(Segment(segment_id, start, end, text[start:end]))
         return cls(doc_id, text, tuple(segments))
@@ -387,14 +390,6 @@ class CannedRewriteProvider:
     def __init__(self, responses: Mapping[str, Mapping[str, object]]):
         self._responses = dict(responses)
 
-    @classmethod
-    def from_file(cls, path: str) -> "CannedRewriteProvider":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ProviderUnavailableError(f"canned response file {path!r} is not a JSON object")
-        return cls(data)
-
     def rewrite(self, request: Mapping[str, object]) -> Mapping[str, object]:
         ambiguity_id = str(request.get("ambiguity_id", ""))
         if ambiguity_id not in self._responses:
@@ -580,7 +575,7 @@ def _id_order(ambiguity_id: str) -> tuple[str, int, str]:
 def reconstruct_narrative(
     document: NarrativeDocument,
     repairs: Sequence[RepairRecord],
-    instances: Mapping[str, Mapping[str, object]] | Sequence[Mapping[str, object]],
+    instances: Sequence[Mapping[str, object]],
 ) -> RepairedNarrative:
     """Splice revised excerpts into their segments.
 
@@ -590,10 +585,7 @@ def reconstruct_narrative(
     other character of the narrative is preserved.  A stale anchor raises
     ExcerptNotFoundError.
     """
-    if isinstance(instances, Mapping):
-        by_id = dict(instances)
-    else:
-        by_id = {str(entry["id"]): entry for entry in instances}
+    by_id = {str(entry["id"]): entry for entry in instances}
     segment_texts = {segment.segment_id: segment.text for segment in document.segments}
     applied: list[RepairRecord] = []
     for record in sorted(repairs, key=lambda r: _id_order(r.ambiguity_id)):

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .bpmn import NodeKind, ProcessModel
 from .conditions import (
@@ -172,34 +172,56 @@ def parse_cell(text: str) -> Value:
     return stripped
 
 
-def load_cases_csv(text: str) -> list[CaseRecord]:
-    """Load a case population from CSV text.  Header row required; the first
-    column must be ``case_id`` and ids must be unique."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+def read_csv_table(
+    text: str, source: str, key: str, rule: str, columns: Collection[str] | None = None
+) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the non-blank rows of a CSV table.  The header
+    must be ``key`` followed by distinct, non-empty column names (exactly
+    ``columns``, when given), which ``rule`` states; every row has one cell
+    per column and a distinct, non-empty ``key`` cell.  Errors are
+    ``CaseDataError`` messages that start with ``source``."""
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
-        raise CaseDataError("empty case population file")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "case_id":
-        raise CaseDataError("first column of the header must be 'case_id'")
-    cases: list[CaseRecord] = []
+        raise CaseDataError(f"{source} is empty")
+    header = [name.strip() for name in rows[0]]
+    names = header[1:]
+    if (
+        header[:1] != [key]
+        or "" in names
+        or len(set(names)) != len(names)
+        or (columns is not None and sorted(names) != sorted(columns))
+    ):
+        raise CaseDataError(f"{source} header must be {key} plus {rule}")
+    table: list[list[str]] = []
     seen: set[str] = set()
     for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(cell.strip() for cell in row):
             continue
         if len(row) != len(header):
-            raise CaseDataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-        case_id = row[0].strip()
-        if not case_id:
-            raise CaseDataError(f"line {line_no}: empty case_id")
-        if case_id in seen:
-            raise CaseDataError(f"line {line_no}: duplicate case_id {case_id!r}")
-        seen.add(case_id)
-        attributes = {header[i]: parse_cell(row[i]) for i in range(1, len(header))}
-        cases.append(CaseRecord(case_id, attributes))
-    if not cases:
-        raise CaseDataError("case population has a header but no rows")
-    return cases
+            raise CaseDataError(
+                f"{source} line {line_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        row_key = row[0].strip()
+        if not row_key:
+            raise CaseDataError(f"{source} line {line_no}: empty {key}")
+        if row_key in seen:
+            raise CaseDataError(f"{source} row {row[0]!r}: duplicate {key}")
+        seen.add(row_key)
+        table.append(row)
+    if not table:
+        raise CaseDataError(f"{source} has a header but no rows")
+    return header, table
+
+
+def load_cases_csv(text: str, source: str = "case population") -> list[CaseRecord]:
+    """Load a case population from CSV text whose header is ``case_id`` and
+    distinct attribute names; ``source`` names the input in errors."""
+    header, rows = read_csv_table(text, source, "case_id", "distinct, non-empty column names")
+    names = header[1:]
+    return [
+        CaseRecord(row[0].strip(), {name: parse_cell(cell) for name, cell in zip(names, row[1:])})
+        for row in rows
+    ]
 
 
 def execute_case(

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior against the bundled City 1 fixtures."""
 
+import dataclasses
 import json
+import shutil
 import socket
 import threading
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -10,8 +13,9 @@ from hypothesis import given, strategies as st
 
 from bpmndiverge import cli
 from bpmndiverge.bpmn import serialize_bpmn
+from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
 from bpmndiverge.repair import NarrativeDocument
-from bpmndiverge.simulation import Trace
+from bpmndiverge.simulation import KpiConfig, Trace
 
 import modelkit as mk
 
@@ -465,6 +469,15 @@ class TestReport:
             (5, "must be a list"),
             ([{"segment_id": "para-1", "start": 50, "end": 10}], "range 50..10 is not inside"),
             ([{"segment_id": "para-1", "start": 0, "end": 10**6}], "is not inside the"),
+            (
+                [
+                    {"segment_id": "p1", "start": 0, "end": 5},
+                    {"segment_id": "p2", "start": 0, "end": 2.7},
+                ],
+                "entry 1: start and end must be integers",
+            ),
+            ([{"segment_id": "p1", "start": "3", "end": 9}], "entry 0: start and end must be"),
+            ([{"segment_id": "p1", "start": True, "end": 9}], "entry 0: start and end must be"),
         ],
     )
     def test_malformed_segments_sidecar_is_a_data_error(
@@ -550,7 +563,9 @@ class TestRepair:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         try:
             cfg = http_config(
                 tmp_path,
@@ -768,3 +783,92 @@ class TestExitCodes:
             == 2
         )
         assert "error" in capsys.readouterr().err
+
+
+# The command that reads each input file.
+INPUT_KEYS = {
+    "models_dir": "simulate",
+    "cases_csv": "simulate",
+    "narrative": "report",
+    "supplemental": "repair",
+    "provider_canned_path": "repair",
+}
+
+
+def config_with(tmp_path, key: str, value: str | None):
+    """The city1 config with ``key`` set to ``value``, or left out for None."""
+    lines = [
+        line for line in Path(CONFIG).read_text().splitlines()
+        if line.partition("=")[0].strip() != key
+    ]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("key", sorted(INPUT_KEYS))
+    def test_unconfigured_input_is_a_config_error(self, out, tmp_path, capsys, key):
+        full_pipeline(out)
+        capsys.readouterr()
+        cfg = config_with(tmp_path, key, None)
+        assert run("--config", str(cfg), "--out", str(out), INPUT_KEYS[key]) == 1
+        assert f"{key} is not configured" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(INPUT_KEYS))
+    def test_missing_input_file_is_a_data_error(self, out, tmp_path, capsys, key):
+        full_pipeline(out)
+        capsys.readouterr()
+        missing = tmp_path / "no-such-input"
+        cfg = config_with(tmp_path, key, str(missing))
+        assert run("--config", str(cfg), "--out", str(out), INPUT_KEYS[key]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["case_id,HbA1c,HbA1c", "case_id,HbA1c,", "case_id,,HbA1c"])
+    def test_case_csv_column_names_must_be_distinct_and_named(
+        self, out, tmp_path, capsys, header
+    ):
+        cases = tmp_path / "cases.csv"
+        cases.write_text(f"{header}\nc1,1,2\n")
+        assert run_city1(out, "--cases", str(cases), "simulate") == 2
+        assert f"{cases} header must be case_id plus distinct" in capsys.readouterr().err
+
+    def test_case_csv_that_is_not_utf8_names_the_file(self, out, tmp_path, capsys):
+        cases = tmp_path / "cases.csv"
+        cases.write_bytes(b"case_id,HbA1c\nc1,\xff\n")
+        assert run_city1(out, "--cases", str(cases), "simulate") == 2
+        assert f"{cases}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_broken_model_beside_good_ones_is_named(self, out, tmp_path, capsys, repo_root):
+        models = tmp_path / "models"
+        shutil.copytree(repo_root / "fixtures" / "city1" / "models", models)
+        (models / "broken.bpmn").write_text("<definitions><oops")
+        assert run_city1(out, "--models", str(models), "simulate") == 2
+        assert "error: broken.bpmn: unclosed token" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("[1, 2]", "canned responses must be a JSON object"), ("{bad", "invalid JSON")],
+    )
+    def test_malformed_canned_file_is_a_data_error(self, out, tmp_path, capsys, text, message):
+        canned = tmp_path / "canned.json"
+        canned.write_text(text)
+        full_pipeline(out)
+        capsys.readouterr()
+        cfg = config_with(tmp_path, "provider_canned_path", str(canned))
+        assert run("--config", str(cfg), "--out", str(out), "repair") == 2
+        assert f"{canned}: {message}" in capsys.readouterr().err
+
+
+def test_every_run_config_field_is_a_key():
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"kpi"}
+    kpi_fields = {f.name for f in dataclasses.fields(KpiConfig)} - {"kpi_task_tags"}
+    assert set(KEYS) == fields | kpi_fields
+
+
+@pytest.mark.parametrize("key", [key for key, kind in KEYS.items() if kind not in (str, Path)])
+def test_a_number_key_rejects_text(key):
+    with pytest.raises(ConfigError, match=f"{key}: expected"):
+        build_run_config({key: "many"})

@@ -54,12 +54,11 @@ class TestBuild:
         assert vec("0.1234565").quantized(6)["NC"] == Decimal("0.123456")
         assert vec("0.1234575").quantized(6)["NC"] == Decimal("0.123458")
 
-    def test_combo_index_of(self):
-        dist = build_distribution([vec("1"), vec("1"), vec("2")])
-        assert dist.combo_index_of(vec("2")) == 1
-        assert dist.combo_index_of(vec("1.0000001")) == 0
-        with pytest.raises(KeyError):
-            dist.combo_index_of(vec("9"))
+    def test_combo_of_records_each_input(self):
+        # 1.0000001 rounds to 1 at six decimals, so it joins the larger combo.
+        dist = build_distribution([vec("1"), vec("2"), vec("1.0000001")])
+        assert [c.count for c in dist.combos] == [2, 1]
+        assert dist.combo_of == (0, 1, 0)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):

@@ -65,7 +65,7 @@ def supplemental_doc(city1_dir):
 
 @pytest.fixture()
 def canned_provider(city1_dir):
-    return CannedRewriteProvider.from_file(str(city1_dir / "canned_repairs.json"))
+    return CannedRewriteProvider(json.loads((city1_dir / "canned_repairs.json").read_text()))
 
 
 class TestSegmentation:
@@ -456,7 +456,9 @@ def http_server():
     def start(behavior):
         handler = type("H", (_Handler,), {"behavior": staticmethod(behavior), "seen": []})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}/rewrite", handler

@@ -98,6 +98,11 @@ class TestCaseLoading:
         with pytest.raises(CaseDataError, match="no rows"):
             load_cases_csv("case_id,x\n")
 
+    @pytest.mark.parametrize("header", ["case_id,x,x", "case_id,x,", "case_id, ,x"])
+    def test_column_names_must_be_distinct_and_non_empty(self, header):
+        with pytest.raises(CaseDataError, match="distinct, non-empty column names"):
+            load_cases_csv(f"{header}\nc1,1,2\n")
+
     def test_blank_lines_skipped(self):
         cases = load_cases_csv("case_id,x\nc1,1\n\nc2,2\n")
         assert [c.case_id for c in cases] == ["c1", "c2"]
