@@ -585,7 +585,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         distribution.EmptyInputError,
         distribution.OutOfRangeError,
         distribution.SingleClassError,
-        diagnosis.CaseMismatchError,
         repair.ExcerptNotFoundError,
         ValueError,
     ) as exc:

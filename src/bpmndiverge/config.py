@@ -110,6 +110,8 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
             converted = kind(value)
         except (ValueError, ArithmeticError):
             raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is Decimal and not converted.is_finite():
+            raise ConfigError(f"{key}: expected a finite decimal, got {value!r}")
         (kpi_kwargs if key in _KPI_KEYS else updates)[key] = converted
     if kpi_kwargs or kpi_tags != dict(config.kpi.kpi_task_tags):
         try:

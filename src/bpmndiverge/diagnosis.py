@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bpmn import NodeKind, ProcessModel
-from .conditions import ConditionAst, normalize
+from .conditions import normalize
 from .simulation import (
     CaseRecord,
     ConditionTables,
@@ -47,10 +47,6 @@ ORIENTATION_NOTE = (
     "reference/target orientation is chosen for explanatory parsimony and does not "
     "imply either model is correct"
 )
-
-
-class CaseMismatchError(Exception):
-    pass
 
 
 class NoDivergenceError(Exception):
@@ -103,7 +99,6 @@ class DiagnosisProblem:
     target_model_id: str
     components: tuple[str, ...]  # all target-model gateway ids, document order
     conflicts: tuple[ConflictSet, ...]
-    observations: tuple[Observation, ...]
     unattributable: tuple[Divergence, ...]
     failed_cases: tuple[tuple[str, str], ...]  # (case id, reason)
 
@@ -142,33 +137,26 @@ class DirectionResult:
     target_model_id: str
     chosen: DiagnosisRun
     reverse: DiagnosisRun
+    observations: tuple[Observation, ...]  # of the chosen orientation
     note: str = ORIENTATION_NOTE
 
 
 def compare_observations(
-    ref_traces: Sequence[Trace],
-    tgt_traces: Sequence[Trace],
-    ref_model: ProcessModel,
-    tgt_model: ProcessModel,
+    pairs: Sequence[tuple[KpiSequence, KpiSequence]],
 ) -> list[Observation]:
-    """One observation per (case, task label, kpi) seen on either side.
+    """One observation per (case, task label, kpi) seen on either side of
+    each aligned (reference, target) pair of one case's KPI sequences.
 
-    Both trace lists must cover the same case ids.  Output order is
-    deterministic: case id, then task label, then kpi name.
+    Output order follows the pairs (case-id order as ``choose_direction``
+    passes them), then task label, then kpi name.
     """
-    ref_by_case = {t.case_id: t for t in ref_traces}
-    tgt_by_case = {t.case_id: t for t in tgt_traces}
-    if set(ref_by_case) != set(tgt_by_case):
-        missing = sorted(set(ref_by_case) ^ set(tgt_by_case))
-        raise CaseMismatchError(f"case ids differ between sides: {missing}")
     observations: list[Observation] = []
-    for case_id in sorted(ref_by_case):
-        ref_pairs = set(kpi_sequence(ref_by_case[case_id], ref_model).pairs)
-        tgt_pairs = set(kpi_sequence(tgt_by_case[case_id], tgt_model).pairs)
+    for ref_seq, tgt_seq in pairs:
+        ref_pairs, tgt_pairs = set(ref_seq.pairs), set(tgt_seq.pairs)
         for task_label, kpi in sorted(ref_pairs | tgt_pairs):
             observations.append(
                 Observation(
-                    case_id,
+                    ref_seq.case_id,
                     task_label,
                     kpi,
                     ref_emitted=(task_label, kpi) in ref_pairs,
@@ -247,21 +235,39 @@ def conflict_from_divergence(
     return ConflictSet(tuple(seen), (divergence.case_id,))
 
 
-_Walk = tuple[dict[str, Trace], dict[str, str]]
+class _Walk(NamedTuple):
+    """One model's walk of the cases, keyed by case id: the trace and KPI
+    sequence of each case that completes, and the error of each that fails."""
+
+    traces: dict[str, Trace]
+    sequences: dict[str, KpiSequence]
+    errors: dict[str, str]
 
 
 def _walk_models(
     models: Sequence[ProcessModel], cases: Sequence[CaseRecord], step_cap: int
 ) -> list[_Walk]:
-    """Each model's traces of the cases that complete and error message of
-    each case that fails, both keyed by case id, from ``simulate_population``
-    over condition tables shared between the models."""
+    """Each model's walk from ``simulate_population`` over condition tables
+    shared between the models; each trace is projected once."""
     tables = ConditionTables(cases)
     walks: list[_Walk] = []
     for model in models:
         result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap, tables=tables)
-        walks.append(({trace.case_id: trace for trace in result.traces}, dict(result.errors)))
+        walks.append(
+            _Walk(
+                {trace.case_id: trace for trace in result.traces},
+                {trace.case_id: kpi_sequence(trace, model) for trace in result.traces},
+                dict(result.errors),
+            )
+        )
     return walks
+
+
+def _aligned(ref_walk: _Walk, tgt_walk: _Walk) -> list[tuple[KpiSequence, KpiSequence]]:
+    """(reference, target) KPI sequences of each case that completes on
+    both sides, in case-id order."""
+    shared = sorted(ref_walk.sequences.keys() & tgt_walk.sequences.keys())
+    return [(ref_walk.sequences[case_id], tgt_walk.sequences[case_id]) for case_id in shared]
 
 
 def _build_problem(
@@ -275,33 +281,24 @@ def _build_problem(
     case order, with the reference side's error if the reference walk
     failed and the target's otherwise.  Every other case whose KPI
     sequences differ yields a conflict or an unattributable divergence."""
-    ref_traces, ref_errors = ref_walk
-    tgt_traces, tgt_errors = tgt_walk
+    ref_errors, tgt_errors = ref_walk.errors, tgt_walk.errors
     failed = [
         (case.case_id, ref_errors.get(case.case_id, tgt_errors.get(case.case_id)))
         for case in cases
         if case.case_id in ref_errors or case.case_id in tgt_errors
     ]
-    observations = compare_observations(
-        [trace for case_id, trace in ref_traces.items() if case_id in tgt_traces],
-        [trace for case_id, trace in tgt_traces.items() if case_id in ref_traces],
-        ref_model,
-        tgt_model,
-    )
     conflicts: dict[tuple[str, ...], list[str]] = {}
     unattributable: list[Divergence] = []
-    for case_id in sorted(ref_traces.keys() & tgt_traces.keys()):
-        divergence = first_divergence(
-            kpi_sequence(ref_traces[case_id], ref_model),
-            kpi_sequence(tgt_traces[case_id], tgt_model),
-        )
+    for ref_seq, tgt_seq in _aligned(ref_walk, tgt_walk):
+        divergence = first_divergence(ref_seq, tgt_seq)
         if divergence is None:
             continue
-        conflict = conflict_from_divergence(divergence, tgt_traces[case_id], tgt_model)
+        tgt_trace = tgt_walk.traces[tgt_seq.case_id]
+        conflict = conflict_from_divergence(divergence, tgt_trace, tgt_model)
         if conflict is None:
             unattributable.append(divergence)
             continue
-        conflicts.setdefault(conflict.gateways, []).append(case_id)
+        conflicts.setdefault(conflict.gateways, []).append(tgt_seq.case_id)
     merged = tuple(
         ConflictSet(gateways, tuple(sorted(case_ids)))
         for gateways, case_ids in sorted(conflicts.items())
@@ -314,7 +311,6 @@ def _build_problem(
         target_model_id=tgt_model.model_id,
         components=components,
         conflicts=merged,
-        observations=tuple(observations),
         unattributable=tuple(unattributable),
         failed_cases=tuple(failed),
     )
@@ -381,29 +377,6 @@ def minimal_hitting_sets(
     return HittingSetResult(_minimal_diagnoses(complete), truncated)
 
 
-def _conditions_taken_at(
-    trace: Trace, model: ProcessModel, gateway_id: str
-) -> list[ConditionAst | None]:
-    """Branch conditions of the flows taken at each visit of the gateway.
-    None marks a default or unconditioned branch."""
-    taken: list[ConditionAst | None] = []
-    for step_index, node_id in enumerate(trace.steps[:-1]):
-        if node_id == gateway_id:
-            flow = model.flow(trace.flows[step_index])
-            taken.append(flow.condition)
-    return taken
-
-
-def _conditions_exercised(trace: Trace, model: ProcessModel) -> list[ConditionAst]:
-    """All branch conditions exercised anywhere along the trace."""
-    out: list[ConditionAst] = []
-    for flow_id in trace.flows:
-        condition = model.flow(flow_id).condition
-        if condition is not None:
-            out.append(condition)
-    return out
-
-
 def refine_diagnoses(
     diagnoses: Sequence[Diagnosis],
     problem: DiagnosisProblem,
@@ -425,14 +398,10 @@ def refine_diagnoses(
     for conflict in problem.conflicts:
         for gateway in conflict.gateways:
             cases_for_gateway.setdefault(gateway, set()).update(conflict.case_ids)
-    ref_normed: dict[str, list[ConditionAst]] = {}
-
-    def ref_conditions(case_id: str) -> list[ConditionAst]:
-        if case_id not in ref_normed:
-            ref_normed[case_id] = [
-                normalize(c) for c in _conditions_exercised(ref_by_case[case_id], ref_model)
-            ]
-        return ref_normed[case_id]
+    ref_normed, tgt_normed = (
+        {flow.id: normalize(flow.condition) for flow in model.flows if flow.condition is not None}
+        for model in (ref_model, tgt_model)
+    )
 
     def removable(gateway: str) -> bool:
         case_ids = cases_for_gateway.get(gateway)
@@ -441,15 +410,16 @@ def refine_diagnoses(
         for case_id in sorted(case_ids):
             if case_id not in tgt_by_case or case_id not in ref_by_case:
                 return False
-            taken = _conditions_taken_at(tgt_by_case[case_id], tgt_model, gateway)
-            if not taken:
+            tgt_trace = tgt_by_case[case_id]
+            # None marks a default branch: it has no condition to match.
+            taken = [
+                tgt_normed.get(flow_id)
+                for node_id, flow_id in zip(tgt_trace.steps, tgt_trace.flows)
+                if node_id == gateway
+            ]
+            reference = {ref_normed[f] for f in ref_by_case[case_id].flows if f in ref_normed}
+            if not taken or not all(condition in reference for condition in taken):
                 return False
-            reference = ref_conditions(case_id)
-            for condition in taken:
-                if condition is None:
-                    return False  # default branch has no condition to match
-                if normalize(condition) not in reference:
-                    return False
         return True
 
     gateways = {g for diagnosis in diagnoses for g in diagnosis.gateways}
@@ -469,7 +439,7 @@ def _run_orientation(
     problem = _build_problem(ref_model, tgt_model, ref_walk, tgt_walk, cases)
     hitting = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
     refined = refine_diagnoses(
-        hitting.diagnoses, problem, ref_model, tgt_model, ref_walk[0], tgt_walk[0]
+        hitting.diagnoses, problem, ref_model, tgt_model, ref_walk.traces, tgt_walk.traces
     )
     return DiagnosisRun(problem, hitting, tuple(refined))
 
@@ -499,9 +469,10 @@ def choose_direction(
     """Diagnose in both orientations and keep the more parsimonious one.
 
     Each model walks the cases once; both orientations are built from the
-    same walks.  Ties fall back to the number of minimal diagnoses, then to
-    the lexicographically smaller reference model id.  Raises
-    NoDivergenceError when no case that completes on both models diverges.
+    same walks, and the observation table only for the chosen one.  Ties
+    fall back to the number of minimal diagnoses, then to the
+    lexicographically smaller reference model id.  Raises NoDivergenceError
+    when no case that completes on both models diverges.
     """
     walk_a, walk_b = _walk_models((model_a, model_b), cases, step_cap)
     run_ab = _run_orientation(model_a, model_b, walk_a, walk_b, cases, max_cardinality)
@@ -511,11 +482,13 @@ def choose_direction(
             f"models {model_a.model_id!r} and {model_b.model_id!r} agree on all cases"
         )
     chosen, reverse = sorted((run_ab, run_ba), key=_ranking_key)
+    pairs = _aligned(walk_a, walk_b) if chosen is run_ab else _aligned(walk_b, walk_a)
     return DirectionResult(
         reference_model_id=chosen.problem.reference_model_id,
         target_model_id=chosen.problem.target_model_id,
         chosen=chosen,
         reverse=reverse,
+        observations=tuple(compare_observations(pairs)),
     )
 
 
@@ -524,7 +497,7 @@ def diagnosis_report(result: DirectionResult) -> dict:
     before and after refinement, unattributable divergences, and the
     discrepant observation table."""
     problem = result.chosen.problem
-    discrepant = [o for o in problem.observations if o.discrepant]
+    discrepant = [o for o in result.observations if o.discrepant]
     return {
         "reference_model": problem.reference_model_id,
         "target_model": problem.target_model_id,
@@ -555,7 +528,7 @@ def diagnosis_report(result: DirectionResult) -> dict:
             {"case_id": case_id, "reason": reason} for case_id, reason in problem.failed_cases
         ],
         "observations": {
-            "total": len(problem.observations),
+            "total": len(result.observations),
             "discrepant": [
                 {
                     "case_id": o.case_id,

@@ -51,7 +51,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class NarrativeDocument:
-    """Narrative text with ordered, non-overlapping segments."""
+    """Narrative text with ordered, non-overlapping, uniquely named segments."""
 
     doc_id: str
     text: str
@@ -59,7 +59,11 @@ class NarrativeDocument:
 
     def __post_init__(self):
         last_end = 0
+        seen: set[str] = set()
         for segment in self.segments:
+            if segment.segment_id in seen:
+                raise ValueError(f"segment id {segment.segment_id!r} is used twice")
+            seen.add(segment.segment_id)
             if not 0 <= segment.start <= segment.end <= len(self.text):
                 raise ValueError(
                     f"segment {segment.segment_id!r} range {segment.start}..{segment.end} "

@@ -1,14 +1,13 @@
 """Independent oracles the tests compare the package against.
 
 Everything here is written straight from the defining formulas with plain
-floats, fractions, and brute-force enumeration, on purpose not reusing any
-package internals beyond the trace data types.
+floats and brute-force enumeration, on purpose not reusing any package
+internals.  The KPI recount oracle is ``scripts/recount_kpis.py``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -38,36 +37,6 @@ def brute_force_hitting_sets(
             if all(candidate & conflict for conflict in conflicts):
                 hitting.append(candidate)
     return {c for c in hitting if not any(other < c for other in hitting)}
-
-
-def recount_vector(
-    emissions_by_case: dict[str, list[tuple[str, str]]],
-    cases_total: int,
-    *,
-    capacity: int = 50,
-    alpha: Fraction = Fraction(1, 2),
-    response_rate: Fraction = Fraction(3, 10),
-    cost_saving: Fraction = Fraction(1000),
-) -> dict[str, Fraction]:
-    """Population KPIs recounted from raw emissions in exact rationals."""
-    nc = 0
-    hc_cases = set()
-    for case_id, emissions in emissions_by_case.items():
-        for _task, kpi in emissions:
-            if kpi == "NC":
-                nc += 1
-            elif kpi == "HC":
-                hc_cases.add(case_id)
-    hc = len(hc_cases)
-    load = Fraction(hc, capacity)
-    ru = load if load <= 1 else max(Fraction(0), 1 - alpha * (load - 1))
-    return {
-        "NC": Fraction(nc),
-        "HC": Fraction(hc),
-        "RU": ru,
-        "HI": Fraction(hc) * response_rate / cases_total,
-        "CS": Fraction(hc) * response_rate * cost_saving,
-    }
 
 
 def jaccard_oracle(a: Iterable[str], b: Iterable[str]) -> float:

@@ -97,7 +97,6 @@ def test_criterion_3_hitting_set_oracle_equivalence():
                 target_model_id="tgt",
                 components=tuple(components),
                 conflicts=conflicts,
-                observations=(),
                 unattributable=(),
                 failed_cases=(),
             )

@@ -478,6 +478,13 @@ class TestReport:
             ),
             ([{"segment_id": "p1", "start": "3", "end": 9}], "entry 0: start and end must be"),
             ([{"segment_id": "p1", "start": True, "end": 9}], "entry 0: start and end must be"),
+            (
+                [
+                    {"segment_id": "p1", "start": 0, "end": 5},
+                    {"segment_id": "p1", "start": 7, "end": 11},
+                ],
+                "segment id 'p1' is used twice",
+            ),
         ],
     )
     def test_malformed_segments_sidecar_is_a_data_error(
@@ -872,3 +879,14 @@ def test_every_run_config_field_is_a_key():
 def test_a_number_key_rejects_text(key):
     with pytest.raises(ConfigError, match=f"{key}: expected"):
         build_run_config({key: "many"})
+
+
+@pytest.mark.parametrize("token", ["nan", "sNaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "key", ["overload_penalty_alpha", "response_rate", "cost_saving_per_improved_patient"]
+)
+def test_a_non_finite_decimal_is_a_config_error(out, tmp_path, capsys, key, token):
+    cfg = config_with(tmp_path, key, token)
+    assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
+    assert f"{key}: expected a finite decimal, got {token!r}" in capsys.readouterr().err
+    assert not out.exists()

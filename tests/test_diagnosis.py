@@ -6,10 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 
-from bpmndiverge import simulation
+from bpmndiverge import diagnosis, simulation
 from bpmndiverge.diagnosis import (
     TRACE_END,
-    CaseMismatchError,
     ConflictSet,
     Diagnosis,
     DiagnosisProblem,
@@ -44,7 +43,6 @@ def problem_with(conflicts: list[tuple[tuple[str, ...], tuple[str, ...]]]) -> Di
         target_model_id="tgt",
         components=tuple(sorted({g for gateways, _ in conflicts for g in gateways})),
         conflicts=tuple(ConflictSet(g, c) for g, c in conflicts),
-        observations=(),
         unattributable=(),
         failed_cases=(),
     )
@@ -54,11 +52,26 @@ def seq(case_id: str, *pairs: tuple[str, str]) -> KpiSequence:
     return KpiSequence(case_id, pairs)
 
 
+def walked_pairs(ref, tgt, cases) -> list[tuple[KpiSequence, KpiSequence]]:
+    """(reference, target) KPI sequences from per-case ``execute_case``
+    walks of every case that completes on both models, in case-id order."""
+    pairs = []
+    for case in sorted(cases, key=lambda c: c.case_id):
+        try:
+            pairs.append(
+                (
+                    kpi_sequence(execute_case(ref, case), ref),
+                    kpi_sequence(execute_case(tgt, case), tgt),
+                )
+            )
+        except CASE_ERRORS:
+            continue
+    return pairs
+
+
 class TestObservations:
     def test_city1_observation_table(self, strict_model, broad_model, population):
-        ref_traces = [execute_case(strict_model, c) for c in population]
-        tgt_traces = [execute_case(broad_model, c) for c in population]
-        obs = compare_observations(ref_traces, tgt_traces, strict_model, broad_model)
+        obs = compare_observations(walked_pairs(strict_model, broad_model, population))
         assert len(obs) == 30
         discrepant = [o for o in obs if o.discrepant]
         assert len(discrepant) == 18
@@ -67,12 +80,6 @@ class TestObservations:
         assert c05[0].task_label == "Provide Health Guidance"
         assert c05[0].kpi_name == "HC"
         assert not c05[0].ref_emitted and c05[0].tgt_emitted
-
-    def test_case_sets_must_match(self, strict_model, broad_model, population):
-        ref_traces = [execute_case(strict_model, c) for c in population]
-        tgt_traces = [execute_case(broad_model, c) for c in population[:-1]]
-        with pytest.raises(CaseMismatchError, match="c20"):
-            compare_observations(ref_traces, tgt_traces, strict_model, broad_model)
 
 
 class TestFirstDivergence:
@@ -185,7 +192,8 @@ class TestCollectConflicts:
         problem = collect_conflicts(strict_model, broad_model, cases)
         assert len(problem.failed_cases) == 1
         assert problem.failed_cases[0][0] == "cXX"
-        assert len({o.case_id for o in problem.observations}) <= 20
+        observations = choose_direction(strict_model, broad_model, cases).observations
+        assert {o.case_id for o in observations} <= {c.case_id for c in population}
 
 
 class TestHittingSets:
@@ -374,6 +382,34 @@ class TestDirectionChoice:
             choose_direction(strict_model, broad_model, population)
         assert walk.call_count == len(paths) < 2 * len(population)
 
+    def test_each_case_is_projected_and_compared_once(self):
+        # c_x completes on mx only, and c_blank on neither model.
+        mx = mk.branch_model("x >= 5", model_id="mx")
+        my = mk.branch_model("y >= 5", model_id="my")
+        cases = [
+            CaseRecord("c1", {"x": Decimal("5"), "y": Decimal("0")}),
+            CaseRecord("c_x", {"x": Decimal("5")}),
+            CaseRecord("c_blank", {}),
+        ]
+        completed = set()
+        for model in (mx, my):
+            for case in cases:
+                try:
+                    execute_case(model, case)
+                except CASE_ERRORS:
+                    continue
+                completed.add((model.model_id, case.case_id))
+        with mock.patch.object(
+            diagnosis, "kpi_sequence", wraps=kpi_sequence
+        ) as project, mock.patch.object(
+            diagnosis, "compare_observations", wraps=compare_observations
+        ) as compare:
+            choose_direction(mx, my, cases)
+        projected = [(call.args[1].model_id, call.args[0].case_id) for call in project.call_args_list]
+        assert len(completed) == 3
+        assert sorted(projected) == sorted(completed)
+        assert compare.call_count == 1
+
     def test_failed_case_reports_reference_error(self):
         mx = mk.branch_model("x >= 5", model_id="mx")
         my = mk.branch_model("y >= 5", model_id="my")
@@ -428,6 +464,9 @@ class TestStageAgreement:
             attributed = {c for conflict in run.problem.conflicts for c in conflict.case_ids}
             attributed |= {d.case_id for d in run.problem.unattributable}
             assert attributed == divergent
+        a_is_ref = result.reference_model_id == model_a.model_id
+        ref, tgt = (model_a, model_b) if a_is_ref else (model_b, model_a)
+        assert list(result.observations) == compare_observations(walked_pairs(ref, tgt, cases))
 
     def test_repeated_label_is_diagnosed(self):
         once, twice = mk.repeated_call_pair()
@@ -437,7 +476,7 @@ class TestStageAgreement:
         assert problem.conflicts == (ConflictSet(("g",), ("c1",)),)
         assert [d.sorted_gateways for d in result.chosen.refined] == [("g",)]
         # Both sides emit the same set of pairs; only the sequences differ.
-        assert not any(o.discrepant for o in problem.observations)
+        assert not any(o.discrepant for o in result.observations)
         assert [d.kind for d in result.reverse.problem.unattributable] == [
             DivergenceKind.MISSING_OUTPUT
         ]

@@ -100,6 +100,19 @@ class TestSegmentation:
         with pytest.raises(KeyError):
             doc.segment("zzz")
 
+    def test_duplicate_segment_ids_rejected(self):
+        # Segment texts are keyed by id when a narrative is reconstructed,
+        # so a repeated id would overwrite "alpha" with "beta".
+        with pytest.raises(ValueError, match="segment id 'a' is used twice"):
+            NarrativeDocument.with_segments(
+                "d",
+                "alpha\n\nbeta",
+                [
+                    {"segment_id": "a", "start": 0, "end": 5},
+                    {"segment_id": "a", "start": 7, "end": 11},
+                ],
+            )
+
     def test_overlapping_segments_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
             NarrativeDocument(

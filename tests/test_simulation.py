@@ -1,10 +1,12 @@
 """Case loading, trace execution, KPI aggregation, and set-at-a-time
 population runs checked against per-case walks."""
 
+import importlib.util
 import json
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -40,8 +42,20 @@ from bpmndiverge.simulation import (
 )
 
 import modelkit as mk
-from oracles import recount_vector
 from test_conditions import _NAMES, _asts
+
+
+def _load_recount():
+    """``recount`` of ``scripts/recount_kpis.py``, the KPI recount oracle."""
+    spec = importlib.util.spec_from_file_location(
+        "recount_kpis", Path(__file__).resolve().parent.parent / "scripts" / "recount_kpis.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.recount
+
+
+recount = _load_recount()
 
 
 class TestCellParsing:
@@ -219,10 +233,13 @@ class TestAggregation:
         model = strict_model if which == "strict" else broad_model
         traces = [execute_case(model, c) for c in population]
         v = aggregate_kpis(traces, len(population), kpi_config)
-        emissions = {t.case_id: list(t.emissions) for t in traces}
-        expected = recount_vector(emissions, len(population))
+        data = {
+            "cases_total": len(population),
+            "traces": [{"case_id": t.case_id, "emissions": t.emissions} for t in traces],
+        }
+        expected = recount(data, 50, Fraction(1, 2), Fraction(3, 10), Fraction(1000))
         for name in v.names:
-            assert Fraction(v[name]) == expected[name], name
+            assert Fraction(v[name]) == Fraction(expected[name]), name
 
     def _hc_traces(self, n: int) -> list[Trace]:
         # n distinct cases each emitting one HC.
