@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Recount population KPIs from the traces in a ``simulate --traces`` JSON.
 
-Independent cross-check for the aggregation pipeline: counts emissions
-directly from the recorded traces and redoes the KPI arithmetic in exact
-rational numbers, printing each KPI as a fraction string.  Deliberately
-does not import the package's aggregation code.
+Independent cross-check for the aggregation pipeline: each trace entry is one
+distinct path with the ``case_ids`` of the cases that took it, and the
+emissions of the path are counted once for each of those cases.  An entry
+may instead name a single ``case_id``.  The KPI arithmetic is redone in
+exact rational numbers, and each KPI is printed as a fraction string.
+Deliberately does not import the package's aggregation code.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ def recount(data: dict, capacity: int, alpha: Fraction, response_rate: Fraction,
     nc = 0
     hc_cases: set[str] = set()
     for trace in data["traces"]:
-        for _task, kpi in trace["emissions"]:
-            if kpi == "NC":
-                nc += 1
-            elif kpi == "HC":
-                hc_cases.add(trace["case_id"])
+        case_ids = trace["case_ids"] if "case_ids" in trace else [trace["case_id"]]
+        for case_id in case_ids:
+            for _task, kpi in trace["emissions"]:
+                if kpi == "NC":
+                    nc += 1
+                elif kpi == "HC":
+                    hc_cases.add(case_id)
     hc = len(hc_cases)
     cases_total = int(data["cases_total"])
     load = Fraction(hc, capacity)

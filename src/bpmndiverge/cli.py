@@ -87,8 +87,9 @@ def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str
 
 
 def _load_models(config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
-    """Parse every model file in ``models_dir``; returns model_id -> (model,
-    file name).  Sorted file order keeps ids deterministic on collision."""
+    """Parse every regular model file in ``models_dir``; returns model_id ->
+    (model, file name).  Sorted file order keeps ids deterministic on
+    collision."""
     models_dir = config.models_dir
     if models_dir is None:
         raise ConfigError("models_dir is not configured")
@@ -96,7 +97,7 @@ def _load_models(config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
         raise DataError(f"models directory not found: {models_dir}")
     found: dict[str, tuple[bpmn.ProcessModel, str]] = {}
     files = sorted(
-        p for p in models_dir.iterdir() if p.suffix.lower() in (".bpmn", ".xml")
+        p for p in models_dir.iterdir() if p.suffix.lower() in (".bpmn", ".xml") and p.is_file()
     )
     if not files:
         raise DataError(f"no .bpmn or .xml files in {models_dir}")
@@ -136,7 +137,7 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
             cases,
             config.kpi,
             step_cap=config.step_cap,
-            traces=include_traces,
+            paths=include_traces,
             tables=tables,
         )
         payload: dict[str, object] = {
@@ -148,39 +149,19 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
                 {"case_id": case_id, "reason": reason} for case_id, reason in result.errors
             ],
         }
-        text = _kpi_json(payload, result.traces) if include_traces else dump_json(payload)
-        atomic_write(out_dir / f"{model_id}.json", text)
+        if include_traces:
+            payload["traces"] = [
+                {
+                    "case_ids": case_ids,
+                    "steps": walk.steps,
+                    "flows": walk.flows,
+                    "emissions": walk.emissions,
+                }
+                for case_ids, walk in result.paths
+            ]
+        atomic_write(out_dir / f"{model_id}.json", dump_json(payload))
     print(f"simulated {len(models)} model(s) over {len(cases)} case(s) -> {out_dir}")
     return 0
-
-
-def _kpi_json(payload: dict[str, object], traces: Sequence[simulation.Trace]) -> str:
-    """``dump_json`` of ``payload`` with a ``"traces"`` list appended, written
-    without building it: the steps, flows and emissions of each distinct
-    path are rendered once, and each trace adds only its case id."""
-    head = dump_json({**payload, "traces": []})
-    if not traces:
-        return head
-    bodies: dict[tuple, str] = {}
-    entries = []
-    for trace in traces:
-        key = (trace.steps, trace.flows, trace.emissions)
-        body = bodies.get(key)
-        if body is None:
-            rendered = json.dumps(
-                {
-                    "steps": list(trace.steps),
-                    "flows": list(trace.flows),
-                    "emissions": [list(emission) for emission in trace.emissions],
-                },
-                indent=2,
-                ensure_ascii=False,
-            )
-            # Drop the opening brace and indent two levels, into the list.
-            body = bodies[key] = rendered[1:].replace("\n", "\n    ")
-        case_id = json.dumps(trace.case_id, ensure_ascii=False)
-        entries.append(f'    {{\n      "case_id": {case_id},{body}')
-    return head[: -len("[]\n}\n")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
 
 
 def _parse_kpis(values: dict, source: str) -> simulation.KpiVector:

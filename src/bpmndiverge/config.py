@@ -139,7 +139,11 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
 def load_config(path: Path, base: RunConfig | None = None) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return build_run_config(parse_config_text(path.read_text(encoding="utf-8")), base)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    return build_run_config(parse_config_text(text), base)
 
 
 def provider_auth_token(config: RunConfig) -> str | None:

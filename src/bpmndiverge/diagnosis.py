@@ -236,8 +236,9 @@ def conflict_from_divergence(
 
 
 class _Walk(NamedTuple):
-    """One model's walk of the cases, keyed by case id: the trace and KPI
-    sequence of each case that completes, and the error of each that fails."""
+    """One model's walk of the cases, keyed by case id: the walk of the path
+    and the KPI sequence of each case that completes, and the error of each
+    that fails."""
 
     traces: dict[str, Trace]
     sequences: dict[str, KpiSequence]
@@ -248,18 +249,19 @@ def _walk_models(
     models: Sequence[ProcessModel], cases: Sequence[CaseRecord], step_cap: int
 ) -> list[_Walk]:
     """Each model's walk from ``simulate_population`` over condition tables
-    shared between the models; each trace is projected once."""
+    shared between the models; each path is projected once, and its cases
+    share the projection."""
     tables = ConditionTables(cases)
     walks: list[_Walk] = []
     for model in models:
         result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap, tables=tables)
-        walks.append(
-            _Walk(
-                {trace.case_id: trace for trace in result.traces},
-                {trace.case_id: kpi_sequence(trace, model) for trace in result.traces},
-                dict(result.errors),
-            )
-        )
+        walk = _Walk({}, {}, dict(result.errors))
+        for case_ids, trace in result.paths:
+            pairs = kpi_sequence(trace, model).pairs
+            for case_id in case_ids:
+                walk.traces[case_id] = trace
+                walk.sequences[case_id] = KpiSequence(case_id, pairs)
+        walks.append(walk)
     return walks
 
 

@@ -520,9 +520,9 @@ def propose_repairs(
 ) -> RepairOutcome:
     """Ask the provider for one repair per reported ambiguity.
 
-    Records lacking a rationale or evidence, or whose ambiguity excerpt is no
-    longer anchored in the document, are rejected individually; transport
-    failure aborts the whole run with ProviderUnavailableError.
+    Records lacking a rationale or evidence, or whose ambiguity excerpt is
+    empty or no longer anchored in the document, are rejected individually;
+    transport failure aborts the whole run with ProviderUnavailableError.
     """
     ambiguities = report.get("ambiguities")
     if not isinstance(ambiguities, list):
@@ -535,11 +535,14 @@ def propose_repairs(
             raise ValueError("every report ambiguity must be an object with a string id")
         ambiguity_id = entry["id"]
         segment_id = str(entry.get("segment_id", ""))
-        excerpt = str(entry.get("excerpt", ""))
+        excerpt = entry.get("excerpt")
         try:
             segment = document.segment(segment_id)
         except KeyError:
             rejected.append(RejectedRepair(ambiguity_id, f"unknown segment {segment_id!r}"))
+            continue
+        if not isinstance(excerpt, str) or not excerpt:
+            rejected.append(RejectedRepair(ambiguity_id, "excerpt is not a non-empty string"))
             continue
         if excerpt not in segment.text:
             rejected.append(

@@ -7,10 +7,11 @@ Tasks append one emission per configured KPI name, sorted lexicographically
 within the task.  All numeric work uses exact decimals.
 
 ``execute_case`` walks one case and is the reference semantics.
-``simulate_population`` gets the same KPIs, errors and traces for any model,
-cyclic or not, set-at-a-time: every case is a bit of an integer mask, all of
-them move one step per round up to the step cap, and each distinct condition
-is evaluated once per case of the population (``ConditionTables``).
+``simulate_population`` gets the same KPIs and errors for any model, cyclic
+or not, set-at-a-time: every case is a bit of an integer mask, all of them
+move one step per round up to the step cap, and each distinct condition is
+evaluated once per case of the population (``ConditionTables``).  Its walks
+come one per distinct path, with the ids of the cases that take it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import reduce
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .bpmn import NodeKind, ProcessModel
 from .conditions import (
@@ -147,9 +148,17 @@ class KpiVector:
         return {k: format_value(v) for k, v in self.values}
 
 
+class CasePath(NamedTuple):
+    """One distinct path through a model: the ids of the cases that take it,
+    in case order, and the ``execute_case`` walk of the first of them."""
+
+    case_ids: tuple[str, ...]
+    walk: Trace
+
+
 @dataclass(frozen=True)
 class PopulationResult:
-    traces: tuple[Trace, ...]  # of the successful cases, when requested
+    paths: tuple[CasePath, ...]  # of the successful cases, by first case, when requested
     kpis: KpiVector
     errors: tuple[tuple[str, str], ...]  # (case id, message)
     cases_total: int
@@ -467,7 +476,7 @@ def simulate_population(
     config: KpiConfig,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
-    traces: bool = True,
+    paths: bool = True,
     tables: ConditionTables | None = None,
 ) -> PopulationResult:
     """Simulate every case.  Per-case failures are collected with their case
@@ -476,11 +485,10 @@ def simulate_population(
 
     Every model, with or without cycles, is simulated with case masks over
     ``tables`` (built here unless a caller shares one across models), one
-    step of every case per round, for at most ``step_cap`` steps.  For the
-    traces, ``execute_case`` walks only the first case of each distinct
-    successful path, and every case on that path shares the walk's steps,
-    flows and emissions under its own case id.  Traces are returned only
-    when ``traces`` is set.
+    step of every case per round, for at most ``step_cap`` steps.  When
+    ``paths`` is set, ``execute_case`` walks the first case of each distinct
+    successful path, and the result lists that walk once with the ids of
+    every case on the path.
     """
     if not cases:
         raise CaseDataError("case population is empty")
@@ -489,18 +497,16 @@ def simulate_population(
     elif tables.cases is not cases:
         raise ValueError("condition tables were built over another case population")
     nc, hc, failures, taken = _walk_masks(model, tables, step_cap)
-    walks: dict[int, Trace] = {}
-    if traces:
-        for members in _path_classes(tables.everyone, taken):
+    walked: list[CasePath] = []
+    if paths:
+        # The lowest set bit of a class is its first case.
+        for members in sorted(_path_classes(tables.everyone, taken), key=lambda m: m & -m):
             indices = _indices(members)
             if indices[0] not in failures:
                 walk = execute_case(model, cases[indices[0]], step_cap=step_cap)
-                walks.update(dict.fromkeys(indices, walk))
+                walked.append(CasePath(tuple(cases[index].case_id for index in indices), walk))
     return PopulationResult(
-        tuple(
-            Trace(cases[index].case_id, walk.steps, walk.flows, walk.emissions)
-            for index, walk in sorted(walks.items())
-        ),
+        tuple(walked),
         _kpi_vector(nc, hc, len(cases), config),
         tuple((cases[index].case_id, failures[index]) for index in sorted(failures)),
         len(cases),

@@ -9,13 +9,12 @@ from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bpmndiverge import cli
 from bpmndiverge.bpmn import serialize_bpmn
 from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
 from bpmndiverge.repair import NarrativeDocument
-from bpmndiverge.simulation import KpiConfig, Trace
+from bpmndiverge.simulation import KpiConfig
 
 import modelkit as mk
 
@@ -68,7 +67,13 @@ class TestSimulate:
     def test_traces_flag(self, out):
         assert run_city1(out, "simulate", "--traces") == 0
         strict = read_json(out / "kpis" / "city1_and_strict.json")
-        by_case = {t["case_id"]: t for t in strict["traces"]}
+        # One entry per distinct path, listing the cases that take it.
+        paths = strict["traces"]
+        assert [sorted(path) for path in paths] == [["case_ids", "emissions", "flows", "steps"]] * 3
+        assert [path["case_ids"][0] for path in paths] == ["c01", "c05", "c09"]
+        case_ids = [case_id for path in paths for case_id in path["case_ids"]]
+        assert case_ids == [f"c{i:02d}" for i in range(1, 21)]
+        by_case = {case_id: path for path in paths for case_id in path["case_ids"]}
         assert by_case["c01"]["steps"][-1] == "end_guided"
         assert by_case["c01"]["emissions"] == [["t_notify", "NC"], ["t_guide", "HC"]]
         assert by_case["c20"]["emissions"] == []
@@ -80,57 +85,7 @@ class TestSimulate:
         assert (out / "kpis" / "city1_and_strict.json").read_bytes() == first
 
 
-def plain_kpi_json(payload, traces):
-    """The KPI JSON text built the plain way: a dict per trace, then dump_json."""
-    entries = [
-        {
-            "case_id": trace.case_id,
-            "steps": list(trace.steps),
-            "flows": list(trace.flows),
-            "emissions": [[task, kpi] for task, kpi in trace.emissions],
-        }
-        for trace in traces
-    ]
-    return cli.dump_json({**payload, "traces": entries})
-
-
-KPI_PAYLOAD = {
-    "model_id": "m",
-    "source": "m.bpmn",
-    "cases_total": 4,
-    "kpis": STRICT_KPIS,
-    "errors": [{"case_id": "c3", "reason": "no enabled branch"}],
-}
-
-_TEXTS = st.text(max_size=3)
-
-
-@st.composite
-def _shared_traces(draw):
-    """Traces with arbitrary ids that share a few steps/flows/emissions bodies."""
-    strings = st.lists(_TEXTS).map(tuple)
-    bodies = st.tuples(strings, strings, st.lists(st.tuples(_TEXTS, _TEXTS)).map(tuple))
-    pool = draw(st.lists(bodies, min_size=1, max_size=3))
-    count = draw(st.integers(0, 6))
-    return [Trace(draw(_TEXTS), *draw(st.sampled_from(pool))) for _ in range(count)]
-
-
 class TestKpiJson:
-    def test_shared_bodies_render_like_dump_json(self):
-        emissions = (("tä", "HC"), ("tä", "NC"))
-        walk = Trace("c0", ("s", "g", "tä", "e"), ("f1", "f2", "f3"), emissions)
-        bare = Trace("c1", ("s", "e"), ("f0",), ())
-        traces = [walk, bare, Trace('q"ü\\', walk.steps, walk.flows, walk.emissions)]
-        assert cli._kpi_json(KPI_PAYLOAD, traces) == plain_kpi_json(KPI_PAYLOAD, traces)
-
-    def test_no_successful_case(self):
-        text = cli._kpi_json(KPI_PAYLOAD, ())
-        assert text == plain_kpi_json(KPI_PAYLOAD, ()) and '"traces": []' in text
-
-    @given(_shared_traces())
-    def test_any_traces_render_like_dump_json(self, traces):
-        assert cli._kpi_json(KPI_PAYLOAD, traces) == plain_kpi_json(KPI_PAYLOAD, traces)
-
     def test_simulate_writes_what_dump_json_would(self, out, tmp_path):
         # The strict model fails every case on a population without its variables.
         cases = tmp_path / "cases.csv"
@@ -541,6 +496,24 @@ class TestRepair:
         assert original.split("\n\n")[0] in repaired
         assert "applied 2 repair(s), rejected 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("excerpt", ["", None, 7])
+    def test_excerpt_that_is_not_a_non_empty_string_is_rejected(self, out, repo_root, excerpt):
+        full_pipeline(out)
+        path = out / "ambiguity_report.json"
+        report = read_json(path)
+        for entry in report["ambiguities"]:
+            entry["excerpt"] = excerpt
+        path.write_text(json.dumps(report))
+        assert run_city1(out, "repair") == 0
+        repairs = read_json(out / "repairs.json")
+        assert repairs["records"] == []
+        assert repairs["rejected"] == [
+            {"ambiguity_id": ambiguity_id, "reason": "excerpt is not a non-empty string"}
+            for ambiguity_id in ("AMB-1", "AMB-2")
+        ]
+        original = (repo_root / "fixtures" / "city1" / "narrative.txt").read_text()
+        assert (out / "narrative_repaired.txt").read_text() == original
+
     def test_repair_requires_report(self, out, capsys):
         assert run_city1(out, "repair") == 2
         assert "run report first" in capsys.readouterr().err
@@ -752,6 +725,12 @@ class TestExitCodes:
         assert run("--config", str(cfg), "simulate") == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, out, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\nmodels_dir = fixtures/city1/models\n")
+        assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
+        assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_models_dir_config(self, out, tmp_path, capsys):
         cfg = tmp_path / "nomodels.cfg"
         cfg.write_text("cases_csv = fixtures/city1/population.csv\n")
@@ -854,6 +833,15 @@ class TestInputFiles:
         (models / "broken.bpmn").write_text("<definitions><oops")
         assert run_city1(out, "--models", str(models), "simulate") == 2
         assert "error: broken.bpmn: unclosed token" in capsys.readouterr().err
+
+    def test_a_directory_named_like_a_model_is_skipped(self, out, tmp_path, capsys, repo_root):
+        models = tmp_path / "models"
+        shutil.copytree(repo_root / "fixtures" / "city1" / "models", models)
+        (models / "x.bpmn").mkdir()
+        for command in ("simulate", "validate"):
+            assert run_city1(out, "--models", str(models), command) == 0
+        printed = capsys.readouterr().out
+        assert "simulated 2 model(s)" in printed and "validated 2 model(s)" in printed
 
     @pytest.mark.parametrize(
         "text,message",

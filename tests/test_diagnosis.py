@@ -383,32 +383,37 @@ class TestDirectionChoice:
         assert walk.call_count == len(paths) < 2 * len(population)
 
     def test_each_case_is_projected_and_compared_once(self):
-        # c_x completes on mx only, and c_blank on neither model.
+        # Projected through its path: one kpi_sequence call per model and
+        # distinct path.  c1 and c_x share a path on mx; c_x fails on my, and
+        # c_blank on both.
         mx = mk.branch_model("x >= 5", model_id="mx")
         my = mk.branch_model("y >= 5", model_id="my")
         cases = [
             CaseRecord("c1", {"x": Decimal("5"), "y": Decimal("0")}),
             CaseRecord("c_x", {"x": Decimal("5")}),
+            CaseRecord("c_y", {"x": Decimal("0"), "y": Decimal("7")}),
             CaseRecord("c_blank", {}),
         ]
-        completed = set()
+        paths = set()
         for model in (mx, my):
             for case in cases:
                 try:
-                    execute_case(model, case)
+                    paths.add((model.model_id, execute_case(model, case).flows))
                 except CASE_ERRORS:
                     continue
-                completed.add((model.model_id, case.case_id))
         with mock.patch.object(
             diagnosis, "kpi_sequence", wraps=kpi_sequence
         ) as project, mock.patch.object(
             diagnosis, "compare_observations", wraps=compare_observations
         ) as compare:
-            choose_direction(mx, my, cases)
-        projected = [(call.args[1].model_id, call.args[0].case_id) for call in project.call_args_list]
-        assert len(completed) == 3
-        assert sorted(projected) == sorted(completed)
+            result = choose_direction(mx, my, cases)
+        projected = [(call.args[1].model_id, call.args[0].flows) for call in project.call_args_list]
+        assert len(paths) == 4
+        assert sorted(projected) == sorted(paths)
         assert compare.call_count == 1
+        compared = [(ref.case_id, tgt.case_id) for ref, tgt in compare.call_args.args[0]]
+        assert compared == [("c1", "c1"), ("c_y", "c_y")]
+        assert {o.case_id for o in result.observations} == {"c1", "c_y"}
 
     def test_failed_case_reports_reference_error(self):
         mx = mk.branch_model("x >= 5", model_id="mx")

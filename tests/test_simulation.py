@@ -1,6 +1,7 @@
 """Case loading, trace execution, KPI aggregation, and set-at-a-time
 population runs checked against per-case walks."""
 
+import dataclasses
 import importlib.util
 import json
 from collections import Counter
@@ -305,7 +306,7 @@ class TestPopulationRuns:
         broken = list(population) + [CaseRecord("cXX", {"HbA1c": Decimal("7")})]
         result = simulate_population(strict_model, broken, KpiConfig())
         assert result.cases_total == 21
-        assert len(result.traces) == 20
+        assert len(expand_paths(result, broken)) == 20
         case_id, message = result.errors[0]
         assert case_id == "cXX"
         assert "Diabetes_Under_Treatment" in message
@@ -344,12 +345,34 @@ def walk_each_case(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
     return tuple(traces), aggregate_kpis(traces, len(cases), config), tuple(errors)
 
 
+def expand_paths(result, cases):
+    """The per-case traces that ``result.paths`` stands for, in case order.
+
+    Checks the path rules on the way: each path lists its case ids in case
+    order, the paths are ordered by their first case, and the successful and
+    failed cases together are the whole population, each case once."""
+    index_of = {case.case_id: index for index, case in enumerate(cases)}
+    members = [[index_of[case_id] for case_id in path.case_ids] for path in result.paths]
+    assert all(indices and indices == sorted(set(indices)) for indices in members)
+    assert [indices[0] for indices in members] == sorted(indices[0] for indices in members)
+    failed = [index_of[case_id] for case_id, _reason in result.errors]
+    walked = [index for indices in members for index in indices]
+    assert sorted(walked + failed) == list(range(len(cases)))
+    traces = {
+        index_of[case_id]: dataclasses.replace(path.walk, case_id=case_id)
+        for path in result.paths
+        for case_id in path.case_ids
+    }
+    assert all(path.walk == traces[indices[0]] for path, indices in zip(result.paths, members))
+    return tuple(traces[index] for index in sorted(traces))
+
+
 def assert_matches_walks(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
     traces, kpis, errors = walk_each_case(model, cases, config, step_cap)
     full = simulate_population(model, cases, config, step_cap=step_cap)
-    assert (full.traces, full.kpis, full.errors) == (traces, kpis, errors)
-    bare = simulate_population(model, cases, config, step_cap=step_cap, traces=False)
-    assert (bare.traces, bare.kpis, bare.errors) == ((), kpis, errors)
+    assert (expand_paths(full, cases), full.kpis, full.errors) == (traces, kpis, errors)
+    bare = simulate_population(model, cases, config, step_cap=step_cap, paths=False)
+    assert (bare.paths, bare.kpis, bare.errors) == ((), kpis, errors)
 
 
 class TestConditionTables:
@@ -449,7 +472,7 @@ class TestSetAtATime:
             CaseRecord("c1", {"x": "n/a"}),
             CaseRecord("c2", {"x": Decimal(0)}),
         ]
-        result = simulate_population(m, cases, KpiConfig(), traces=False)
+        result = simulate_population(m, cases, KpiConfig(), paths=False)
         assert (result.kpis["NC"], result.kpis["HC"]) == (Decimal(1), Decimal(1))
         assert [case_id for case_id, _ in result.errors] == ["c1", "c2"]
         assert_matches_walks(m, cases, KpiConfig())
@@ -474,7 +497,7 @@ class TestSetAtATime:
             ],
         )
         cases = [CaseRecord(f"c{v}", {"x": Decimal(v)}) for v in range(4)]
-        result = simulate_population(m, cases, KpiConfig(), traces=False)
+        result = simulate_population(m, cases, KpiConfig(), paths=False)
         assert (result.kpis["NC"], result.kpis["HC"]) == (Decimal(1), Decimal(3))
         assert result.errors == ()
         assert_matches_walks(m, cases, KpiConfig())
@@ -494,7 +517,7 @@ class TestSetAtATime:
     def test_untraced_cyclic_model_walks_no_case(self):
         cases = [CaseRecord(f"c{i}", {"Loop": Decimal(i % 2)}) for i in range(20)]
         with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
-            result = simulate_population(mk.loop_model(), cases, KpiConfig(), traces=False)
+            result = simulate_population(mk.loop_model(), cases, KpiConfig(), paths=False)
         assert walk.call_count == 0
         assert [message for _case_id, message in result.errors] == [
             f"case 'c{i}': step limit exceeded after 10001 steps" for i in range(1, 20, 2)
@@ -538,9 +561,10 @@ _sharing_populations = st.lists(
 def assert_one_walk_per_path(model, cases, step_cap=simulation.DEFAULT_STEP_CAP):
     traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig(), step_cap)
     with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
-        shared = simulate_population(model, cases, KpiConfig(), step_cap=step_cap).traces
-    assert shared == traces
-    assert walk.call_count == len({(trace.steps, trace.flows) for trace in traces})
+        result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap)
+    assert expand_paths(result, cases) == traces
+    distinct = {(trace.steps, trace.flows) for trace in traces}
+    assert walk.call_count == len(result.paths) == len(distinct)
 
 
 class TestSharedTraces:
@@ -598,5 +622,33 @@ def test_acyclic_simulate_evaluates_each_leaf_once_per_case(
     paths = 0
     for path in (tmp_path / "kpis").glob("*.json"):
         traces = json.loads(path.read_text())["traces"]
-        paths += len({(tuple(trace["steps"]), tuple(trace["flows"])) for trace in traces})
+        bodies = {(tuple(trace["steps"]), tuple(trace["flows"])) for trace in traces}
+        assert len(bodies) == len(traces)
+        paths += len(traces)
     assert 0 < calls["walks"] == paths < 100 * len(population)
+
+
+@pytest.mark.parametrize("family", ["family_original", "family_repaired"])
+def test_traced_kpi_json_recounts_and_matches_per_case_walks(
+    family, repo_root, population, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(repo_root)
+    models_dir = repo_root / "fixtures" / family
+    argv = ["--config", "fixtures/city1/config.cfg", "--models", str(models_dir)]
+    assert cli.main(argv + ["--out", str(tmp_path), "simulate", "--traces"]) == 0
+    models = {path.name: parse_bpmn(path.read_text()) for path in models_dir.glob("*.bpmn")}
+    cases = {case.case_id: case for case in population}
+    kpi_files = sorted((tmp_path / "kpis").glob("*.json"))
+    assert len(kpi_files) == len(models) == 100
+    for path in kpi_files:
+        data = json.loads(path.read_text())
+        oracle = recount(data, 50, Fraction(1, 2), Fraction(3, 10), Fraction(1000))
+        for name in simulation.KPI_NAMES:
+            assert Fraction(Decimal(data["kpis"][name])) == Fraction(oracle[name]), path.name
+        model = models[data["source"]]
+        for entry in data["traces"]:
+            for case_id in entry["case_ids"]:
+                walk = execute_case(model, cases[case_id])
+                assert entry["steps"] == list(walk.steps), (path.name, case_id)
+                assert entry["flows"] == list(walk.flows), (path.name, case_id)
+                assert entry["emissions"] == [list(e) for e in walk.emissions], path.name
