@@ -133,12 +133,7 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     for model_id in sorted(models):
         model, source = models[model_id]
         result = simulation.simulate_population(
-            model,
-            cases,
-            config.kpi,
-            step_cap=config.step_cap,
-            paths=include_traces,
-            tables=tables,
+            model, cases, config.kpi, step_cap=config.step_cap, tables=tables
         )
         payload: dict[str, object] = {
             "model_id": model_id,
@@ -152,12 +147,12 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
         if include_traces:
             payload["traces"] = [
                 {
-                    "case_ids": case_ids,
+                    "case_ids": simulation.case_ids(cases, members),
                     "steps": walk.steps,
                     "flows": walk.flows,
                     "emissions": walk.emissions,
                 }
-                for case_ids, walk in result.paths
+                for members, walk in result.paths
             ]
         atomic_write(out_dir / f"{model_id}.json", dump_json(payload))
     print(f"simulated {len(models)} model(s) over {len(cases)} case(s) -> {out_dir}")

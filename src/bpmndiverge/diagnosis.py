@@ -36,6 +36,7 @@ from .simulation import (
     KpiConfig,
     KpiSequence,
     Trace,
+    case_ids,
     execute_case,  # unused here; perfbench/tracer.py wraps diagnosis.execute_case
     kpi_sequence,
     simulate_population,
@@ -256,9 +257,9 @@ def _walk_models(
     for model in models:
         result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap, tables=tables)
         walk = _Walk({}, {}, dict(result.errors))
-        for case_ids, trace in result.paths:
+        for members, trace in result.paths:
             pairs = kpi_sequence(trace, model).pairs
-            for case_id in case_ids:
+            for case_id in case_ids(cases, members):
                 walk.traces[case_id] = trace
                 walk.sequences[case_id] = KpiSequence(case_id, pairs)
         walks.append(walk)

@@ -7,11 +7,11 @@ Tasks append one emission per configured KPI name, sorted lexicographically
 within the task.  All numeric work uses exact decimals.
 
 ``execute_case`` walks one case and is the reference semantics.
-``simulate_population`` gets the same KPIs and errors for any model, cyclic
-or not, set-at-a-time: every case is a bit of an integer mask, all of them
-move one step per round up to the step cap, and each distinct condition is
-evaluated once per case of the population (``ConditionTables``).  Its walks
-come one per distinct path, with the ids of the cases that take it.
+``simulate_population`` gets the same KPIs, errors and walks for any model by
+walking classes of cases, each an integer mask over the population: the cases
+that have taken the same flows walk together, and a class splits at a gateway
+into one class per branch its members take, so each path is walked once.
+Each distinct condition is evaluated once per case (``ConditionTables``).
 """
 
 from __future__ import annotations
@@ -149,16 +149,17 @@ class KpiVector:
 
 
 class CasePath(NamedTuple):
-    """One distinct path through a model: the ids of the cases that take it,
-    in case order, and the ``execute_case`` walk of the first of them."""
+    """One distinct path through a model: the mask of the cases that take it
+    (bit ``i`` stands for ``cases[i]``) and its walk, under the id of the
+    first of them."""
 
-    case_ids: tuple[str, ...]
+    members: int
     walk: Trace
 
 
 @dataclass(frozen=True)
 class PopulationResult:
-    paths: tuple[CasePath, ...]  # of the successful cases, by first case, when requested
+    paths: tuple[CasePath, ...]  # of the successful cases, by first case
     kpis: KpiVector
     errors: tuple[tuple[str, str], ...]  # (case id, message)
     cases_total: int
@@ -233,6 +234,14 @@ def load_cases_csv(text: str, source: str = "case population") -> list[CaseRecor
     ]
 
 
+def _emissions(model: ProcessModel, steps: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """The (task id, kpi name) emissions of a walk over ``steps``: one per KPI
+    of each task, sorted within the task."""
+    return tuple(
+        (node_id, kpi) for node_id in steps for kpi in sorted(model.node(node_id).kpi_outputs)
+    )
+
+
 def execute_case(
     model: ProcessModel, case: CaseRecord, *, step_cap: int = DEFAULT_STEP_CAP
 ) -> Trace:
@@ -240,17 +249,11 @@ def execute_case(
     with no enabled branch and no default, or when the step cap is hit."""
     steps: list[str] = [model.start_node]
     flows: list[str] = []
-    emissions: list[tuple[str, str]] = []
     current = model.node(model.start_node)
-    while True:
-        if current.kind is NodeKind.TASK and current.kpi_outputs:
-            for kpi in sorted(current.kpi_outputs):
-                emissions.append((current.id, kpi))
-        if current.kind is NodeKind.END_EVENT:
-            return Trace(case.case_id, tuple(steps), tuple(flows), tuple(emissions))
+    while current.kind is not NodeKind.END_EVENT:
         if len(steps) > step_cap:
             partial = Trace(
-                case.case_id, tuple(steps), tuple(flows), tuple(emissions), truncated=True
+                case.case_id, tuple(steps), tuple(flows), _emissions(model, steps), truncated=True
             )
             raise StepLimitExceededError(case.case_id, len(steps), partial)
         out = model.outgoing(current.id)
@@ -273,6 +276,7 @@ def execute_case(
         flows.append(chosen.id)
         steps.append(chosen.target)
         current = model.node(chosen.target)
+    return Trace(case.case_id, tuple(steps), tuple(flows), _emissions(model, steps))
 
 
 def kpi_sequence(trace: Trace, model: ProcessModel) -> KpiSequence:
@@ -390,84 +394,82 @@ def _mask(bits: bytearray) -> int:
 
 def _indices(mask: int) -> list[int]:
     """The set bits of ``mask``, lowest first."""
-    return [index for index, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    bits = bin(mask)[:1:-1]
+    indices: list[int] = []
+    index = bits.find("1")
+    while index >= 0:
+        indices.append(index)
+        index = bits.find("1", index + 1)
+    return indices
 
 
-def _walk_masks(
+def case_ids(cases: Sequence[CaseRecord], members: int) -> tuple[str, ...]:
+    """The ids of the cases whose bits are set in ``members``, in case order."""
+    return tuple(cases[index].case_id for index in _indices(members))
+
+
+def _walk_paths(
     model: ProcessModel, tables: ConditionTables, step_cap: int
-) -> tuple[int, int, dict[int, str], list[int]]:
-    """(NC emissions, HC cases, case index -> error, the mask of the cases
-    that take each flow in each round) of every case walked at once.  Each
-    round moves every case one step: the cases on a node pass on to the flows
-    they take, and a case still on a node other than an end after
-    ``step_cap`` steps fails as in ``execute_case``."""
-    reach = {model.start_node: tables.everyone}
-    failures: dict[int, str] = {}
-    failed = hc = steps = 0
-    nc_masks: list[int] = []
-    taken: list[int] = []
+) -> tuple[list[CasePath], dict[int, str]]:
+    """Each path that reaches an end event, with the mask of its cases, and
+    the error of each case, by index, that fails.
 
-    def send(target: str, mask: int) -> None:
-        if mask:
-            reach[target] = reach.get(target, 0) | mask
-            taken.append(mask)
+    A class starts as the whole population on the start event and splits at
+    a gateway into one class per branch its members take, trying the flows
+    as ``execute_case`` does.  Attributes do not change during a walk, so a
+    class that comes back to a gateway takes the branch it took before: it
+    splits at most once per gateway, and a loop carries it to the step cap.
+    """
+    ended: list[CasePath] = []
+    failures: dict[int, str] = {}
 
     def fail(mask: int, message: Callable[[int], str]) -> None:
-        nonlocal failed
         for index in _indices(mask):
             failures[index] = message(index)
-        failed |= mask
 
-    while reach:
-        steps += 1
-        here, reach = reach, {}
-        for node_id, mask in here.items():
-            node = model.node(node_id)
-            if node.kind is NodeKind.END_EVENT:
-                continue
-            if "NC" in node.kpi_outputs:
-                nc_masks.append(mask)
-            if "HC" in node.kpi_outputs:
-                hc |= mask
-            if steps > step_cap:
-                fail(mask, lambda i: str(StepLimitExceededError(tables.cases[i].case_id, steps)))
-                continue
-            out = model.outgoing(node_id)
-            if node.kind is not NodeKind.EXCLUSIVE_GATEWAY:
-                send(out[0].target, mask)
-                continue
-            rest, default = mask, None
-            for flow in out:
-                if flow.is_default:
-                    default = flow
-                elif rest and flow.condition is None:
-                    send(flow.target, rest)
-                    rest = 0
-                elif rest:
-                    true, error, messages = tables.table(flow.condition)
-                    fail(rest & error, messages.__getitem__)
-                    send(flow.target, rest & true)
-                    rest &= ~(true | error)
-            if rest and default is not None:
-                send(default.target, rest)
+    cases = tables.cases
+    # (members, steps, flows) of each class still walking
+    stack: list[tuple[int, list[str], list[str]]] = [(tables.everyone, [model.start_node], [])]
+    while stack:
+        members, steps, flows = stack.pop()
+        node = model.node(steps[-1])
+        if node.kind is NodeKind.END_EVENT:
+            first = cases[(members & -members).bit_length() - 1].case_id
+            walk = Trace(first, tuple(steps), tuple(flows), _emissions(model, steps))
+            ended.append(CasePath(members, walk))
+            continue
+        if len(steps) > step_cap:
+            fail(members, lambda i: str(StepLimitExceededError(cases[i].case_id, len(steps))))
+            continue
+        # Only a gateway's flows carry conditions and defaults, so any other
+        # node passes the whole class to its first flow.
+        taken, rest, default = [], members, None
+        for flow in model.outgoing(node.id):
+            if flow.is_default:
+                default = flow
+            elif rest and flow.condition is None:
+                taken.append((flow, rest))
+                rest = 0
             elif rest:
-                fail(rest, lambda i: str(NoEnabledBranchError(node_id, tables.cases[i].case_id)))
-    nc = sum((nc_mask & ~failed).bit_count() for nc_mask in nc_masks)
-    return nc, (hc & ~failed).bit_count(), failures, taken
-
-
-def _path_classes(everyone: int, taken: Sequence[int]) -> list[int]:
-    """``everyone`` split into the classes of cases that take the same flows.
-
-    Cases that take the same flows walk the same path and stop at the same
-    node, so every member of a class has the same steps and emissions, and
-    either every member fails or none does."""
-    classes = [everyone]
-    for mask in taken:
-        classes = [
-            part for members in classes for part in (members & mask, members & ~mask) if part
-        ]
-    return classes
+                true, error, messages = tables.table(flow.condition)
+                fail(rest & error, messages.__getitem__)
+                taken.append((flow, rest & true))
+                rest &= ~(true | error)
+        if rest and default is not None:
+            taken.append((default, rest))
+        elif rest:
+            fail(rest, lambda i: str(NoEnabledBranchError(node.id, cases[i].case_id)))
+        taken = [(flow, mask) for flow, mask in taken if mask]
+        # Only a split copies the walk so far, so a class that loops on to
+        # the step cap is not copied at every step.
+        for flow, mask in taken[1:]:
+            stack.append((mask, [*steps, flow.target], [*flows, flow.id]))
+        if taken:
+            flow, mask = taken[0]
+            steps.append(flow.target)
+            flows.append(flow.id)
+            stack.append((mask, steps, flows))
+    return ended, failures
 
 
 def simulate_population(
@@ -476,19 +478,15 @@ def simulate_population(
     config: KpiConfig,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
-    paths: bool = True,
     tables: ConditionTables | None = None,
 ) -> PopulationResult:
     """Simulate every case.  Per-case failures are collected with their case
     id, in case order; aggregation runs over the successful cases only, while
     the HI denominator stays the full population size.
 
-    Every model, with or without cycles, is simulated with case masks over
-    ``tables`` (built here unless a caller shares one across models), one
-    step of every case per round, for at most ``step_cap`` steps.  When
-    ``paths`` is set, ``execute_case`` walks the first case of each distinct
-    successful path, and the result lists that walk once with the ids of
-    every case on the path.
+    Cases walk by classes over ``tables`` (built here unless a caller shares
+    one across models).  Each successful path is listed once, with the mask
+    of its cases, and counts its NC and HC once for each of them.
     """
     if not cases:
         raise CaseDataError("case population is empty")
@@ -496,17 +494,15 @@ def simulate_population(
         tables = ConditionTables(cases)
     elif tables.cases is not cases:
         raise ValueError("condition tables were built over another case population")
-    nc, hc, failures, taken = _walk_masks(model, tables, step_cap)
-    walked: list[CasePath] = []
-    if paths:
-        # The lowest set bit of a class is its first case.
-        for members in sorted(_path_classes(tables.everyone, taken), key=lambda m: m & -m):
-            indices = _indices(members)
-            if indices[0] not in failures:
-                walk = execute_case(model, cases[indices[0]], step_cap=step_cap)
-                walked.append(CasePath(tuple(cases[index].case_id for index in indices), walk))
+    paths, failures = _walk_paths(model, tables, step_cap)
+    nc = hc = 0
+    for members, walk in paths:
+        kpis = [kpi for _task, kpi in walk.emissions]
+        nc += members.bit_count() * kpis.count("NC")
+        hc += members.bit_count() if "HC" in kpis else 0
     return PopulationResult(
-        tuple(walked),
+        # The lowest set bit of a class is its first case.
+        tuple(sorted(paths, key=lambda path: path.members & -path.members)),
         _kpi_vector(nc, hc, len(cases), config),
         tuple((cases[index].case_id, failures[index]) for index in sorted(failures)),
         len(cases),

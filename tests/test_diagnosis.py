@@ -373,14 +373,20 @@ class TestDirectionChoice:
     def test_each_model_walks_each_distinct_path_once(
         self, strict_model, broad_model, population
     ):
+        # Each path is projected once, from the population walk: no case is
+        # walked alone.
         paths = {
             (model.model_id, trace.steps, trace.flows)
             for model in (strict_model, broad_model)
             for trace in (execute_case(model, case) for case in population)
         }
-        with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
+        walk = mock.Mock(wraps=execute_case)
+        with mock.patch.object(simulation, "execute_case", walk), mock.patch.object(
+            diagnosis, "execute_case", walk
+        ), mock.patch.object(diagnosis, "kpi_sequence", wraps=kpi_sequence) as project:
             choose_direction(strict_model, broad_model, population)
-        assert walk.call_count == len(paths) < 2 * len(population)
+        assert walk.call_count == 0
+        assert project.call_count == len(paths) < 2 * len(population)
 
     def test_each_case_is_projected_and_compared_once(self):
         # Projected through its path: one kpi_sequence call per model and

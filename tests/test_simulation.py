@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bpmndiverge import cli, simulation
 from bpmndiverge.bpmn import SequenceFlow, parse_bpmn
@@ -34,7 +34,9 @@ from bpmndiverge.simulation import (
     NoEnabledBranchError,
     StepLimitExceededError,
     Trace,
+    _indices,
     aggregate_kpis,
+    case_ids,
     execute_case,
     kpi_sequence,
     load_cases_csv,
@@ -348,31 +350,58 @@ def walk_each_case(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
 def expand_paths(result, cases):
     """The per-case traces that ``result.paths`` stands for, in case order.
 
-    Checks the path rules on the way: each path lists its case ids in case
-    order, the paths are ordered by their first case, and the successful and
+    Checks the path rules on the way: each path's mask is a nonempty set of
+    cases, the paths are ordered by their first case, and the successful and
     failed cases together are the whole population, each case once."""
     index_of = {case.case_id: index for index, case in enumerate(cases)}
-    members = [[index_of[case_id] for case_id in path.case_ids] for path in result.paths]
+    members = [_indices(path.members) for path in result.paths]
     assert all(indices and indices == sorted(set(indices)) for indices in members)
     assert [indices[0] for indices in members] == sorted(indices[0] for indices in members)
     failed = [index_of[case_id] for case_id, _reason in result.errors]
     walked = [index for indices in members for index in indices]
     assert sorted(walked + failed) == list(range(len(cases)))
     traces = {
-        index_of[case_id]: dataclasses.replace(path.walk, case_id=case_id)
-        for path in result.paths
-        for case_id in path.case_ids
+        index: dataclasses.replace(path.walk, case_id=cases[index].case_id)
+        for path, indices in zip(result.paths, members)
+        for index in indices
     }
     assert all(path.walk == traces[indices[0]] for path, indices in zip(result.paths, members))
     return tuple(traces[index] for index in sorted(traces))
 
 
 def assert_matches_walks(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
+    """``simulate_population`` gives the per-case oracle's traces, KPIs and
+    errors without calling ``execute_case``."""
     traces, kpis, errors = walk_each_case(model, cases, config, step_cap)
-    full = simulate_population(model, cases, config, step_cap=step_cap)
-    assert (expand_paths(full, cases), full.kpis, full.errors) == (traces, kpis, errors)
-    bare = simulate_population(model, cases, config, step_cap=step_cap, paths=False)
-    assert (bare.paths, bare.kpis, bare.errors) == ((), kpis, errors)
+    with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
+        result = simulate_population(model, cases, config, step_cap=step_cap)
+    assert walk.call_count == 0
+    assert (expand_paths(result, cases), result.kpis, result.errors) == (traces, kpis, errors)
+
+
+@st.composite
+def _masks_over_cases(draw):
+    """A population of up to 300 cases and a mask over it."""
+    size = draw(st.integers(0, 300))
+    return [CaseRecord(f"c{index}", {}) for index in range(size)], draw(
+        st.integers(0, (1 << size) - 1)
+    )
+
+
+_WIDE = [CaseRecord(f"c{index}", {}) for index in range(100_000)]
+
+
+class TestMasks:
+    @settings(deadline=None)
+    @given(_masks_over_cases())
+    @example(([], 0))
+    @example((_WIDE, (1 << len(_WIDE)) - 1))
+    @example((_WIDE, 1 << (len(_WIDE) - 1) | 1))
+    def test_indices_and_case_ids_list_the_set_bits_lowest_first(self, drawn):
+        cases, mask = drawn
+        expected = [index for index in range(mask.bit_length()) if mask >> index & 1]
+        assert _indices(mask) == expected
+        assert case_ids(cases, mask) == tuple(cases[index].case_id for index in expected)
 
 
 class TestConditionTables:
@@ -472,7 +501,7 @@ class TestSetAtATime:
             CaseRecord("c1", {"x": "n/a"}),
             CaseRecord("c2", {"x": Decimal(0)}),
         ]
-        result = simulate_population(m, cases, KpiConfig(), paths=False)
+        result = simulate_population(m, cases, KpiConfig())
         assert (result.kpis["NC"], result.kpis["HC"]) == (Decimal(1), Decimal(1))
         assert [case_id for case_id, _ in result.errors] == ["c1", "c2"]
         assert_matches_walks(m, cases, KpiConfig())
@@ -497,7 +526,7 @@ class TestSetAtATime:
             ],
         )
         cases = [CaseRecord(f"c{v}", {"x": Decimal(v)}) for v in range(4)]
-        result = simulate_population(m, cases, KpiConfig(), paths=False)
+        result = simulate_population(m, cases, KpiConfig())
         assert (result.kpis["NC"], result.kpis["HC"]) == (Decimal(1), Decimal(3))
         assert result.errors == ()
         assert_matches_walks(m, cases, KpiConfig())
@@ -517,7 +546,7 @@ class TestSetAtATime:
     def test_untraced_cyclic_model_walks_no_case(self):
         cases = [CaseRecord(f"c{i}", {"Loop": Decimal(i % 2)}) for i in range(20)]
         with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
-            result = simulate_population(mk.loop_model(), cases, KpiConfig(), paths=False)
+            result = simulate_population(mk.loop_model(), cases, KpiConfig())
         assert walk.call_count == 0
         assert [message for _case_id, message in result.errors] == [
             f"case 'c{i}': step limit exceeded after 10001 steps" for i in range(1, 20, 2)
@@ -559,12 +588,14 @@ _sharing_populations = st.lists(
 
 
 def assert_one_walk_per_path(model, cases, step_cap=simulation.DEFAULT_STEP_CAP):
+    """One listed walk per distinct successful path, and no per-case walk."""
     traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig(), step_cap)
     with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
         result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap)
     assert expand_paths(result, cases) == traces
     distinct = {(trace.steps, trace.flows) for trace in traces}
-    assert walk.call_count == len(result.paths) == len(distinct)
+    assert walk.call_count == 0
+    assert len(result.paths) == len(distinct)
 
 
 class TestSharedTraces:
@@ -617,15 +648,19 @@ def test_acyclic_simulate_evaluates_each_leaf_once_per_case(
     }
     assert calls["walks"] == 0
     assert 0 < calls["evaluate"] <= len(leaves) * len(population)
+    evaluated = calls["evaluate"]
     assert cli.main(argv + ["simulate", "--traces"]) == 0
-    # Traced, each model walks one case per distinct path, not every case.
+    # Traced, the same walk lists each distinct path once, and no case is
+    # walked alone.
     paths = 0
     for path in (tmp_path / "kpis").glob("*.json"):
         traces = json.loads(path.read_text())["traces"]
         bodies = {(tuple(trace["steps"]), tuple(trace["flows"])) for trace in traces}
         assert len(bodies) == len(traces)
         paths += len(traces)
-    assert 0 < calls["walks"] == paths < 100 * len(population)
+    assert calls["walks"] == 0
+    assert calls["evaluate"] == 2 * evaluated
+    assert 0 < paths < 100 * len(population)
 
 
 @pytest.mark.parametrize("family", ["family_original", "family_repaired"])
