@@ -14,6 +14,7 @@ import argparse
 import json
 import locale  # noqa: F401  argparse's gettext imports it at the first parser build
 import os
+import re
 import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
@@ -26,6 +27,10 @@ from .config import KEYS, ConfigError, RunConfig, build_run_config, load_config,
 
 class DataError(Exception):
     """Input artifact missing or malformed."""
+
+
+# A model id names its KPI file, so it must be a plain file name.
+_MODEL_ID = re.compile(r"\w[\w.-]*")
 
 
 def dump_json(payload: object) -> str:
@@ -107,6 +112,11 @@ def _load_models(config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
             model = bpmn.parse_bpmn(text, config.kpi.kpi_task_tags or None)
         except (UnicodeDecodeError, bpmn.ModelError) as exc:
             raise DataError(f"{path.name}: {exc}")
+        if not _MODEL_ID.fullmatch(model.model_id):
+            raise DataError(
+                f"{path.name}: model id {model.model_id!r} is not a plain file name "
+                "(a letter, digit or '_', then letters, digits, '_', '.' or '-')"
+            )
         if model.model_id in found:
             raise DataError(
                 f"duplicate model id {model.model_id!r} in {path.name} and "
@@ -155,6 +165,10 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
                 for members, walk in result.paths
             ]
         atomic_write(out_dir / f"{model_id}.json", dump_json(payload))
+    # The directory holds this run's models only, so entropy reads no stale one.
+    for stale in out_dir.glob("*.json"):
+        if stale.stem not in models and stale.is_file():
+            stale.unlink()
     print(f"simulated {len(models)} model(s) over {len(cases)} case(s) -> {out_dir}")
     return 0
 

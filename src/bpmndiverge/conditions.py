@@ -379,11 +379,6 @@ def normalize(ast: ConditionAst) -> ConditionAst:
     raise TypeError(f"not a condition node: {ast!r}")
 
 
-def ast_equal(a: ConditionAst, b: ConditionAst) -> bool:
-    """Structural equality of normalized forms."""
-    return normalize(a) == normalize(b)
-
-
 def variables(ast: ConditionAst) -> set[str]:
     """All variable names referenced by the condition."""
     if isinstance(ast, Literal):

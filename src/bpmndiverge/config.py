@@ -14,6 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
+from .diagnosis import DEFAULT_MAX_CARDINALITY
+from .distribution import DEFAULT_ROUND_DECIMALS
+from .repair import DEFAULT_LOCALIZATION_THRESHOLD
 from .simulation import DEFAULT_STEP_CAP, KpiConfig
 
 
@@ -60,10 +63,10 @@ class RunConfig:
     segments_json: Path | None = None
     supplemental: Path | None = None
     out_dir: Path = Path("out")
-    round_decimals: int = 6
+    round_decimals: int = DEFAULT_ROUND_DECIMALS
     step_cap: int = DEFAULT_STEP_CAP
-    max_diagnosis_cardinality: int = 8
-    localization_threshold: float = 0.15
+    max_diagnosis_cardinality: int = DEFAULT_MAX_CARDINALITY
+    localization_threshold: float = DEFAULT_LOCALIZATION_THRESHOLD
     kpi: KpiConfig = field(default_factory=KpiConfig)
     provider: str | None = None  # "canned" | "http"
     provider_canned_path: Path | None = None

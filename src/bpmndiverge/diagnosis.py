@@ -6,15 +6,17 @@ Cross-model matching uses task and gateway labels because independently
 generated models do not share element ids.
 
 A case diverges when its reference and target KPI sequences differ, so
-order and repeated emissions count.  For each divergent case the earliest
-difference between the two sequences is located, and the gateways on the
-target trace strictly between the last agreeing emission and the first
-diverging one form a conflict set.  Subset-minimal hitting sets over the
-conflict family are the diagnosis candidates; a refinement pass removes
-gateways whose exercised branch conditions are syntactically equal (after
-canonicalization) to conditions exercised on the reference side, which
-discharges harmless operand-order rewrites without hiding real logic
-changes.
+order and repeated emissions count.  Cases that take the same path on both
+models form a class pair (the intersection of a path class of each model)
+and share one comparison: the earliest difference between the two
+sequences is located once per pair, and the gateways on the target walk
+strictly between the last agreeing emission and the first diverging one
+form the conflict set of every case in the pair.  Subset-minimal hitting
+sets over the conflict family are the diagnosis candidates; a refinement
+pass, also once per class pair, removes gateways whose exercised branch
+conditions are syntactically equal (after canonicalization) to conditions
+exercised on the reference side, which discharges harmless operand-order
+rewrites without hiding real logic changes.
 
 Choosing which model is reference and which is target carries no claim of
 correctness; the orientation is picked only for explanatory parsimony.
@@ -23,7 +25,7 @@ correctness; the orientation is picked only for explanatory parsimony.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,6 +45,8 @@ from .simulation import (
 )
 
 TRACE_END = "<end-of-trace>"
+
+DEFAULT_MAX_CARDINALITY = 8
 
 ORIENTATION_NOTE = (
     "reference/target orientation is chosen for explanatory parsimony and does not "
@@ -236,105 +240,30 @@ def conflict_from_divergence(
     return ConflictSet(tuple(seen), (divergence.case_id,))
 
 
-class _Walk(NamedTuple):
-    """One model's walk of the cases, keyed by case id: the walk of the path
-    and the KPI sequence of each case that completes, and the error of each
-    that fails."""
+class _Path(NamedTuple):
+    """One path class of a model: the mask of the cases that take the path,
+    its walk and the walk's KPI sequence."""
 
-    traces: dict[str, Trace]
-    sequences: dict[str, KpiSequence]
-    errors: dict[str, str]
+    members: int
+    walk: Trace
+    sequence: KpiSequence
 
 
-def _walk_models(
-    models: Sequence[ProcessModel], cases: Sequence[CaseRecord], step_cap: int
-) -> list[_Walk]:
-    """Each model's walk from ``simulate_population`` over condition tables
-    shared between the models; each path is projected once, and its cases
-    share the projection."""
+def _class_pairs(
+    model_a: ProcessModel, model_b: ProcessModel, cases: Sequence[CaseRecord], step_cap: int
+) -> tuple[list[tuple[int, _Path, _Path]], dict[str, str], dict[str, str]]:
+    """Each non-empty intersection of a path class of ``model_a`` with one of
+    ``model_b``, as (mask of its cases, path on a, path on b), and each
+    model's error of every case that fails on it.  Both models walk the
+    cases once, by ``simulate_population`` over shared condition tables."""
     tables = ConditionTables(cases)
-    walks: list[_Walk] = []
-    for model in models:
+    paths, errors = [], []
+    for model in (model_a, model_b):
         result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap, tables=tables)
-        walk = _Walk({}, {}, dict(result.errors))
-        for members, trace in result.paths:
-            pairs = kpi_sequence(trace, model).pairs
-            for case_id in case_ids(cases, members):
-                walk.traces[case_id] = trace
-                walk.sequences[case_id] = KpiSequence(case_id, pairs)
-        walks.append(walk)
-    return walks
-
-
-def _aligned(ref_walk: _Walk, tgt_walk: _Walk) -> list[tuple[KpiSequence, KpiSequence]]:
-    """(reference, target) KPI sequences of each case that completes on
-    both sides, in case-id order."""
-    shared = sorted(ref_walk.sequences.keys() & tgt_walk.sequences.keys())
-    return [(ref_walk.sequences[case_id], tgt_walk.sequences[case_id]) for case_id in shared]
-
-
-def _build_problem(
-    ref_model: ProcessModel,
-    tgt_model: ProcessModel,
-    ref_walk: _Walk,
-    tgt_walk: _Walk,
-    cases: Sequence[CaseRecord],
-) -> DiagnosisProblem:
-    """Cases failing on either side are excluded from both and reported, in
-    case order, with the reference side's error if the reference walk
-    failed and the target's otherwise.  Every other case whose KPI
-    sequences differ yields a conflict or an unattributable divergence."""
-    ref_errors, tgt_errors = ref_walk.errors, tgt_walk.errors
-    failed = [
-        (case.case_id, ref_errors.get(case.case_id, tgt_errors.get(case.case_id)))
-        for case in cases
-        if case.case_id in ref_errors or case.case_id in tgt_errors
-    ]
-    conflicts: dict[tuple[str, ...], list[str]] = {}
-    unattributable: list[Divergence] = []
-    for ref_seq, tgt_seq in _aligned(ref_walk, tgt_walk):
-        divergence = first_divergence(ref_seq, tgt_seq)
-        if divergence is None:
-            continue
-        tgt_trace = tgt_walk.traces[tgt_seq.case_id]
-        conflict = conflict_from_divergence(divergence, tgt_trace, tgt_model)
-        if conflict is None:
-            unattributable.append(divergence)
-            continue
-        conflicts.setdefault(conflict.gateways, []).append(tgt_seq.case_id)
-    merged = tuple(
-        ConflictSet(gateways, tuple(sorted(case_ids)))
-        for gateways, case_ids in sorted(conflicts.items())
-    )
-    components = tuple(
-        n.id for n in tgt_model.nodes if n.kind is NodeKind.EXCLUSIVE_GATEWAY
-    )
-    return DiagnosisProblem(
-        reference_model_id=ref_model.model_id,
-        target_model_id=tgt_model.model_id,
-        components=components,
-        conflicts=merged,
-        unattributable=tuple(unattributable),
-        failed_cases=tuple(failed),
-    )
-
-
-def collect_conflicts(
-    ref_model: ProcessModel,
-    tgt_model: ProcessModel,
-    cases: Sequence[CaseRecord],
-    *,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> DiagnosisProblem:
-    """Simulate both models over the cases and assemble the conflict family.
-
-    Cases failing on either side are excluded and reported.  Identical
-    gateway sets arising from different cases are merged, keeping the union
-    of their provenance.
-    """
-    return _build_problem(
-        ref_model, tgt_model, *_walk_models((ref_model, tgt_model), cases, step_cap), cases
-    )
+        paths.append([_Path(mask, walk, kpi_sequence(walk, model)) for mask, walk in result.paths])
+        errors.append(dict(result.errors))
+    pairs = [(both, a, b) for a in paths[0] for b in paths[1] if (both := a.members & b.members)]
+    return pairs, *errors
 
 
 def _minimal_diagnoses(candidates: Iterable[frozenset[str]]) -> tuple[Diagnosis, ...]:
@@ -347,7 +276,7 @@ def _minimal_diagnoses(candidates: Iterable[frozenset[str]]) -> tuple[Diagnosis,
 
 
 def minimal_hitting_sets(
-    problem: DiagnosisProblem, *, max_cardinality: int = 8
+    problem: DiagnosisProblem, *, max_cardinality: int = DEFAULT_MAX_CARDINALITY
 ) -> HittingSetResult:
     """All subset-minimal hitting sets of the conflict family.
 
@@ -382,45 +311,37 @@ def minimal_hitting_sets(
 
 def refine_diagnoses(
     diagnoses: Sequence[Diagnosis],
-    problem: DiagnosisProblem,
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
-    ref_by_case: Mapping[str, Trace],
-    tgt_by_case: Mapping[str, Trace],
+    support: Mapping[str, Sequence[tuple[Trace, Trace]]],
 ) -> list[Diagnosis]:
     """Drop gateways whose divergent-case behavior is explained by syntactic
-    rewriting only.  The traces of each side are keyed by case id.
+    rewriting only.  ``support`` maps each conflict gateway to the
+    (reference walk, target walk) pairs of the divergent cases behind it;
+    cases that take the same two paths may share one pair.
 
-    A gateway is removed when, in every divergent case supporting it, each
-    condition it exercised on the target trace is canonically equal to some
-    condition exercised on the reference trace for that same case.  Emptied
-    diagnoses are dropped; the survivors are deduplicated and re-checked for
-    subset-minimality.
+    A gateway is removed when, for every pair supporting it, each condition
+    it exercised on the target walk is canonically equal to some condition
+    exercised on the reference walk.  Emptied diagnoses are dropped; the
+    survivors are deduplicated and re-checked for subset-minimality.
     """
-    cases_for_gateway: dict[str, set[str]] = {}
-    for conflict in problem.conflicts:
-        for gateway in conflict.gateways:
-            cases_for_gateway.setdefault(gateway, set()).update(conflict.case_ids)
     ref_normed, tgt_normed = (
         {flow.id: normalize(flow.condition) for flow in model.flows if flow.condition is not None}
         for model in (ref_model, tgt_model)
     )
 
     def removable(gateway: str) -> bool:
-        case_ids = cases_for_gateway.get(gateway)
-        if not case_ids:
+        walks = support.get(gateway)
+        if not walks:
             return False
-        for case_id in sorted(case_ids):
-            if case_id not in tgt_by_case or case_id not in ref_by_case:
-                return False
-            tgt_trace = tgt_by_case[case_id]
+        for ref_walk, tgt_walk in walks:
             # None marks a default branch: it has no condition to match.
             taken = [
                 tgt_normed.get(flow_id)
-                for node_id, flow_id in zip(tgt_trace.steps, tgt_trace.flows)
+                for node_id, flow_id in zip(tgt_walk.steps, tgt_walk.flows)
                 if node_id == gateway
             ]
-            reference = {ref_normed[f] for f in ref_by_case[case_id].flows if f in ref_normed}
+            reference = {ref_normed[f] for f in ref_walk.flows if f in ref_normed}
             if not taken or not all(condition in reference for condition in taken):
                 return False
         return True
@@ -434,16 +355,56 @@ def refine_diagnoses(
 def _run_orientation(
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
-    ref_walk: _Walk,
-    tgt_walk: _Walk,
+    pairs: Sequence[tuple[int, _Path, _Path]],
+    ref_errors: Mapping[str, str],
+    tgt_errors: Mapping[str, str],
     cases: Sequence[CaseRecord],
     max_cardinality: int,
 ) -> DiagnosisRun:
-    problem = _build_problem(ref_model, tgt_model, ref_walk, tgt_walk, cases)
-    hitting = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
-    refined = refine_diagnoses(
-        hitting.diagnoses, problem, ref_model, tgt_model, ref_walk.traces, tgt_walk.traces
+    """The conflicts, hitting sets and refined diagnoses of one orientation,
+    from its class pairs (mask, reference path, target path).
+
+    Cases failing on either side are excluded from both and reported, in
+    case order, with the reference side's error if the reference walk
+    failed and the target's otherwise.  Every other case lies in one class
+    pair; a pair whose KPI sequences differ is located once, and each of
+    its cases joins the pair's conflict or becomes an unattributable
+    divergence.  Identical gateway sets from different pairs are merged,
+    keeping the union of their cases.
+    """
+    failed = [
+        (case.case_id, ref_errors.get(case.case_id, tgt_errors.get(case.case_id)))
+        for case in cases
+        if case.case_id in ref_errors or case.case_id in tgt_errors
+    ]
+    conflicts: dict[tuple[str, ...], list[str]] = {}
+    support: dict[str, list[tuple[Trace, Trace]]] = {}
+    unattributable: list[Divergence] = []
+    for members, ref, tgt in pairs:
+        divergence = first_divergence(ref.sequence, tgt.sequence)
+        if divergence is None:
+            continue
+        ids = case_ids(cases, members)
+        conflict = conflict_from_divergence(divergence, tgt.walk, tgt_model)
+        if conflict is None:
+            unattributable.extend(replace(divergence, case_id=case_id) for case_id in ids)
+            continue
+        conflicts.setdefault(conflict.gateways, []).extend(ids)
+        for gateway in conflict.gateways:
+            support.setdefault(gateway, []).append((ref.walk, tgt.walk))
+    merged = tuple(
+        ConflictSet(gateways, tuple(sorted(ids))) for gateways, ids in sorted(conflicts.items())
     )
+    problem = DiagnosisProblem(
+        reference_model_id=ref_model.model_id,
+        target_model_id=tgt_model.model_id,
+        components=tuple(n.id for n in tgt_model.nodes if n.kind is NodeKind.EXCLUSIVE_GATEWAY),
+        conflicts=merged,
+        unattributable=tuple(sorted(unattributable, key=lambda d: d.case_id)),
+        failed_cases=tuple(failed),
+    )
+    hitting = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
+    refined = refine_diagnoses(hitting.diagnoses, ref_model, tgt_model, support)
     return DiagnosisRun(problem, hitting, tuple(refined))
 
 
@@ -467,31 +428,39 @@ def choose_direction(
     cases: Sequence[CaseRecord],
     *,
     step_cap: int = DEFAULT_STEP_CAP,
-    max_cardinality: int = 8,
+    max_cardinality: int = DEFAULT_MAX_CARDINALITY,
 ) -> DirectionResult:
     """Diagnose in both orientations and keep the more parsimonious one.
 
-    Each model walks the cases once; both orientations are built from the
-    same walks, and the observation table only for the chosen one.  Ties
-    fall back to the number of minimal diagnoses, then to the
-    lexicographically smaller reference model id.  Raises NoDivergenceError
-    when no case that completes on both models diverges.
+    Each model walks the cases once, as path classes; both orientations are
+    built from the same class pairs, and the observation table only for the
+    chosen one.  Ties fall back to the number of minimal diagnoses, then to
+    the lexicographically smaller reference model id.  Raises
+    NoDivergenceError when no case that completes on both models diverges.
     """
-    walk_a, walk_b = _walk_models((model_a, model_b), cases, step_cap)
-    run_ab = _run_orientation(model_a, model_b, walk_a, walk_b, cases, max_cardinality)
-    run_ba = _run_orientation(model_b, model_a, walk_b, walk_a, cases, max_cardinality)
+    pairs_ab, err_a, err_b = _class_pairs(model_a, model_b, cases, step_cap)
+    pairs_ba = [(both, b, a) for both, a, b in pairs_ab]
+    run_ab = _run_orientation(model_a, model_b, pairs_ab, err_a, err_b, cases, max_cardinality)
+    run_ba = _run_orientation(model_b, model_a, pairs_ba, err_b, err_a, cases, max_cardinality)
     if not (run_ab.problem.conflicts or run_ab.problem.unattributable):
         raise NoDivergenceError(
             f"models {model_a.model_id!r} and {model_b.model_id!r} agree on all cases"
         )
     chosen, reverse = sorted((run_ab, run_ba), key=_ranking_key)
-    pairs = _aligned(walk_a, walk_b) if chosen is run_ab else _aligned(walk_b, walk_a)
+    aligned = sorted(
+        (
+            (KpiSequence(case_id, ref.sequence.pairs), KpiSequence(case_id, tgt.sequence.pairs))
+            for members, ref, tgt in (pairs_ab if chosen is run_ab else pairs_ba)
+            for case_id in case_ids(cases, members)
+        ),
+        key=lambda pair: pair[0].case_id,
+    )
     return DirectionResult(
         reference_model_id=chosen.problem.reference_model_id,
         target_model_id=chosen.problem.target_model_id,
         chosen=chosen,
         reverse=reverse,
-        observations=tuple(compare_observations(pairs)),
+        observations=tuple(compare_observations(aligned)),
     )
 
 

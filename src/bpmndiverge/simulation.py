@@ -125,12 +125,6 @@ class KpiVector:
 
     values: tuple[tuple[str, Decimal], ...]
 
-    def __getitem__(self, name: str) -> Decimal:
-        for key, value in self.values:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.values)

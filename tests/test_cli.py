@@ -84,6 +84,40 @@ class TestSimulate:
         assert run_city1(out, "simulate") == 0
         assert (out / "kpis" / "city1_and_strict.json").read_bytes() == first
 
+    def test_a_rerun_leaves_only_its_own_kpi_files(self, out, tmp_path):
+        assert run_city1(out, "simulate") == 0
+        (out / "kpis" / "notes.txt").write_text("kept")
+        (out / "kpis" / "folder.json").mkdir()
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        for model in mk.repeated_call_pair():
+            (models_dir / f"{model.model_id}.bpmn").write_text(serialize_bpmn(model))
+        cases = tmp_path / "cases.csv"
+        cases.write_text("case_id,x\nc1,1\nc2,0\n")
+        assert run_city1(out, "--models", str(models_dir), "--cases", str(cases), "simulate") == 0
+        names = sorted(path.name for path in (out / "kpis").iterdir())
+        assert names == ["folder.json", "notes.txt", "once.json", "twice.json"]
+        (out / "kpis" / "folder.json").rmdir()
+        assert run_city1(out, "entropy") == 0
+        assert read_json(out / "distribution.json")["total"] == 2
+
+    @pytest.mark.parametrize("where", ["absolute", "relative"])
+    def test_a_model_id_that_is_a_path_is_a_data_error(self, out, tmp_path, capsys, where):
+        escaped = str(tmp_path / "escaped") if where == "absolute" else "../../escaped"
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        model = mk.branch_model("x >= 5", model_id=escaped)
+        (models_dir / "m.bpmn").write_text(serialize_bpmn(model))
+        cases = tmp_path / "cases.csv"
+        cases.write_text("case_id,x\nc1,1\n")
+        code = run_city1(out, "--models", str(models_dir), "--cases", str(cases), "simulate")
+        assert code == 2
+        assert f"error: m.bpmn: model id {escaped!r} is not a plain file name" in (
+            capsys.readouterr().err
+        )
+        written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
+        assert written == ["cases.csv", "models", "models/m.bpmn"]
+
 
 class TestKpiJson:
     def test_simulate_writes_what_dump_json_would(self, out, tmp_path):

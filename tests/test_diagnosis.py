@@ -12,10 +12,10 @@ from bpmndiverge.diagnosis import (
     ConflictSet,
     Diagnosis,
     DiagnosisProblem,
+    DiagnosisRun,
     DivergenceKind,
     NoDivergenceError,
     choose_direction,
-    collect_conflicts,
     compare_observations,
     conflict_from_divergence,
     diagnosis_report,
@@ -33,7 +33,7 @@ from bpmndiverge.simulation import (
 )
 
 import modelkit as mk
-from oracles import brute_force_hitting_sets
+from oracles import brute_force_hitting_sets, per_case_diagnosis, per_case_support
 from test_simulation import _random_models, _sharing_populations
 
 
@@ -46,6 +46,13 @@ def problem_with(conflicts: list[tuple[tuple[str, ...], tuple[str, ...]]]) -> Di
         unattributable=(),
         failed_cases=(),
     )
+
+
+def oriented(ref, tgt, cases) -> DiagnosisRun:
+    """The orientation of ``choose_direction`` with ``ref`` as reference."""
+    result = choose_direction(ref, tgt, cases)
+    runs = (result.chosen, result.reverse)
+    return next(run for run in runs if run.problem.reference_model_id == ref.model_id)
 
 
 def seq(case_id: str, *pairs: tuple[str, str]) -> KpiSequence:
@@ -163,7 +170,7 @@ class TestConflictWindows:
             ],
             [mk.flow("f1", "s", "t1"), mk.flow("f2", "t1", "t2"), mk.flow("f3", "t2", "e")],
         )
-        problem = collect_conflicts(ref, tgt, [CaseRecord("c1", {})])
+        problem = oriented(ref, tgt, [CaseRecord("c1", {})]).problem
         assert problem.conflicts == ()
         assert len(problem.unattributable) == 1
         assert problem.unattributable[0].kind is DivergenceKind.EXTRA_OUTPUT
@@ -171,7 +178,7 @@ class TestConflictWindows:
 
 class TestCollectConflicts:
     def test_city1_conflict_family(self, strict_model, broad_model, population):
-        problem = collect_conflicts(strict_model, broad_model, population)
+        problem = oriented(strict_model, broad_model, population).problem
         assert problem.reference_model_id == "city1_and_strict"
         assert problem.target_model_id == "city1_or_broad"
         assert problem.components == ("n3", "n5")
@@ -189,11 +196,10 @@ class TestCollectConflicts:
         self, strict_model, broad_model, population
     ):
         cases = list(population) + [CaseRecord("cXX", {"HbA1c": Decimal("7")})]
-        problem = collect_conflicts(strict_model, broad_model, cases)
-        assert len(problem.failed_cases) == 1
-        assert problem.failed_cases[0][0] == "cXX"
-        observations = choose_direction(strict_model, broad_model, cases).observations
-        assert {o.case_id for o in observations} <= {c.case_id for c in population}
+        result = choose_direction(strict_model, broad_model, cases)
+        for run in (result.chosen, result.reverse):
+            assert [case_id for case_id, _reason in run.problem.failed_cases] == ["cXX"]
+        assert {o.case_id for o in result.observations} <= {c.case_id for c in population}
 
 
 class TestHittingSets:
@@ -245,7 +251,7 @@ class TestHittingSets:
         ]
 
     def test_city1_single_diagnosis(self, strict_model, broad_model, population):
-        problem = collect_conflicts(strict_model, broad_model, population)
+        problem = oriented(strict_model, broad_model, population).problem
         result = minimal_hitting_sets(problem)
         assert [d.sorted_gateways for d in result.diagnoses] == [("n3", "n5")]
         assert not result.truncated
@@ -292,13 +298,10 @@ def boundary_case() -> CaseRecord:
 
 class TestRefinement:
     def run_refined(self, ref, tgt, cases):
-        ref_traces = {c.case_id: execute_case(ref, c) for c in cases}
-        tgt_traces = {c.case_id: execute_case(tgt, c) for c in cases}
-        problem = collect_conflicts(ref, tgt, cases)
+        problem = oriented(ref, tgt, cases).problem
         hitting = minimal_hitting_sets(problem)
-        refined = refine_diagnoses(
-            hitting.diagnoses, problem, ref, tgt, ref_traces, tgt_traces
-        )
+        support = per_case_support(ref, tgt, problem, cases)
+        refined = refine_diagnoses(hitting.diagnoses, ref, tgt, support)
         return problem, hitting, refined
 
     def test_operand_permutation_discharged(self):
@@ -491,6 +494,61 @@ class TestStageAgreement:
         assert [d.kind for d in result.reverse.problem.unattributable] == [
             DivergenceKind.MISSING_OUTPUT
         ]
+
+
+class TestClassPairs:
+    """Cases that take the same path on each model share one comparison,
+    and the diagnosis equals the one built case by case."""
+
+    @settings(deadline=None)
+    @given(
+        _random_models("a", task_labels=("Call", "Visit")),
+        _random_models("b", task_labels=("Call", "Visit")),
+        _sharing_populations,
+    )
+    @example(*mk.repeated_call_pair(), REPEATED_CALL_CASES)
+    # gp is a rewrite on cv's pair of paths but takes the default on cd's,
+    # so it stays only if refinement checks every pair behind it.
+    @example(
+        *pipeline_models("(w == 1 OR u == 1)", "(u == 1 OR w == 1)", "v >= 10", "v > 10"),
+        [boundary_case(), CaseRecord("cd", {"v": Decimal(10), "w": Decimal(0), "u": Decimal(0)})],
+    )
+    def test_matches_the_per_case_oracle(self, model_a, model_b, cases):
+        expected = {
+            ref.model_id: per_case_diagnosis(ref, tgt, cases)
+            for ref, tgt in ((model_a, model_b), (model_b, model_a))
+        }
+        problem = expected[model_a.model_id].problem
+        if not (problem.conflicts or problem.unattributable):
+            with pytest.raises(NoDivergenceError):
+                choose_direction(model_a, model_b, cases)
+            return
+        result = choose_direction(model_a, model_b, cases)
+        runs = {run.problem.reference_model_id: run for run in (result.chosen, result.reverse)}
+        assert runs == expected
+
+    def test_each_class_pair_is_located_once_per_orientation(
+        self, strict_model, broad_model, population
+    ):
+        cases = [
+            CaseRecord(f"{case.case_id}_{copy}", case.attributes)
+            for copy in range(4)
+            for case in population
+        ]
+        # Whether the cases on each pair of paths diverge.
+        diverges = {}
+        for case in cases:
+            ref, tgt = (execute_case(model, case) for model in (strict_model, broad_model))
+            ref_pairs = kpi_sequence(ref, strict_model).pairs
+            diverges[ref.flows, tgt.flows] = ref_pairs != kpi_sequence(tgt, broad_model).pairs
+        with mock.patch.object(
+            diagnosis, "first_divergence", wraps=first_divergence
+        ) as locate, mock.patch.object(
+            diagnosis, "conflict_from_divergence", wraps=conflict_from_divergence
+        ) as window:
+            choose_direction(strict_model, broad_model, cases)
+        assert locate.call_count == 2 * len(diverges) < len(cases)
+        assert window.call_count == 2 * sum(diverges.values()) > 0
 
 
 class TestReport:

@@ -31,7 +31,7 @@ class TestBuild:
         vectors = [vec("1")] * 3 + [vec("2")] * 5 + [vec("3")] * 3
         dist = build_distribution(vectors)
         assert dist.total == 11
-        assert [(c.vector["NC"], c.count) for c in dist.combos] == [
+        assert [(dict(c.vector.values)["NC"], c.count) for c in dist.combos] == [
             (Decimal("2"), 5),
             (Decimal("1"), 3),
             (Decimal("3"), 3),
@@ -41,18 +41,18 @@ class TestBuild:
     def test_tie_broken_by_label(self):
         # Counts equal, so the label ordering decides: "NC=1..." < "NC=2...".
         dist = build_distribution([vec("2"), vec("1")])
-        assert [c.vector["NC"] for c in dist.combos] == [Decimal("1"), Decimal("2")]
+        assert [dict(c.vector.values)["NC"] for c in dist.combos] == [Decimal("1"), Decimal("2")]
 
     def test_quantization_merges_nearby_vectors(self):
         a = vec("0.1234564")
         b = vec("0.1234561")
         dist = build_distribution([a, b], round_decimals=6)
         assert len(dist.combos) == 1
-        assert dist.combos[0].vector["NC"] == Decimal("0.123456")
+        assert dict(dist.combos[0].vector.values)["NC"] == Decimal("0.123456")
 
     def test_round_half_even(self):
-        assert vec("0.1234565").quantized(6)["NC"] == Decimal("0.123456")
-        assert vec("0.1234575").quantized(6)["NC"] == Decimal("0.123458")
+        assert dict(vec("0.1234565").quantized(6).values)["NC"] == Decimal("0.123456")
+        assert dict(vec("0.1234575").quantized(6).values)["NC"] == Decimal("0.123458")
 
     def test_combo_of_records_each_input(self):
         # 1.0000001 rounds to 1 at six decimals, so it joins the larger combo.
