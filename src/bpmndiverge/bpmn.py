@@ -207,28 +207,38 @@ def _kpi_outputs(elem: ET.Element, label: str, kpi_task_tags: Mapping[str, str] 
     return ()
 
 
+def _process(xml_text: str) -> ET.Element:
+    """The ``<process>`` element of BPMN XML: the root, or its first child
+    named ``process`` in the model namespace or none."""
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        raise XmlSyntaxError(str(exc)) from exc
+    if _local(root.tag) == "process":
+        return root
+    for child in root:
+        if _local(child.tag) == "process" and _namespace(child.tag) in (NS_MODEL, ""):
+            return child
+    raise InvalidModelError("no <process> element found")
+
+
+def _process_id(process: ET.Element) -> str:
+    return process.get("id") or "process"
+
+
+def model_id(xml_text: str) -> str:
+    """The id ``parse_bpmn`` gives the model in ``xml_text``, checking only
+    that the text is well-formed XML with a ``<process>``."""
+    return _process_id(_process(xml_text))
+
+
 def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) -> ProcessModel:
     """Parse BPMN XML into a ProcessModel.
 
     ``kpi_task_tags`` is the fallback mapping kpi-name -> label substring used
     when a task has no explicit ``kpi:outputs`` attribute.
     """
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        raise XmlSyntaxError(str(exc)) from exc
-
-    if _local(root.tag) == "process":
-        process = root
-    else:
-        process = None
-        for child in root:
-            if _local(child.tag) == "process" and _namespace(child.tag) in (NS_MODEL, ""):
-                process = child
-                break
-        if process is None:
-            raise InvalidModelError("no <process> element found")
-
+    process = _process(xml_text)
     nodes: list[Node] = []
     flows: list[tuple[ET.Element, str]] = []  # element, id
     defaults: dict[str, str] = {}  # gateway id -> default flow id
@@ -288,13 +298,12 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
     starts = [n for n in nodes if n.kind is NodeKind.START_EVENT]
     if len(starts) != 1:
         raise InvalidModelError("expected exactly one start event")
-    model_id = process.get("id") or "process"
     metadata: dict[str, str] = {}
     name = process.get("name")
     if name:
         metadata["name"] = name
     return ProcessModel(
-        model_id=model_id,
+        model_id=_process_id(process),
         nodes=tuple(nodes),
         flows=tuple(built_flows),
         start_node=starts[0].id,

@@ -19,7 +19,7 @@ import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, Callable, Collection, NoReturn, Sequence
 
 from . import bpmn, diagnosis, distribution, repair, simulation
 from .config import KEYS, ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
@@ -91,39 +91,57 @@ def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str
     return value
 
 
-def _load_models(config: RunConfig) -> dict[str, tuple[bpmn.ProcessModel, str]]:
-    """Parse every regular model file in ``models_dir``; returns model_id ->
-    (model, file name).  Sorted file order keeps ids deterministic on
-    collision."""
+def _load_models(
+    config: RunConfig, pick: Callable[[Collection[str]], Sequence[str]] | None = None
+) -> list[tuple[bpmn.ProcessModel, str]]:
+    """(model, file name) pairs from the regular model files in ``models_dir``.
+
+    Every file must be UTF-8 XML with a ``<process>`` whose id is a plain
+    file name that no other file has; sorted file order keeps the duplicate
+    message deterministic.  Without ``pick`` every model is built, in model id
+    order, from one XML parse per file.  With ``pick``, the other files are
+    parsed for their id alone: ``pick`` gets every id and names the models to
+    build, in the order returned."""
     models_dir = config.models_dir
     if models_dir is None:
         raise ConfigError("models_dir is not configured")
     if not models_dir.is_dir():
         raise DataError(f"models directory not found: {models_dir}")
-    found: dict[str, tuple[bpmn.ProcessModel, str]] = {}
     files = sorted(
         p for p in models_dir.iterdir() if p.suffix.lower() in (".bpmn", ".xml") and p.is_file()
     )
     if not files:
         raise DataError(f"no .bpmn or .xml files in {models_dir}")
+    tags = config.kpi.kpi_task_tags or None
+    # model id -> (the model, or its text when only the id is read; file name)
+    found: dict[str, tuple[Any, str]] = {}
     for path in files:
         try:
             text = path.read_text(encoding="utf-8")
-            model = bpmn.parse_bpmn(text, config.kpi.kpi_task_tags or None)
+            entry = bpmn.parse_bpmn(text, tags) if pick is None else text
+            model_id = entry.model_id if pick is None else bpmn.model_id(text)
         except (UnicodeDecodeError, bpmn.ModelError) as exc:
             raise DataError(f"{path.name}: {exc}")
-        if not _MODEL_ID.fullmatch(model.model_id):
+        if not _MODEL_ID.fullmatch(model_id):
             raise DataError(
-                f"{path.name}: model id {model.model_id!r} is not a plain file name "
+                f"{path.name}: model id {model_id!r} is not a plain file name "
                 "(a letter, digit or '_', then letters, digits, '_', '.' or '-')"
             )
-        if model.model_id in found:
+        if model_id in found:
             raise DataError(
-                f"duplicate model id {model.model_id!r} in {path.name} and "
-                f"{found[model.model_id][1]}"
+                f"duplicate model id {model_id!r} in {path.name} and {found[model_id][1]}"
             )
-        found[model.model_id] = (model, path.name)
-    return found
+        found[model_id] = (entry, path.name)
+    if pick is None:
+        return [found[model_id] for model_id in sorted(found)]
+    built = []
+    for model_id in pick(found.keys()):
+        text, name = found[model_id]
+        try:
+            built.append((bpmn.parse_bpmn(text, tags), name))
+        except bpmn.ModelError as exc:
+            raise DataError(f"{name}: {exc}")
+    return built
 
 
 def _load_cases(config: RunConfig) -> list[simulation.CaseRecord]:
@@ -140,13 +158,12 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     cases = _load_cases(config)
     out_dir = _kpi_dir(config)
     tables = simulation.ConditionTables(cases)
-    for model_id in sorted(models):
-        model, source = models[model_id]
+    for model, source in models:
         result = simulation.simulate_population(
             model, cases, config.kpi, step_cap=config.step_cap, tables=tables
         )
         payload: dict[str, object] = {
-            "model_id": model_id,
+            "model_id": model.model_id,
             "source": source,
             "cases_total": result.cases_total,
             "kpis": result.kpis.as_json_dict(),
@@ -164,10 +181,11 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
                 }
                 for members, walk in result.paths
             ]
-        atomic_write(out_dir / f"{model_id}.json", dump_json(payload))
+        atomic_write(out_dir / f"{model.model_id}.json", dump_json(payload))
     # The directory holds this run's models only, so entropy reads no stale one.
+    model_ids = {model.model_id for model, _ in models}
     for stale in out_dir.glob("*.json"):
-        if stale.stem not in models and stale.is_file():
+        if stale.stem not in model_ids and stale.is_file():
             stale.unlink()
     print(f"simulated {len(models)} model(s) over {len(cases)} case(s) -> {out_dir}")
     return 0
@@ -189,12 +207,15 @@ def _parse_kpis(values: dict, source: str) -> simulation.KpiVector:
 
 
 def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
-    """(model_id, vector, source file) per KPI JSON, sorted by model id."""
+    """(model_id, vector, source file) per KPI JSON file, sorted by model id."""
     if not path.is_dir():
         raise DataError(f"KPI directory not found: {path}")
     entries: list[tuple[str, simulation.KpiVector, str]] = []
     files: dict[str, str] = {}
-    for file in sorted(path.glob("*.json")):
+    # A directory entry knows whether it is a file, so skipping subdirectories
+    # costs no stat call.
+    names = (e.name for e in os.scandir(path) if e.name.endswith(".json") and e.is_file())
+    for file in (path / name for name in sorted(names)):
         data = _read_artifact(file, "simulate")
         model_id = _field(data, "model_id", str, file.name)
         if model_id in files:
@@ -270,15 +291,15 @@ def cmd_entropy(config: RunConfig, kpis_path: Path | None, from_csv: Path | None
 
 
 def _pick_pair(
-    config: RunConfig,
-    models: dict[str, tuple[bpmn.ProcessModel, str]],
-    requested: Sequence[str],
-) -> tuple[bpmn.ProcessModel, bpmn.ProcessModel]:
+    config: RunConfig, models: Collection[str], requested: Sequence[str]
+) -> Sequence[str]:
+    """The ids of the pair to diagnose: ``requested``, or else the
+    representatives of the two largest classes in distribution.json."""
     if requested:
         missing = [m for m in requested if m not in models]
         if missing:
             raise DataError(f"model id(s) not found in models_dir: {', '.join(missing)}")
-        return models[requested[0]][0], models[requested[1]][0]
+        return requested
     source = "distribution.json"
     combos = _field(_read_artifact(config.out_dir / source, "entropy"), "combos", list, source)
     members = [_field(combo, "models", list, source) for combo in combos]
@@ -290,14 +311,14 @@ def _pick_pair(
             f"{source} names model(s) not in models_dir: {', '.join(unknown)} "
             "(rerun simulate and entropy)"
         )
-    first, second = distribution.select_representatives(members)
-    return models[first][0], models[second][0]
+    return distribution.select_representatives(members)
 
 
 def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
-    models = _load_models(config)
+    (model_a, _), (model_b, _) = _load_models(
+        config, lambda ids: _pick_pair(config, ids, requested)
+    )
     cases = _load_cases(config)
-    model_a, model_b = _pick_pair(config, models, requested)
     path = config.out_dir / "diagnosis.json"
     try:
         result = diagnosis.choose_direction(
@@ -368,8 +389,9 @@ def cmd_report(config: RunConfig) -> int:
         localization = repair.LocalizationResult((), ())
     else:
         reference, target, refined = diagnosed
-        models = _load_models(config)
-        ref_model, tgt_model = _pick_pair(config, models, (reference, target))
+        (ref_model, _), (tgt_model, _) = _load_models(
+            config, lambda ids: _pick_pair(config, ids, (reference, target))
+        )
         localization = repair.localize_ambiguity(
             refined,
             tgt_model,
@@ -476,12 +498,11 @@ def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
 def cmd_validate(config: RunConfig) -> int:
     models = _load_models(config)
     total_issues = 0
-    for model_id in sorted(models):
-        model, source = models[model_id]
+    for model, source in models:
         issues = bpmn.validate_structure(model)
         total_issues += len(issues)
         if issues:
-            print(f"{source} ({model_id}):")
+            print(f"{source} ({model.model_id}):")
             for issue in issues:
                 print(f"  {issue.category.value}: {issue.node_id}: {issue.detail}")
     print(f"validated {len(models)} model(s), {total_issues} issue(s)")

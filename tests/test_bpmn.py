@@ -19,6 +19,7 @@ from bpmndiverge.bpmn import (
     XmlSyntaxError,
     escape,
     gateways,
+    model_id,
     parse_bpmn,
     quoteattr,
     serialize_bpmn,
@@ -125,6 +126,28 @@ class TestParsing:
     def test_missing_process(self):
         with pytest.raises(InvalidModelError, match="process"):
             parse_bpmn('<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')
+
+    @pytest.mark.parametrize(
+        "xml,expected",
+        [
+            (wrap(MINIMAL), "p1"),
+            (wrap(MINIMAL, 'name="no id"'), "process"),
+            (
+                '<process id="bare"><startEvent id="s"/><endEvent id="e"/>'
+                '<sequenceFlow id="f" sourceRef="s" targetRef="e"/></process>',
+                "bare",
+            ),
+        ],
+    )
+    def test_model_id_is_the_id_the_full_parse_gives(self, xml, expected):
+        assert model_id(xml) == parse_bpmn(xml).model_id == expected
+
+    def test_model_id_checks_only_the_xml_and_the_process(self):
+        assert model_id(wrap(MINIMAL + '<bpmn:subProcess id="sub"/>')) == "p1"
+        with pytest.raises(XmlSyntaxError):
+            model_id("<definitions><process></definitions>")
+        with pytest.raises(InvalidModelError, match="process"):
+            model_id('<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')
 
     def test_empty_condition_rejected(self):
         body = MINIMAL.replace(

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from bpmndiverge import cli
+from bpmndiverge import bpmn, cli
 from bpmndiverge.bpmn import serialize_bpmn
 from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
 from bpmndiverge.repair import NarrativeDocument
@@ -97,7 +97,6 @@ class TestSimulate:
         assert run_city1(out, "--models", str(models_dir), "--cases", str(cases), "simulate") == 0
         names = sorted(path.name for path in (out / "kpis").iterdir())
         assert names == ["folder.json", "notes.txt", "once.json", "twice.json"]
-        (out / "kpis" / "folder.json").rmdir()
         assert run_city1(out, "entropy") == 0
         assert read_json(out / "distribution.json")["total"] == 2
 
@@ -243,6 +242,12 @@ class TestEntropy:
         assert merged["round_decimals"] == 0
         assert merged["h_norm"] == 0.0
         assert merged["category"] == "very_high"
+
+    def test_a_directory_named_like_a_kpi_file_is_skipped(self, out):
+        assert run_city1(out, "simulate") == 0
+        (out / "kpis" / "x.json").mkdir()
+        assert run_city1(out, "entropy") == 0
+        assert read_json(out / "distribution.json")["total"] == 2
 
     def test_entropy_without_simulate(self, out, capsys):
         assert run_city1(out, "entropy") == 2
@@ -707,6 +712,15 @@ class TestVerify:
         assert payload["delta_h_norm"] == 0.0
         assert "delta=+0.000000" in capsys.readouterr().out
 
+    def test_a_directory_named_like_a_kpi_file_is_skipped(self, out, tmp_path):
+        assert run_city1(out, "simulate") == 0
+        after = tmp_path / "after"
+        shutil.copytree(out / "kpis", after)
+        (after / "x.json").mkdir()
+        kpis = str(out / "kpis")
+        assert run_city1(out, "verify", "--before", kpis, "--after", str(after)) == 0
+        assert read_json(out / "verify.json")["after"]["total"] == 2
+
     def test_missing_before_flag(self, out, capsys):
         assert run_city1(out, "verify", "--after", str(out)) == 1
         assert "required" in capsys.readouterr().err
@@ -889,6 +903,122 @@ class TestInputFiles:
         cfg = config_with(tmp_path, "provider_canned_path", str(canned))
         assert run("--config", str(cfg), "--out", str(out), "repair") == 2
         assert f"{canned}: {message}" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """One entry per ``bpmn.parse_bpmn`` call."""
+    calls = []
+    parse = bpmn.parse_bpmn
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(bpmn, "parse_bpmn", counting)
+    return calls
+
+
+@pytest.fixture()
+def city1_models(out, tmp_path, repo_root):
+    """A copy of the city1 models, after simulate, entropy and diagnose."""
+    models = tmp_path / "models"
+    shutil.copytree(repo_root / "fixtures" / "city1" / "models", models)
+    for command in ("simulate", "entropy", "diagnose"):
+        assert run_city1(out, "--models", str(models), command) == 0
+    return models
+
+
+PAIR_COMMANDS = [("diagnose",), ("diagnose", "city1_and_strict", "city1_or_broad"), ("report",)]
+
+STRICT_XML = (
+    Path(__file__).resolve().parent.parent / "fixtures/city1/models/city1_and_strict.bpmn"
+).read_bytes()
+
+# A file beside the pair that fails the id scan, and the error it gives.
+UNSCANNABLE = {
+    "malformed XML": (b"<definitions><oops", "zz.bpmn: unclosed token"),
+    "non-UTF-8 text": (b"<definitions>\xff</definitions>", "zz.bpmn: 'utf-8' codec"),
+    "no process": (
+        f'<definitions xmlns="{bpmn.NS_MODEL}"/>'.encode(),
+        "zz.bpmn: no <process> element found",
+    ),
+    "id that is a path": (
+        STRICT_XML.replace(b'id="city1_and_strict"', b'id="../x"'),
+        "zz.bpmn: model id '../x' is not a plain file name",
+    ),
+    "duplicate id": (
+        STRICT_XML,
+        "duplicate model id 'city1_and_strict' in zz.bpmn and city1_and_strict.bpmn",
+    ),
+}
+
+
+class TestModelLoading:
+    def test_diagnose_and_report_build_only_the_pair(self, out, parse_calls):
+        family = ("--models", "fixtures/family_original")
+        counts = {}
+        for command in (
+            ("simulate",),
+            ("validate",),
+            ("entropy",),
+            ("diagnose", "fam_orig_000", "fam_orig_001"),
+            ("diagnose",),
+            ("report",),
+        ):
+            parse_calls.clear()
+            assert run_city1(out, *family, *command) == 0
+            counts[" ".join(command)] = len(parse_calls)
+        assert counts == {
+            "simulate": 100,
+            "validate": 100,
+            "entropy": 0,
+            "diagnose fam_orig_000 fam_orig_001": 2,
+            "diagnose": 2,
+            "report": 2,
+        }
+        assert read_json(out / "diagnosis.json")["status"] == "diagnosed"
+        diagnosis = {"status": "no_divergence", "models": ["fam_orig_000", "fam_orig_001"]}
+        (out / "diagnosis.json").write_text(json.dumps(diagnosis))
+        parse_calls.clear()
+        assert run_city1(out, *family, "report") == 0
+        assert parse_calls == []
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("kind", sorted(UNSCANNABLE))
+    def test_every_file_is_still_scanned(self, out, city1_models, capsys, command, kind):
+        content, message = UNSCANNABLE[kind]
+        (city1_models / "zz.bpmn").write_bytes(content)
+        capsys.readouterr()
+        assert run_city1(out, "--models", str(city1_models), *command) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS, ids=" ".join)
+    def test_a_pair_model_that_fails_to_parse_is_named(self, out, city1_models, capsys, command):
+        broad = city1_models / "city1_or_broad.bpmn"
+        broad.write_text(broad.read_text().replace("Consent_Submitted == 1", "Consent_Submitted =="))
+        capsys.readouterr()
+        assert run_city1(out, "--models", str(city1_models), *command) == 2
+        assert "error: city1_or_broad.bpmn: flow 'e6' from 'n5'" in capsys.readouterr().err
+
+    def test_an_invalid_model_outside_the_pair_fails_only_the_stages_that_build_it(
+        self, out, city1_models, capsys
+    ):
+        unsupported = STRICT_XML.replace(b'id="city1_and_strict"', b'id="city1_extra"').replace(
+            b"<bpmn:task ", b'<bpmn:parallelGateway id="p"/>\n    <bpmn:task ', 1
+        )
+        (city1_models / "zz.bpmn").write_bytes(unsupported)
+        diagnosis = (out / "diagnosis.json").read_bytes()
+        models = ("--models", str(city1_models))
+        for command in PAIR_COMMANDS:
+            assert run_city1(out, *models, *command) == 0
+        assert (out / "diagnosis.json").read_bytes() == diagnosis
+        capsys.readouterr()
+        for command in ("simulate", "validate"):
+            assert run_city1(out, *models, command) == 2
+            assert "error: zz.bpmn: unsupported element <parallelGateway>" in (
+                capsys.readouterr().err
+            )
 
 
 def test_every_run_config_field_is_a_key():
