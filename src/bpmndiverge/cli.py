@@ -385,14 +385,13 @@ def cmd_report(config: RunConfig) -> int:
         ],
     }
     document = _load_narrative(config)
-    if diagnosed is None:
-        localization = repair.LocalizationResult((), ())
-    else:
+    ambiguities, unlocalized = [], []
+    if diagnosed is not None:
         reference, target, refined = diagnosed
         (ref_model, _), (tgt_model, _) = _load_models(
             config, lambda ids: _pick_pair(config, ids, (reference, target))
         )
-        localization = repair.localize_ambiguity(
+        ambiguities, unlocalized = repair.localize_ambiguity(
             refined,
             tgt_model,
             ref_model,
@@ -400,7 +399,7 @@ def cmd_report(config: RunConfig) -> int:
             threshold=config.localization_threshold,
         )
     report_payload = repair.build_ambiguity_report(
-        document.doc_id, localization, entropy_summary, diagnosed
+        document.doc_id, ambiguities, unlocalized, entropy_summary, diagnosed
     )
     atomic_write(config.out_dir / "ambiguity_report.json", dump_json(report_payload))
     print(
@@ -443,8 +442,8 @@ def cmd_repair(config: RunConfig) -> int:
         config.supplemental.stem, supplemental_text  # type: ignore[union-attr]
     )
     provider = _build_provider(config)
-    outcome = repair.propose_repairs(report_payload, document, supplemental, provider)
-    repaired = repair.reconstruct_narrative(document, outcome.records, ambiguities)
+    outcome = repair.propose_repairs(ambiguities, document, supplemental, provider)
+    repaired_text = repair.reconstruct_narrative(document, outcome.records)
     atomic_write(
         config.out_dir / "repairs.json",
         dump_json(
@@ -466,7 +465,7 @@ def cmd_repair(config: RunConfig) -> int:
             }
         ),
     )
-    atomic_write(config.out_dir / "narrative_repaired.txt", repaired.text)
+    atomic_write(config.out_dir / "narrative_repaired.txt", repaired_text)
     print(
         f"applied {len(outcome.records)} repair(s), rejected {len(outcome.rejected)} "
         f"-> {config.out_dir / 'narrative_repaired.txt'}"

@@ -15,7 +15,7 @@ import json
 import re
 import time
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .bpmn import NodeKind, ProcessModel
@@ -122,39 +122,10 @@ class NarrativeDocument:
 
 
 @dataclass(frozen=True)
-class GatewayRef:
-    role: str  # "target" | "reference"
-    model_id: str
-    gateway_id: str
-    label: str
-
-
-@dataclass(frozen=True)
-class Interpretation:
-    model_id: str
-    reading: str
-    exercised_condition: str
-
-
-@dataclass(frozen=True)
-class AmbiguityInstance:
-    ambiguity_id: str
-    gateways: tuple[GatewayRef, ...]
-    segment_id: str
-    excerpt: str  # verbatim substring of the segment
-    score: float
-    interpretations: tuple[Interpretation, ...]
-
-
-@dataclass(frozen=True)
-class LocalizationResult:
-    instances: tuple[AmbiguityInstance, ...]
-    unlocalized: tuple[str, ...]  # gateway ids with no segment above threshold
-
-
-@dataclass(frozen=True)
 class RepairRecord:
     ambiguity_id: str
+    segment_id: str  # the anchor of the ambiguity this record repairs
+    excerpt: str
     revised_excerpt: str
     rationale: str
     evidence_refs: tuple[str, ...]
@@ -170,13 +141,6 @@ class RejectedRepair:
 class RepairOutcome:
     records: tuple[RepairRecord, ...]
     rejected: tuple[RejectedRepair, ...]
-
-
-@dataclass(frozen=True)
-class RepairedNarrative:
-    doc_id: str
-    text: str
-    applied: tuple[RepairRecord, ...]
 
 
 def tokenize(text: str) -> set[str]:
@@ -244,10 +208,11 @@ def localize_ambiguity(
     document: NarrativeDocument,
     *,
     threshold: float = DEFAULT_LOCALIZATION_THRESHOLD,
-) -> LocalizationResult:
+) -> tuple[list[dict], list[str]]:
     """Map each gateway of the refined diagnoses (sorted gateway-id lists of
-    the target model) to its best-scoring narrative segment, and report one
-    ambiguity per segment with every gateway that localized there.
+    the target model) to its best-scoring narrative segment.  Returns the
+    ambiguity report's entries, one per segment with every gateway that
+    localized there, and the unlocalized gateway ids.
 
     The gateway token set is the union of its label tokens and the variable
     names (underscores split) from both models' branch conditions at the
@@ -262,8 +227,8 @@ def localize_ambiguity(
         for gateway_id in gateways:
             if gateway_id not in ordered_gateways:
                 ordered_gateways.append(gateway_id)
-    # segment id -> (segment, gateway scores, gateway refs, interpretations)
-    found: dict[str, tuple[Segment, list[float], list[GatewayRef], list[Interpretation]]] = {}
+    # segment id -> (segment, gateway scores, gateway tuples, interpretation tuples)
+    found: dict[str, tuple[Segment, list[float], list[tuple], list[tuple]]] = {}
     unlocalized: list[str] = []
     for gateway_id in ordered_gateways:
         try:
@@ -289,43 +254,46 @@ def localize_ambiguity(
             best_segment.segment_id, (best_segment, [], [], [])
         )
         scores.append(best_score)
-        refs.append(GatewayRef("target", tgt_model.model_id, gateway_id, node.label))
-        tgt_reading, tgt_condition = _describe_gateway(tgt_model, gateway_id)
+        refs.append(("target", tgt_model.model_id, gateway_id, node.label))
         if ref_gateway_id is not None:
-            ref_node = ref_model.node(ref_gateway_id)
-            refs.append(
-                GatewayRef("reference", ref_model.model_id, ref_gateway_id, ref_node.label)
-            )
-            ref_reading, ref_condition = _describe_gateway(ref_model, ref_gateway_id)
+            ref_label = ref_model.node(ref_gateway_id).label
+            refs.append(("reference", ref_model.model_id, ref_gateway_id, ref_label))
             interpretations.append(
-                Interpretation(ref_model.model_id, ref_reading, ref_condition)
+                (ref_model.model_id, *_describe_gateway(ref_model, ref_gateway_id))
             )
-        interpretations.append(Interpretation(tgt_model.model_id, tgt_reading, tgt_condition))
-    instances = [
-        AmbiguityInstance(
-            ambiguity_id=f"AMB-{counter}",
-            gateways=tuple(dict.fromkeys(refs)),
-            segment_id=segment.segment_id,
-            excerpt=segment.text,
-            score=max(scores),
-            interpretations=tuple(dict.fromkeys(interpretations)),
-        )
+        interpretations.append((tgt_model.model_id, *_describe_gateway(tgt_model, gateway_id)))
+    ambiguities = [
+        {
+            "id": f"AMB-{counter}",
+            "gateways": [
+                dict(zip(("role", "model_id", "gateway_id", "label"), ref))
+                for ref in dict.fromkeys(refs)
+            ],
+            "segment_id": segment.segment_id,
+            "excerpt": segment.text,
+            "score": max(scores),
+            "interpretations": [
+                dict(zip(("model_id", "reading", "exercised_condition"), interpretation))
+                for interpretation in dict.fromkeys(interpretations)
+            ],
+        }
         for counter, (segment, scores, refs, interpretations) in enumerate(found.values(), 1)
     ]
-    return LocalizationResult(tuple(instances), tuple(unlocalized))
+    return ambiguities, unlocalized
 
 
 def build_ambiguity_report(
     doc_id: str,
-    localization: LocalizationResult,
+    ambiguities: Sequence[Mapping[str, object]],
+    unlocalized: Sequence[str],
     entropy_summary: Mapping[str, object],
     diagnosed: tuple[str, str, Sequence[Sequence[str]]] | None,
 ) -> dict:
-    """Evidence-linked report tying entropy, diagnosis, and narrative spans
-    together.  ``entropy_summary`` carries h_norm, category, and combos as
-    produced by the distribution stage; ``diagnosed`` is the reference id,
-    target id and refined gateway lists of the diagnosed pair, or None when
-    the pair showed no divergence."""
+    """Evidence-linked report tying entropy, diagnosis, and the narrative
+    spans of localize_ambiguity together.  ``entropy_summary`` carries h_norm,
+    category, and combos as produced by the distribution stage; ``diagnosed``
+    is the reference id, target id and refined gateway lists of the diagnosed
+    pair, or None when the pair showed no divergence."""
     diagnosis_block: dict[str, object]
     if diagnosed is None:
         diagnosis_block = {"status": "no_divergence"}
@@ -340,33 +308,8 @@ def build_ambiguity_report(
         "doc_id": doc_id,
         "entropy": dict(entropy_summary),
         "diagnosis": diagnosis_block,
-        "ambiguities": [
-            {
-                "id": instance.ambiguity_id,
-                "gateways": [
-                    {
-                        "role": ref.role,
-                        "model_id": ref.model_id,
-                        "gateway_id": ref.gateway_id,
-                        "label": ref.label,
-                    }
-                    for ref in instance.gateways
-                ],
-                "segment_id": instance.segment_id,
-                "excerpt": instance.excerpt,
-                "score": instance.score,
-                "interpretations": [
-                    {
-                        "model_id": interp.model_id,
-                        "reading": interp.reading,
-                        "exercised_condition": interp.exercised_condition,
-                    }
-                    for interp in instance.interpretations
-                ],
-            }
-            for instance in localization.instances
-        ],
-        "unlocalized_gateways": list(localization.unlocalized),
+        "ambiguities": list(ambiguities),
+        "unlocalized_gateways": list(unlocalized),
     }
 
 
@@ -495,7 +438,7 @@ class HttpRewriteProvider:
 
 
 def _coerce_record(
-    ambiguity_id: str, response: Mapping[str, object]
+    anchor: tuple[str, str, str], response: Mapping[str, object]
 ) -> tuple[RepairRecord | None, str | None]:
     revised = response.get("revised_excerpt")
     rationale = response.get("rationale")
@@ -509,30 +452,36 @@ def _coerce_record(
     refs = tuple(str(item) for item in evidence)
     if any(not ref.strip() for ref in refs):
         return None, "blank evidence reference"
-    return RepairRecord(ambiguity_id, revised, rationale, refs), None
+    return RepairRecord(*anchor, revised, rationale, refs), None
 
 
 def propose_repairs(
-    report: Mapping[str, object],
+    ambiguities: Sequence[Mapping[str, Any]],
     document: NarrativeDocument,
     supplemental: NarrativeDocument,
     provider: RewriteProvider,
 ) -> RepairOutcome:
-    """Ask the provider for one repair per reported ambiguity.
+    """Ask the provider for one repair per entry of the ambiguity report.
 
+    Every entry must be an object with a string id that no other entry
+    repeats; otherwise ValueError is raised before the provider is called.
     Records lacking a rationale or evidence, or whose ambiguity excerpt is
     empty or no longer anchored in the document, are rejected individually;
     transport failure aborts the whole run with ProviderUnavailableError.
     """
-    ambiguities = report.get("ambiguities")
-    if not isinstance(ambiguities, list):
-        raise ValueError("report has no ambiguities list")
+    seen: set[str] = set()
+    for entry in ambiguities:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("id"), str):
+            raise ValueError(
+                "ambiguity_report.json: every ambiguity must be an object with a string id"
+            )
+        if entry["id"] in seen:
+            raise ValueError(f"ambiguity_report.json: ambiguity id {entry['id']!r} is used twice")
+        seen.add(entry["id"])
     records: list[RepairRecord] = []
     rejected: list[RejectedRepair] = []
     supplemental_excerpts = [segment.text for segment in supplemental.segments]
     for entry in ambiguities:
-        if not isinstance(entry, Mapping) or not isinstance(entry.get("id"), str):
-            raise ValueError("every report ambiguity must be an object with a string id")
         ambiguity_id = entry["id"]
         segment_id = str(entry.get("segment_id", ""))
         excerpt = entry.get("excerpt")
@@ -563,7 +512,7 @@ def propose_repairs(
         except ProviderMalformedResponseError as exc:
             rejected.append(RejectedRepair(ambiguity_id, exc.detail))
             continue
-        record, problem = _coerce_record(ambiguity_id, response)
+        record, problem = _coerce_record((ambiguity_id, segment_id, excerpt), response)
         if record is None:
             rejected.append(RejectedRepair(ambiguity_id, problem or "malformed record"))
             continue
@@ -579,41 +528,23 @@ def _id_order(ambiguity_id: str) -> tuple[str, int, str]:
     return prefix, int(digits) if digits else -1, ambiguity_id
 
 
-def reconstruct_narrative(
-    document: NarrativeDocument,
-    repairs: Sequence[RepairRecord],
-    instances: Sequence[Mapping[str, object]],
-) -> RepairedNarrative:
-    """Splice revised excerpts into their segments.
+def reconstruct_narrative(document: NarrativeDocument, repairs: Sequence[RepairRecord]) -> str:
+    """The narrative text with each record's revised excerpt spliced over its
+    anchor excerpt, in the numeric order of the ambiguity ids.
 
-    ``instances`` carries the ambiguity entries from the report (id, segment,
-    excerpt), and the repairs are applied in the numeric order of their ids.
-    Only matched excerpts inside repaired segments change; every
+    Only the first occurrence of each excerpt in its segment changes; every
     other character of the narrative is preserved.  A stale anchor raises
     ExcerptNotFoundError.
     """
-    by_id = {str(entry["id"]): entry for entry in instances}
     segment_texts = {segment.segment_id: segment.text for segment in document.segments}
-    applied: list[RepairRecord] = []
     for record in sorted(repairs, key=lambda r: _id_order(r.ambiguity_id)):
-        entry = by_id.get(record.ambiguity_id)
-        if entry is None:
-            raise ExcerptNotFoundError(
-                f"repair {record.ambiguity_id!r} has no matching ambiguity instance"
-            )
-        segment_id = str(entry["segment_id"])
-        excerpt = str(entry["excerpt"])
-        if segment_id not in segment_texts:
-            raise ExcerptNotFoundError(
-                f"repair {record.ambiguity_id!r} targets unknown segment {segment_id!r}"
-            )
+        segment_id, excerpt = record.segment_id, record.excerpt
         current = segment_texts[segment_id]
         if excerpt not in current:
             raise ExcerptNotFoundError(
                 f"repair {record.ambiguity_id!r}: excerpt not found in segment {segment_id!r}"
             )
         segment_texts[segment_id] = current.replace(excerpt, record.revised_excerpt, 1)
-        applied.append(record)
     pieces: list[str] = []
     cursor = 0
     for segment in document.segments:
@@ -621,4 +552,4 @@ def reconstruct_narrative(
         pieces.append(segment_texts[segment.segment_id])
         cursor = segment.end
     pieces.append(document.text[cursor:])
-    return RepairedNarrative(document.doc_id, "".join(pieces), tuple(applied))
+    return "".join(pieces)

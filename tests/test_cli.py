@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from bpmndiverge import bpmn, cli
+from bpmndiverge import bpmn, cli, repair
 from bpmndiverge.bpmn import serialize_bpmn
 from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
 from bpmndiverge.repair import NarrativeDocument
@@ -556,6 +556,40 @@ class TestRepair:
     def test_repair_requires_report(self, out, capsys):
         assert run_city1(out, "repair") == 2
         assert "run report first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda entry: {**entry, "id": "AMB-1"}, "ambiguity id 'AMB-1' is used twice"),
+            (
+                lambda entry: {key: entry[key] for key in entry if key != "id"},
+                "every ambiguity must be an object with a string id",
+            ),
+            (lambda entry: 1, "every ambiguity must be an object with a string id"),
+        ],
+        ids=["repeated id", "no id", "not an object"],
+    )
+    def test_bad_second_ambiguity_is_refused_before_any_provider_call(
+        self, out, capsys, monkeypatch, damage, message
+    ):
+        full_pipeline(out)
+        path = out / "ambiguity_report.json"
+        report = read_json(path)
+        report["ambiguities"][1] = damage(report["ambiguities"][1])
+        path.write_text(json.dumps(report))
+        calls = []
+        rewrite = repair.CannedRewriteProvider.rewrite
+
+        def spy(self, request):
+            calls.append(request["ambiguity_id"])
+            return rewrite(self, request)
+
+        monkeypatch.setattr(repair.CannedRewriteProvider, "rewrite", spy)
+        capsys.readouterr()
+        assert run_city1(out, "repair") == 2
+        assert capsys.readouterr().err == f"error: ambiguity_report.json: {message}\n"
+        assert calls == []
+        assert not (out / "repairs.json").exists()
 
     def test_http_provider_receives_env_token(self, out, tmp_path, monkeypatch):
         seen = []

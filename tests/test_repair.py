@@ -19,6 +19,7 @@ from bpmndiverge.repair import (
     NarrativeDocument,
     ProviderMalformedResponseError,
     ProviderUnavailableError,
+    RepairOutcome,
     RepairRecord,
     Segment,
     build_ambiguity_report,
@@ -52,7 +53,7 @@ def localization(diagnosed, strict_model, broad_model, narrative_doc):
 def report(diagnosed, localization, narrative_doc):
     entropy_summary = {"h_norm": 1.0, "category": "low", "combos": 2}
     return build_ambiguity_report(
-        narrative_doc.doc_id, localization, entropy_summary, diagnosed
+        narrative_doc.doc_id, *localization, entropy_summary, diagnosed
     )
 
 
@@ -147,57 +148,58 @@ class TestTokens:
 
 class TestLocalization:
     def test_city1_instances(self, localization):
-        assert localization.unlocalized == ()
-        first, second = localization.instances
-        assert first.ambiguity_id == "AMB-1"
-        assert first.segment_id == "seg-2"
-        assert Fraction(first.score).limit_denominator(1000) == Fraction(8, 45)
-        assert second.ambiguity_id == "AMB-2"
-        assert second.segment_id == "seg-4"
-        assert second.score == 0.16
+        ambiguities, unlocalized = localization
+        assert unlocalized == []
+        first, second = ambiguities
+        assert first["id"] == "AMB-1"
+        assert first["segment_id"] == "seg-2"
+        assert Fraction(first["score"]).limit_denominator(1000) == Fraction(8, 45)
+        assert second["id"] == "AMB-2"
+        assert second["segment_id"] == "seg-4"
+        assert second["score"] == 0.16
 
     def test_gateway_roles(self, localization):
-        first = localization.instances[0]
-        roles = [(ref.role, ref.model_id, ref.gateway_id) for ref in first.gateways]
+        first = localization[0][0]
+        roles = [(ref["role"], ref["model_id"], ref["gateway_id"]) for ref in first["gateways"]]
         assert roles == [
             ("target", "city1_or_broad", "n3"),
             ("reference", "city1_and_strict", "g_elig"),
         ]
-        assert all(ref.label == "Check Inclusion Eligibility" for ref in first.gateways)
+        assert all(ref["label"] == "Check Inclusion Eligibility" for ref in first["gateways"])
 
     def test_excerpt_is_the_segment_text(self, localization, narrative_doc):
-        for instance in localization.instances:
-            assert instance.excerpt == narrative_doc.segment(instance.segment_id).text
+        for entry in localization[0]:
+            assert entry["excerpt"] == narrative_doc.segment(entry["segment_id"]).text
 
     def test_interpretations_carry_both_readings(self, localization):
-        first = localization.instances[0]
-        by_model = {i.model_id: i for i in first.interpretations}
-        assert by_model["city1_and_strict"].exercised_condition == (
+        first = localization[0][0]
+        by_model = {i["model_id"]: i for i in first["interpretations"]}
+        assert by_model["city1_and_strict"]["exercised_condition"] == (
             "((Fasting_Blood_Glucose >= 126 OR HbA1c >= 6.5)"
             " AND Diabetes_Under_Treatment == 1)"
         )
-        assert by_model["city1_or_broad"].exercised_condition == (
+        assert by_model["city1_or_broad"]["exercised_condition"] == (
             "(Diabetes_Under_Treatment == 1 OR Fasting_Blood_Glucose >= 126"
             " OR HbA1c >= 6.5)"
         )
-        assert "routes" in by_model["city1_or_broad"].reading
+        assert "routes" in by_model["city1_or_broad"]["reading"]
 
     def test_acceptance_interpretations(self, localization):
-        second = localization.instances[1]
-        by_model = {i.model_id: i for i in second.interpretations}
-        assert by_model["city1_and_strict"].exercised_condition == (
+        second = localization[0][1]
+        by_model = {i["model_id"]: i for i in second["interpretations"]}
+        assert by_model["city1_and_strict"]["exercised_condition"] == (
             "(Consent_Submitted == 1 AND Health_Guidance == 1)"
         )
-        assert by_model["city1_or_broad"].exercised_condition == "Consent_Submitted == 1"
+        assert by_model["city1_or_broad"]["exercised_condition"] == "Consent_Submitted == 1"
 
     def test_high_threshold_leaves_gateways_unlocalized(
         self, diagnosed, strict_model, broad_model, narrative_doc
     ):
-        result = localize_ambiguity(
+        ambiguities, unlocalized = localize_ambiguity(
             diagnosed[2], broad_model, strict_model, narrative_doc, threshold=0.5
         )
-        assert result.instances == ()
-        assert result.unlocalized == ("n3", "n5")
+        assert ambiguities == []
+        assert unlocalized == ["n3", "n5"]
 
 
 def _gateway_chain(model_id, gateways):
@@ -226,27 +228,27 @@ class TestOneAmbiguityPerSegment:
         target = _gateway_chain("target", gateways)
         reference = _gateway_chain("reference", gateways)
         doc = NarrativeDocument.from_text("d", "Check age and weight.\n\nSend the bill.\n")
-        result = localize_ambiguity([["g1", "g2"]], target, reference, doc)
-        (instance,) = result.instances
-        assert (instance.ambiguity_id, instance.segment_id) == ("AMB-1", "seg-1")
-        assert instance.excerpt == "Check age and weight."
-        assert instance.score == 0.5
-        assert [(ref.role, ref.gateway_id) for ref in instance.gateways] == [
+        ambiguities, _ = localize_ambiguity([["g1", "g2"]], target, reference, doc)
+        (entry,) = ambiguities
+        assert (entry["id"], entry["segment_id"]) == ("AMB-1", "seg-1")
+        assert entry["excerpt"] == "Check age and weight."
+        assert entry["score"] == 0.5
+        assert [(ref["role"], ref["gateway_id"]) for ref in entry["gateways"]] == [
             ("target", "g1"),
             ("reference", "g1"),
             ("target", "g2"),
             ("reference", "g2"),
         ]
-        assert [(i.model_id, i.exercised_condition) for i in instance.interpretations] == [
+        assert [(i["model_id"], i["exercised_condition"]) for i in entry["interpretations"]] == [
             ("reference", "Age == 1"),
             ("target", "Age == 1"),
             ("reference", "Weight == 1"),
             ("target", "Weight == 1"),
         ]
-        report = build_ambiguity_report("d", result, {}, ("reference", "target", [["g1", "g2"]]))
-        record = RepairRecord("AMB-1", "Check age, then weight.", "r", ("e",))
-        repaired = reconstruct_narrative(doc, [record], report["ambiguities"])
-        assert repaired.text == "Check age, then weight.\n\nSend the bill.\n"
+        revised = "Check age, then weight."
+        record = RepairRecord("AMB-1", "seg-1", entry["excerpt"], revised, "r", ("e",))
+        repaired = reconstruct_narrative(doc, [record])
+        assert repaired == "Check age, then weight.\n\nSend the bill.\n"
 
     @settings(deadline=None)
     @given(
@@ -261,23 +263,34 @@ class TestOneAmbiguityPerSegment:
         doc = NarrativeDocument.from_text("d", "\n\n".join(map(" ".join, paragraphs)) + "\n")
         target = _gateway_chain("target", target_gateways)
         refined = [[f"g{i}" for i in range(1, len(target_gateways) + 1)]]
-        result = localize_ambiguity(
+        ambiguities, unlocalized = localize_ambiguity(
             refined, target, _gateway_chain("reference", reference_gateways), doc
         )
-        segment_ids = [instance.segment_id for instance in result.instances]
+        segment_ids = [entry["segment_id"] for entry in ambiguities]
         assert len(segment_ids) == len(set(segment_ids))
-        for instance in result.instances:
-            assert len(set(instance.gateways)) == len(instance.gateways)
-            assert len(set(instance.interpretations)) == len(instance.interpretations)
+        for entry in ambiguities:
+            gateways = [tuple(ref.values()) for ref in entry["gateways"]]
+            interpretations = [tuple(i.values()) for i in entry["interpretations"]]
+            assert len(set(gateways)) == len(gateways)
+            assert len(set(interpretations)) == len(interpretations)
         localized = [
-            ref.gateway_id for i in result.instances for ref in i.gateways if ref.role == "target"
+            ref["gateway_id"]
+            for entry in ambiguities
+            for ref in entry["gateways"]
+            if ref["role"] == "target"
         ]
-        assert sorted(localized + list(result.unlocalized)) == sorted(refined[0])
-        report = build_ambiguity_report(doc.doc_id, result, {}, ("reference", "target", refined))
-        ambiguities = report["ambiguities"]
-        records = [RepairRecord(entry["id"], revised, "r", ("e",)) for entry in ambiguities]
-        repaired = reconstruct_narrative(doc, records, ambiguities)
-        assert len(repaired.applied) == len(result.instances)
+        assert sorted(localized + unlocalized) == sorted(refined[0])
+        report = build_ambiguity_report(
+            doc.doc_id, ambiguities, unlocalized, {}, ("reference", "target", refined)
+        )
+        response = {"revised_excerpt": revised, "rationale": "r", "evidence_refs": ["e"]}
+        provider = CannedRewriteProvider({entry["id"]: response for entry in ambiguities})
+        supplemental = NarrativeDocument.from_text("s", "")
+        outcome = propose_repairs(report["ambiguities"], doc, supplemental, provider)
+        assert outcome.rejected == ()
+        assert len(outcome.records) == len(ambiguities)
+        # Every record applies: each ambiguity's whole segment becomes ``revised``.
+        assert reconstruct_narrative(doc, outcome.records).count(revised) >= len(ambiguities)
 
 
 class TestReport:
@@ -329,7 +342,7 @@ class TestReport:
 
     def test_no_divergence_report(self, localization, narrative_doc):
         report = build_ambiguity_report(
-            narrative_doc.doc_id, localization, {"h_norm": 0.0}, None
+            narrative_doc.doc_id, *localization, {"h_norm": 0.0}, None
         )
         assert report["diagnosis"] == {"status": "no_divergence"}
 
@@ -353,8 +366,11 @@ class CapturingProvider:
 class TestProposeRepairs:
     def test_request_payload(self, report, narrative_doc, supplemental_doc):
         provider = CapturingProvider()
-        outcome = propose_repairs(report, narrative_doc, supplemental_doc, provider)
+        outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
         assert [r.ambiguity_id for r in outcome.records] == ["AMB-1", "AMB-2"]
+        assert [(r.segment_id, r.excerpt) for r in outcome.records] == [
+            (entry["segment_id"], entry["excerpt"]) for entry in report["ambiguities"]
+        ]
         assert outcome.rejected == ()
         first = provider.requests[0]
         assert first["ambiguity_id"] == "AMB-1"
@@ -366,7 +382,9 @@ class TestProposeRepairs:
         assert first["interpretations"] == report["ambiguities"][0]["interpretations"]
 
     def test_canned_round_trip(self, report, narrative_doc, supplemental_doc, canned_provider):
-        outcome = propose_repairs(report, narrative_doc, supplemental_doc, canned_provider)
+        outcome = propose_repairs(
+            report["ambiguities"], narrative_doc, supplemental_doc, canned_provider
+        )
         assert len(outcome.records) == 2
         assert outcome.rejected == ()
         for record in outcome.records:
@@ -380,7 +398,7 @@ class TestProposeRepairs:
         provider = CannedRewriteProvider({"AMB-1": {
             "revised_excerpt": "x", "rationale": "y", "evidence_refs": ["z"],
         }})
-        outcome = propose_repairs(report, narrative_doc, supplemental_doc, provider)
+        outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
         assert [r.ambiguity_id for r in outcome.records] == ["AMB-1"]
         assert [r.ambiguity_id for r in outcome.rejected] == ["AMB-2"]
         assert "no canned response" in outcome.rejected[0].reason
@@ -402,7 +420,7 @@ class TestProposeRepairs:
     ):
         responses = {"AMB-1": response, "AMB-2": response}
         provider = CannedRewriteProvider(responses)
-        outcome = propose_repairs(report, narrative_doc, supplemental_doc, provider)
+        outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
         assert outcome.records == ()
         assert len(outcome.rejected) == 2
         assert reason in outcome.rejected[0].reason
@@ -410,8 +428,8 @@ class TestProposeRepairs:
     def test_stale_excerpt_rejected_before_provider_call(
         self, report, narrative_doc, supplemental_doc
     ):
-        tampered = json.loads(json.dumps(report))
-        tampered["ambiguities"][0]["excerpt"] = "text that never occurs"
+        tampered = json.loads(json.dumps(report["ambiguities"]))
+        tampered[0]["excerpt"] = "text that never occurs"
         provider = CapturingProvider()
         outcome = propose_repairs(tampered, narrative_doc, supplemental_doc, provider)
         assert [r.ambiguity_id for r in outcome.rejected] == ["AMB-1"]
@@ -419,8 +437,8 @@ class TestProposeRepairs:
         assert [req["ambiguity_id"] for req in provider.requests] == ["AMB-2"]
 
     def test_unknown_segment_rejected(self, report, narrative_doc, supplemental_doc):
-        tampered = json.loads(json.dumps(report))
-        tampered["ambiguities"][1]["segment_id"] = "seg-99"
+        tampered = json.loads(json.dumps(report["ambiguities"]))
+        tampered[1]["segment_id"] = "seg-99"
         outcome = propose_repairs(
             tampered, narrative_doc, supplemental_doc, CapturingProvider()
         )
@@ -428,8 +446,37 @@ class TestProposeRepairs:
         assert "seg-99" in outcome.rejected[0].reason
 
     def test_report_without_ambiguities(self, narrative_doc, supplemental_doc):
-        with pytest.raises(ValueError, match="ambiguities"):
-            propose_repairs({}, narrative_doc, supplemental_doc, CapturingProvider())
+        # A report that lacks the list altogether is refused by the repair
+        # command, which reads it (see test_cli's malformed-artifact cases).
+        provider = CapturingProvider()
+        outcome = propose_repairs([], narrative_doc, supplemental_doc, provider)
+        assert outcome == RepairOutcome((), ())
+        assert provider.requests == []
+
+    def test_repeated_id_is_refused_before_any_provider_call(
+        self, report, narrative_doc, supplemental_doc
+    ):
+        tampered = json.loads(json.dumps(report["ambiguities"]))
+        tampered[1]["id"] = "AMB-1"
+        provider = CapturingProvider()
+        with pytest.raises(
+            ValueError, match="ambiguity_report.json: ambiguity id 'AMB-1' is used twice"
+        ):
+            propose_repairs(tampered, narrative_doc, supplemental_doc, provider)
+        assert provider.requests == []
+
+    @pytest.mark.parametrize("second", [1, "AMB-2", {"segment_id": "seg-4"}, {"id": 2}])
+    def test_malformed_entry_is_refused_before_any_provider_call(
+        self, report, narrative_doc, supplemental_doc, second
+    ):
+        ambiguities = [report["ambiguities"][0], second]
+        provider = CapturingProvider()
+        with pytest.raises(
+            ValueError,
+            match="ambiguity_report.json: every ambiguity must be an object with a string id",
+        ):
+            propose_repairs(ambiguities, narrative_doc, supplemental_doc, provider)
+        assert provider.requests == []
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -600,10 +647,10 @@ class TestReconstruction:
     def test_city1_splice(
         self, report, narrative_doc, supplemental_doc, canned_provider, narrative_text
     ):
-        outcome = propose_repairs(report, narrative_doc, supplemental_doc, canned_provider)
-        repaired = reconstruct_narrative(
-            narrative_doc, outcome.records, report["ambiguities"]
+        outcome = propose_repairs(
+            report["ambiguities"], narrative_doc, supplemental_doc, canned_provider
         )
+        repaired = reconstruct_narrative(narrative_doc, outcome.records)
         seg2 = narrative_doc.segment("seg-2")
         seg4 = narrative_doc.segment("seg-4")
         revised = {r.ambiguity_id: r.revised_excerpt for r in outcome.records}
@@ -614,59 +661,42 @@ class TestReconstruction:
             + revised["AMB-2"]
             + narrative_text[seg4.end :]
         )
-        assert repaired.text == expected
-        assert repaired.doc_id == narrative_doc.doc_id
-        assert [r.ambiguity_id for r in repaired.applied] == ["AMB-1", "AMB-2"]
+        assert repaired == expected
+        assert [r.ambiguity_id for r in outcome.records] == ["AMB-1", "AMB-2"]
 
     def test_partial_excerpt_replaces_first_occurrence_only(self):
         doc = NarrativeDocument.from_text("d", "say yes or say yes\n\nother\n")
-        record = RepairRecord("AMB-1", "say NO", "r", ("e",))
-        instances = [{"id": "AMB-1", "segment_id": "seg-1", "excerpt": "say yes"}]
-        repaired = reconstruct_narrative(doc, [record], instances)
-        assert repaired.text == "say NO or say yes\n\nother\n"
+        entry = {"id": "AMB-1", "segment_id": "seg-1", "excerpt": "say yes"}
+        response = {"revised_excerpt": "say NO", "rationale": "r", "evidence_refs": ["e"]}
+        provider = CannedRewriteProvider({"AMB-1": response})
+        outcome = propose_repairs([entry], doc, NarrativeDocument.from_text("s", ""), provider)
+        repaired = reconstruct_narrative(doc, outcome.records)
+        assert repaired == "say NO or say yes\n\nother\n"
 
-    def test_repairs_applied_in_id_order(self, narrative_doc):
+    def test_repairs_applied_in_id_order(self, narrative_doc, narrative_text):
+        # AMB-2 rewrites what AMB-1 wrote, so it only applies after AMB-1.
+        seg1 = narrative_doc.segment("seg-1")
         records = [
-            RepairRecord("AMB-2", "two", "r", ("e",)),
-            RepairRecord("AMB-1", "one", "r", ("e",)),
+            RepairRecord("AMB-2", "seg-1", "one", "two", "r", ("e",)),
+            RepairRecord("AMB-1", "seg-1", seg1.text, "one", "r", ("e",)),
         ]
-        instances = [
-            {"id": "AMB-1", "segment_id": "seg-1", "excerpt": narrative_doc.segment("seg-1").text},
-            {"id": "AMB-2", "segment_id": "seg-3", "excerpt": narrative_doc.segment("seg-3").text},
-        ]
-        repaired = reconstruct_narrative(narrative_doc, records, instances)
-        assert [r.ambiguity_id for r in repaired.applied] == ["AMB-1", "AMB-2"]
+        repaired = reconstruct_narrative(narrative_doc, records)
+        assert repaired == narrative_text[: seg1.start] + "two" + narrative_text[seg1.end :]
 
     def test_repairs_applied_in_numeric_id_order(self):
         # Each repair rewrites the word the next one looks for, so the text
         # only comes out right when AMB-2 runs before AMB-10.
         doc = NarrativeDocument.from_text("d", "w1\n")
-        records = [RepairRecord(f"AMB-{n}", f"w{n + 1}", "r", ("e",)) for n in range(11, 0, -1)]
-        instances = [
-            {"id": f"AMB-{n}", "segment_id": "seg-1", "excerpt": f"w{n}"} for n in range(1, 12)
+        records = [
+            RepairRecord(f"AMB-{n}", "seg-1", f"w{n}", f"w{n + 1}", "r", ("e",))
+            for n in range(11, 0, -1)
         ]
-        repaired = reconstruct_narrative(doc, records, instances)
-        assert [r.ambiguity_id for r in repaired.applied] == [f"AMB-{n}" for n in range(1, 12)]
-        assert repaired.text == "w12\n"
+        assert reconstruct_narrative(doc, records) == "w12\n"
 
     def test_stale_excerpt(self, narrative_doc):
-        record = RepairRecord("AMB-1", "x", "r", ("e",))
-        instances = [{"id": "AMB-1", "segment_id": "seg-1", "excerpt": "never there"}]
+        record = RepairRecord("AMB-1", "seg-1", "never there", "x", "r", ("e",))
         with pytest.raises(ExcerptNotFoundError, match="not found"):
-            reconstruct_narrative(narrative_doc, [record], instances)
-
-    def test_unknown_instance(self, narrative_doc):
-        record = RepairRecord("AMB-9", "x", "r", ("e",))
-        with pytest.raises(ExcerptNotFoundError, match="no matching"):
-            reconstruct_narrative(narrative_doc, (record,), [])
-
-    def test_unknown_segment(self, narrative_doc):
-        record = RepairRecord("AMB-1", "x", "r", ("e",))
-        instances = [{"id": "AMB-1", "segment_id": "seg-99", "excerpt": "x"}]
-        with pytest.raises(ExcerptNotFoundError, match="seg-99"):
-            reconstruct_narrative(narrative_doc, [record], instances)
+            reconstruct_narrative(narrative_doc, [record])
 
     def test_no_repairs_is_identity(self, narrative_doc, narrative_text):
-        repaired = reconstruct_narrative(narrative_doc, [], [])
-        assert repaired.text == narrative_text
-        assert repaired.applied == ()
+        assert reconstruct_narrative(narrative_doc, []) == narrative_text
