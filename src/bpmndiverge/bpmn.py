@@ -118,7 +118,6 @@ class ProcessModel:
     metadata: Mapping[str, str] = field(default_factory=dict, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
     _outgoing: dict = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _flow_by_id: dict = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         by_id: dict[str, Node] = {}
@@ -160,16 +159,12 @@ class ProcessModel:
                 raise InvalidModelError(f"gateway {node.id!r} has multiple default flows")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_outgoing", {k: tuple(v) for k, v in outgoing.items()})
-        object.__setattr__(self, "_flow_by_id", {f.id: f for f in self.flows})
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
 
     def outgoing(self, node_id: str) -> tuple[SequenceFlow, ...]:
         return self._outgoing[node_id]
-
-    def flow(self, flow_id: str) -> SequenceFlow:
-        return self._flow_by_id[flow_id]
 
     @property
     def end_nodes(self) -> tuple[str, ...]:

@@ -165,7 +165,7 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
         payload: dict[str, object] = {
             "model_id": model.model_id,
             "source": source,
-            "cases_total": result.cases_total,
+            "cases_total": len(cases),
             "kpis": result.kpis.as_json_dict(),
             "errors": [
                 {"case_id": case_id, "reason": reason} for case_id, reason in result.errors
@@ -334,9 +334,10 @@ def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
         print(f"no divergence -> {path}")
         return 0
     atomic_write(path, dump_json({"status": "diagnosed", **diagnosis.diagnosis_report(result)}))
-    refined = [list(d.sorted_gateways) for d in result.chosen.refined]
+    problem = result.chosen.problem
+    refined = [list(d) for d in result.chosen.refined]
     print(
-        f"reference={result.reference_model_id} target={result.target_model_id} "
+        f"reference={problem.reference_model_id} target={problem.target_model_id} "
         f"refined_diagnoses={refined} -> {path}"
     )
     return 0

@@ -18,6 +18,7 @@ identifiers match ``[A-Za-z_][A-Za-z0-9_]*``, and numeric literals are exact
 decimals (no binary floating point anywhere in the pipeline).  Exactly one
 side of a comparison must be a variable; a comparison under NOT must be
 parenthesized because NOT binds tighter than the comparison operators.
+Parentheses and NOTs nest at most ``MAX_NESTING`` deep, counted together.
 
 Normalization is purely syntactic: it flattens nested same-operator
 conjunctions/disjunctions, sorts operands by their canonical rendering,
@@ -32,11 +33,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 Value = Union[Decimal, bool, str]
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+# Deep enough for any real condition, shallow enough that parsing and every
+# recursive walk of the AST stay far below the default recursion limit.
+MAX_NESTING = 32
 _MIRROR = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
@@ -159,6 +163,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0  # parentheses and NOTs open around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -177,6 +182,16 @@ class _Parser:
                 expected,
             )
         return self.advance()
+
+    def _nested(self, parse: Callable[[], ConditionAst]) -> ConditionAst:
+        """Consume the "(" or NOT that opens a level, then ``parse()`` inside it."""
+        tok = self.advance()
+        if self.depth == MAX_NESTING:
+            raise ConditionParseError(f"nested deeper than {MAX_NESTING} levels", tok.offset)
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
 
     def parse(self) -> ConditionAst:
         ast = self.or_expr()
@@ -207,16 +222,14 @@ class _Parser:
 
     def negation(self) -> ConditionAst:
         if self.peek().kind == "not":
-            self.advance()
-            return Not(self._negand())
+            return Not(self._nested(self._negand))
         return self.atom()
 
     def _negand(self) -> ConditionAst:
         # NOT binds tighter than comparison, so "NOT x >= 5" is rejected
         # rather than silently negating the comparison.
         if self.peek().kind == "not":
-            self.advance()
-            return Not(self._negand())
+            return Not(self._nested(self._negand))
         tok = self.peek()
         if tok.kind == "lparen":
             return self._parenthesized()
@@ -242,8 +255,7 @@ class _Parser:
             )
 
     def _parenthesized(self) -> ConditionAst:
-        self.advance()
-        inner = self.or_expr()
+        inner = self._nested(self.or_expr)
         self.expect("rparen", "')'")
         if self.peek().kind == "op":
             tok = self.peek()
@@ -329,7 +341,8 @@ def format_value(value: Value) -> str:
 
 
 def to_text(ast: ConditionAst) -> str:
-    """Stable single-line rendering.  Faithful: re-parsing yields an equal AST."""
+    """Stable single-line rendering.  Faithful: re-parsing yields an equal AST
+    (rendering parenthesizes every AND/OR, so it may nest past MAX_NESTING)."""
     if isinstance(ast, Literal):
         return "TRUE" if ast.value else "FALSE"
     if isinstance(ast, VarRef):

@@ -9,14 +9,19 @@ A case diverges when its reference and target KPI sequences differ, so
 order and repeated emissions count.  Cases that take the same path on both
 models form a class pair (the intersection of a path class of each model)
 and share one comparison: the earliest difference between the two
-sequences is located once per pair, and the gateways on the target walk
-strictly between the last agreeing emission and the first diverging one
-form the conflict set of every case in the pair.  Subset-minimal hitting
-sets over the conflict family are the diagnosis candidates; a refinement
-pass, also once per class pair, removes gateways whose exercised branch
-conditions are syntactically equal (after canonicalization) to conditions
-exercised on the reference side, which discharges harmless operand-order
-rewrites without hiding real logic changes.
+sequences, at emission ``index``, is located once per pair.  The conflict
+set of the pair's cases is the window on the target walk: its exclusive
+gateways, each once, strictly between the step that made emission
+``index - 1`` (or the walk start) and the step that made emission
+``index`` (or the walk end).  The window is empty, and the divergence
+unattributable, when no gateway lies there, as when one task made both
+emissions.  A diagnosis is a sorted tuple of target gateway ids; the
+subset-minimal hitting sets of the conflict family are the candidates.  A
+refinement pass, also once per class pair, removes gateways whose
+exercised branch conditions are syntactically equal (after
+canonicalization) to conditions exercised on the reference side, which
+discharges harmless operand-order rewrites without hiding real logic
+changes.
 
 Choosing which model is reference and which is target carries no claim of
 correctness; the orientation is picked only for explanatory parsimony.
@@ -108,23 +113,7 @@ class DiagnosisProblem:
     failed_cases: tuple[tuple[str, str], ...]  # (case id, reason)
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    gateways: frozenset[str]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.gateways)
-
-    @property
-    def sorted_gateways(self) -> tuple[str, ...]:
-        return tuple(sorted(self.gateways))
-
-
-@dataclass(frozen=True)
-class HittingSetResult:
-    diagnoses: tuple[Diagnosis, ...]
-    truncated: bool
+Diagnosis = tuple[str, ...]  # sorted target gateway ids
 
 
 @dataclass(frozen=True)
@@ -132,18 +121,16 @@ class DiagnosisRun:
     """Everything computed for one reference/target orientation."""
 
     problem: DiagnosisProblem
-    hitting: HittingSetResult
+    diagnoses: tuple[Diagnosis, ...]  # the minimal hitting sets
+    truncated: bool  # some hitting set exceeded the cardinality cap
     refined: tuple[Diagnosis, ...]
 
 
 @dataclass(frozen=True)
 class DirectionResult:
-    reference_model_id: str
-    target_model_id: str
     chosen: DiagnosisRun
     reverse: DiagnosisRun
     observations: tuple[Observation, ...]  # of the chosen orientation
-    note: str = ORIENTATION_NOTE
 
 
 def compare_observations(
@@ -202,42 +189,25 @@ def first_divergence(ref_seq: KpiSequence, tgt_seq: KpiSequence) -> Divergence |
     )
 
 
-def _step_of_emission(trace: Trace, model: ProcessModel, emission_index: int) -> int:
-    """Step index at which the trace produced its emission_index-th emission."""
-    count = 0
-    for step_index, node_id in enumerate(trace.steps):
-        node = model.node(node_id)
-        if node.kind is NodeKind.TASK and node.kpi_outputs:
-            count += len(node.kpi_outputs)
-            if count > emission_index:
-                return step_index
-    raise IndexError(f"trace has no emission index {emission_index}")
-
-
 def conflict_from_divergence(
     divergence: Divergence, tgt_trace: Trace, tgt_model: ProcessModel
-) -> ConflictSet | None:
-    """Gateways strictly inside the divergence window on the target trace.
-
-    Returns None when the window contains no gateway; such divergences are
-    reported as unattributable rather than silently widened.
-    """
-    if divergence.index > 0:
-        start = _step_of_emission(tgt_trace, tgt_model, divergence.index - 1)
-    else:
-        start = -1
-    if divergence.t_first == TRACE_END:
-        end = len(tgt_trace.steps)
-    else:
-        end = _step_of_emission(tgt_trace, tgt_model, divergence.index)
-    seen: list[str] = []
-    for step_index in range(start + 1, end):
-        node = tgt_model.node(tgt_trace.steps[step_index])
-        if node.kind is NodeKind.EXCLUSIVE_GATEWAY and node.id not in seen:
-            seen.append(node.id)
-    if not seen:
-        return None
-    return ConflictSet(tuple(seen), (divergence.case_id,))
+) -> tuple[str, ...]:
+    """The exclusive gateways, in first-visit order, that the target trace
+    visits strictly between its emissions ``index - 1`` and ``index``.  An
+    empty window is reported as unattributable, not silently widened."""
+    window: dict[str, None] = {}
+    emitted = 0
+    for node_id in tgt_trace.steps:
+        node = tgt_model.node(node_id)
+        if node.kind is NodeKind.EXCLUSIVE_GATEWAY:
+            window[node_id] = None
+        elif node.kpi_outputs:
+            before, emitted = emitted, emitted + len(node.kpi_outputs)
+            if emitted > divergence.index:
+                # This step made emission index, and index - 1 too if before < index.
+                return () if before < divergence.index else tuple(window)
+            window = {}
+    return tuple(window)
 
 
 class _Path(NamedTuple):
@@ -269,16 +239,15 @@ def _class_pairs(
 def _minimal_diagnoses(candidates: Iterable[frozenset[str]]) -> tuple[Diagnosis, ...]:
     """The subset-minimal candidates, smallest first, then by sorted ids."""
     distinct = set(candidates)
-    minimal = [c for c in distinct if not any(other < c for other in distinct)]
-    return tuple(
-        Diagnosis(c) for c in sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
-    )
+    minimal = [tuple(sorted(c)) for c in distinct if not any(other < c for other in distinct)]
+    return tuple(sorted(minimal, key=lambda d: (len(d), d)))
 
 
 def minimal_hitting_sets(
     problem: DiagnosisProblem, *, max_cardinality: int = DEFAULT_MAX_CARDINALITY
-) -> HittingSetResult:
-    """All subset-minimal hitting sets of the conflict family.
+) -> tuple[tuple[Diagnosis, ...], bool]:
+    """All subset-minimal hitting sets of the conflict family, and whether
+    any was cut off by the cardinality cap.
 
     Exact enumeration over the conflict tree; every element of the first
     conflict not yet hit spawns a branch.  Candidates above the cardinality
@@ -306,7 +275,7 @@ def minimal_hitting_sets(
             search(partial | {element})
 
     search(frozenset())
-    return HittingSetResult(_minimal_diagnoses(complete), truncated)
+    return _minimal_diagnoses(complete), truncated
 
 
 def refine_diagnoses(
@@ -314,7 +283,7 @@ def refine_diagnoses(
     ref_model: ProcessModel,
     tgt_model: ProcessModel,
     support: Mapping[str, Sequence[tuple[Trace, Trace]]],
-) -> list[Diagnosis]:
+) -> tuple[Diagnosis, ...]:
     """Drop gateways whose divergent-case behavior is explained by syntactic
     rewriting only.  ``support`` maps each conflict gateway to the
     (reference walk, target walk) pairs of the divergent cases behind it;
@@ -346,10 +315,10 @@ def refine_diagnoses(
                 return False
         return True
 
-    gateways = {g for diagnosis in diagnoses for g in diagnosis.gateways}
+    gateways = {g for diagnosis in diagnoses for g in diagnosis}
     removed = {g for g in gateways if removable(g)}
-    pruned = {diagnosis.gateways - removed for diagnosis in diagnoses}
-    return list(_minimal_diagnoses(pruned - {frozenset()}))
+    pruned = {frozenset(diagnosis) - removed for diagnosis in diagnoses}
+    return _minimal_diagnoses(pruned - {frozenset()})
 
 
 def _run_orientation(
@@ -385,12 +354,12 @@ def _run_orientation(
         if divergence is None:
             continue
         ids = case_ids(cases, members)
-        conflict = conflict_from_divergence(divergence, tgt.walk, tgt_model)
-        if conflict is None:
+        gateways = conflict_from_divergence(divergence, tgt.walk, tgt_model)
+        if not gateways:
             unattributable.extend(replace(divergence, case_id=case_id) for case_id in ids)
             continue
-        conflicts.setdefault(conflict.gateways, []).extend(ids)
-        for gateway in conflict.gateways:
+        conflicts.setdefault(gateways, []).extend(ids)
+        for gateway in gateways:
             support.setdefault(gateway, []).append((ref.walk, tgt.walk))
     merged = tuple(
         ConflictSet(gateways, tuple(sorted(ids))) for gateways, ids in sorted(conflicts.items())
@@ -403,23 +372,22 @@ def _run_orientation(
         unattributable=tuple(sorted(unattributable, key=lambda d: d.case_id)),
         failed_cases=tuple(failed),
     )
-    hitting = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
-    refined = refine_diagnoses(hitting.diagnoses, ref_model, tgt_model, support)
-    return DiagnosisRun(problem, hitting, tuple(refined))
+    diagnoses, truncated = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
+    refined = refine_diagnoses(diagnoses, ref_model, tgt_model, support)
+    return DiagnosisRun(problem, diagnoses, truncated, refined)
 
 
 def _ranking_key(run: DiagnosisRun) -> tuple[float, float, str]:
     """Smaller is better: (minimum refined cardinality, refined count,
     reference model id).
 
-    An orientation with no conflicts or no surviving nonempty diagnosis
-    localizes nothing and ranks behind any that does.
+    An orientation with no conflicts or no refined diagnosis (refinement
+    drops empty ones) localizes nothing and ranks behind any that does.
     """
-    nonempty = [d for d in run.refined if d.cardinality > 0]
     reference = run.problem.reference_model_id
-    if not run.problem.conflicts or not nonempty:
+    if not run.problem.conflicts or not run.refined:
         return (math.inf, math.inf, reference)
-    return (nonempty[0].cardinality, len(nonempty), reference)
+    return (len(run.refined[0]), len(run.refined), reference)
 
 
 def choose_direction(
@@ -455,13 +423,7 @@ def choose_direction(
         ),
         key=lambda pair: pair[0].case_id,
     )
-    return DirectionResult(
-        reference_model_id=chosen.problem.reference_model_id,
-        target_model_id=chosen.problem.target_model_id,
-        chosen=chosen,
-        reverse=reverse,
-        observations=tuple(compare_observations(aligned)),
-    )
+    return DirectionResult(chosen, reverse, tuple(compare_observations(aligned)))
 
 
 def diagnosis_report(result: DirectionResult) -> dict:
@@ -473,19 +435,15 @@ def diagnosis_report(result: DirectionResult) -> dict:
     return {
         "reference_model": problem.reference_model_id,
         "target_model": problem.target_model_id,
-        "orientation_note": result.note,
+        "orientation_note": ORIENTATION_NOTE,
         "components": list(problem.components),
         "conflicts": [
             {"gateways": list(c.gateways), "case_ids": list(c.case_ids)}
             for c in problem.conflicts
         ],
-        "diagnoses": [
-            {"gateways": list(d.sorted_gateways)} for d in result.chosen.hitting.diagnoses
-        ],
-        "diagnoses_truncated": result.chosen.hitting.truncated,
-        "refined_diagnoses": [
-            {"gateways": list(d.sorted_gateways)} for d in result.chosen.refined
-        ],
+        "diagnoses": [{"gateways": list(d)} for d in result.chosen.diagnoses],
+        "diagnoses_truncated": result.chosen.truncated,
+        "refined_diagnoses": [{"gateways": list(d)} for d in result.chosen.refined],
         "unattributable": [
             {
                 "case_id": d.case_id,
@@ -514,8 +472,6 @@ def diagnosis_report(result: DirectionResult) -> dict:
         },
         "reverse_orientation": {
             "reference_model": result.reverse.problem.reference_model_id,
-            "refined_diagnoses": [
-                {"gateways": list(d.sorted_gateways)} for d in result.reverse.refined
-            ],
+            "refined_diagnoses": [{"gateways": list(d)} for d in result.reverse.refined],
         },
     }

@@ -125,10 +125,6 @@ class KpiVector:
 
     values: tuple[tuple[str, Decimal], ...]
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.values)
-
     def quantized(self, round_decimals: int) -> "KpiVector":
         exponent = Decimal(1).scaleb(-round_decimals)
         return KpiVector(
@@ -156,7 +152,6 @@ class PopulationResult:
     paths: tuple[CasePath, ...]  # of the successful cases, by first case
     kpis: KpiVector
     errors: tuple[tuple[str, str], ...]  # (case id, message)
-    cases_total: int
 
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
@@ -184,7 +179,11 @@ def read_csv_table(
     ``columns``, when given), which ``rule`` states; every row has one cell
     per column and a distinct, non-empty ``key`` cell.  Errors are
     ``CaseDataError`` messages that start with ``source``."""
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise CaseDataError(f"{source} line {reader.line_num}: {exc}") from None
     if not rows:
         raise CaseDataError(f"{source} is empty")
     header = [name.strip() for name in rows[0]]
@@ -499,5 +498,4 @@ def simulate_population(
         tuple(sorted(paths, key=lambda path: path.members & -path.members)),
         _kpi_vector(nc, hc, len(cases), config),
         tuple((cases[index].case_id, failures[index]) for index in sorted(failures)),
-        len(cases),
     )

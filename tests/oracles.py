@@ -4,7 +4,9 @@ The numeric oracles are written straight from the defining formulas with
 plain floats and brute-force enumeration, on purpose not reusing any
 package internals.  The per-case diagnosis oracle walks every case alone
 with ``execute_case`` and runs the package's per-case steps on it, so it
-checks that cases sharing a pair of paths may share one run of each step.
+checks that cases sharing a pair of paths may share one run of each step;
+the conflict window oracle finds the window's bounds by two scans of the
+target trace, against the package's single pass.
 The KPI recount oracle is ``scripts/recount_kpis.py``.
 """
 
@@ -51,6 +53,40 @@ def jaccard_oracle(a: Iterable[str], b: Iterable[str]) -> float:
     if not left and not right:
         return 0.0
     return len(left & right) / len(left | right)
+
+
+def _step_of_emission(trace: Trace, model: ProcessModel, emission_index: int) -> int:
+    """Step index at which the trace produced its emission_index-th emission."""
+    count = 0
+    for step_index, node_id in enumerate(trace.steps):
+        node = model.node(node_id)
+        if node.kind is NodeKind.TASK and node.kpi_outputs:
+            count += len(node.kpi_outputs)
+            if count > emission_index:
+                return step_index
+    raise IndexError(f"trace has no emission index {emission_index}")
+
+
+def conflict_window_oracle(
+    divergence: diagnosis.Divergence, tgt_trace: Trace, tgt_model: ProcessModel
+) -> tuple[str, ...]:
+    """The conflict window by two scans: find the steps of emissions
+    ``index - 1`` and ``index`` (the trace bounds where there is none), then
+    collect the gateways strictly between them, each once."""
+    if divergence.index > 0:
+        start = _step_of_emission(tgt_trace, tgt_model, divergence.index - 1)
+    else:
+        start = -1
+    if divergence.t_first == diagnosis.TRACE_END:
+        end = len(tgt_trace.steps)
+    else:
+        end = _step_of_emission(tgt_trace, tgt_model, divergence.index)
+    seen: list[str] = []
+    for step_index in range(start + 1, end):
+        node = tgt_model.node(tgt_trace.steps[step_index])
+        if node.kind is NodeKind.EXCLUSIVE_GATEWAY and node.id not in seen:
+            seen.append(node.id)
+    return tuple(seen)
 
 
 def per_case_support(
@@ -100,11 +136,11 @@ def per_case_diagnosis(
         )
         if divergence is None:
             continue
-        conflict = diagnosis.conflict_from_divergence(divergence, tgt_walk, tgt_model)
-        if conflict is None:
-            unattributable.append(divergence)
+        gateways = diagnosis.conflict_from_divergence(divergence, tgt_walk, tgt_model)
+        if gateways:
+            conflicts.setdefault(gateways, []).append(case_id)
         else:
-            conflicts.setdefault(conflict.gateways, []).append(case_id)
+            unattributable.append(divergence)
     problem = diagnosis.DiagnosisProblem(
         reference_model_id=ref_model.model_id,
         target_model_id=tgt_model.model_id,
@@ -118,7 +154,7 @@ def per_case_diagnosis(
         unattributable=tuple(unattributable),
         failed_cases=tuple(failed),
     )
-    hitting = diagnosis.minimal_hitting_sets(problem)
+    diagnoses, truncated = diagnosis.minimal_hitting_sets(problem)
     support = per_case_support(ref_model, tgt_model, problem, cases)
-    refined = diagnosis.refine_diagnoses(hitting.diagnoses, ref_model, tgt_model, support)
-    return diagnosis.DiagnosisRun(problem, hitting, tuple(refined))
+    refined = diagnosis.refine_diagnoses(diagnoses, ref_model, tgt_model, support)
+    return diagnosis.DiagnosisRun(problem, diagnoses, truncated, refined)

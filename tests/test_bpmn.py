@@ -65,14 +65,14 @@ class TestParsing:
     def test_city1_strict_structure(self, strict_model):
         assert strict_model.model_id == "city1_and_strict"
         assert strict_model.metadata["name"].startswith("City 1")
-        elig = strict_model.flow("f_eligible")
-        assert elig.condition is not None and not elig.is_default
-        assert strict_model.flow("f_not_eligible").is_default
+        flows = {flow.id: flow for flow in strict_model.flows}
+        assert flows["f_eligible"].condition is not None and not flows["f_eligible"].is_default
+        assert flows["f_not_eligible"].is_default
         assert strict_model.node("t_notify").kpi_outputs == ("NC",)
         assert strict_model.node("t_guide").label == "Provide Health Guidance"
 
     def test_condition_parsed_with_exact_decimals(self, strict_model):
-        condition = strict_model.flow("f_eligible").condition
+        condition = next(f for f in strict_model.flows if f.id == "f_eligible").condition
         literals = []
 
         def walk(ast):
@@ -176,6 +176,14 @@ class TestParsing:
         assert info.value.flow_id == "f2"
         assert info.value.source_id == "g"
         assert info.value.cause.offset == 5
+
+    def test_condition_nested_past_the_limit_names_its_flow(self):
+        body = serialize_bpmn(mk.branch_model("x >= 5")).replace(
+            "x &gt;= 5", "(" * 300 + "x &gt;= 5" + ")" * 300
+        )
+        with pytest.raises(GatewayConditionError, match="nested deeper than") as info:
+            parse_bpmn(body)
+        assert (info.value.flow_id, info.value.source_id) == ("fy", "g")
 
     def test_dangling_flow_reference(self):
         body = MINIMAL + '<bpmn:sequenceFlow id="f3" sourceRef="t" targetRef="ghost"/>'

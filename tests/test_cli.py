@@ -117,6 +117,13 @@ class TestSimulate:
         written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
         assert written == ["cases.csv", "models", "models/m.bpmn"]
 
+    def test_a_cell_over_the_csv_field_limit_is_a_data_error(self, out, tmp_path, capsys):
+        cases = tmp_path / "cases.csv"
+        cases.write_text(f"case_id,HbA1c\nc1,{'7' * 140_000}\n")
+        assert run_city1(out, "--cases", str(cases), "simulate") == 2
+        assert f"error: {cases} line 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKpiJson:
     def test_simulate_writes_what_dump_json_would(self, out, tmp_path):
@@ -128,7 +135,8 @@ class TestKpiJson:
             for path in (out / "kpis").glob("*.json"):
                 text = path.read_text()
                 assert text == cli.dump_json(json.loads(text))
-        assert read_json(out / "kpis" / "city1_and_strict.json")["traces"] == []
+        strict = read_json(out / "kpis" / "city1_and_strict.json")
+        assert (strict["cases_total"], strict["traces"]) == (2, [])
 
 
 class TestEntropy:
@@ -195,6 +203,13 @@ class TestEntropy:
         csv_path.write_text(f"model_id,NC,HC,RU,HI,CS\nm1,1,0,0,0,0\nm2,{cell},0,0,0,0\n")
         assert run_city1(out, "entropy", "--from-csv", str(csv_path)) == 2
         assert message in capsys.readouterr().err
+        assert not (out / "distribution.json").exists()
+
+    def test_from_csv_rejects_a_cell_over_the_field_limit(self, out, tmp_path, capsys):
+        csv_path = tmp_path / "vectors.csv"
+        csv_path.write_text(f"model_id,NC,HC,RU,HI,CS\nm1,1,0,0,0,0\nm2,{'1' * 140_000},0,0,0,0\n")
+        assert run_city1(out, "entropy", "--from-csv", str(csv_path)) == 2
+        assert "error: KPI CSV line 3: field larger than field limit" in capsys.readouterr().err
         assert not (out / "distribution.json").exists()
 
     def test_from_csv_rejects_a_duplicate_model_id(self, out, tmp_path, capsys):
@@ -787,6 +802,18 @@ class TestValidate:
         assert "no_default_path: g" in text
         assert "unconditioned_branch: g" in text
         assert "validated 1 model(s), 2 issue(s)" in text
+
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_condition_nested_too_deep_is_a_model_error(self, out, tmp_path, capsys, command):
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        text = serialize_bpmn(mk.branch_model("x >= 5", model_id="deep"))
+        deep = text.replace("x &gt;= 5", "NOT " * 1000 + "x")
+        (models_dir / "deep.bpmn").write_text(deep)
+        assert run_city1(out, "--models", str(models_dir), command) == 2
+        err = capsys.readouterr().err
+        assert "flow 'fy' from 'g': at offset 128: nested deeper than 32 levels" in err
 
 
 class TestExitCodes:

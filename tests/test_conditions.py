@@ -1,11 +1,14 @@
 """Condition grammar: parsing, rendering, canonicalization, evaluation."""
 
+import sys
+from contextlib import contextmanager
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bpmndiverge.conditions import (
+    MAX_NESTING,
     BoolOp,
     Compare,
     ConditionParseError,
@@ -21,6 +24,7 @@ from bpmndiverge.conditions import (
     to_text,
     variables,
 )
+from bpmndiverge.simulation import CaseRecord, ConditionTables
 
 
 class TestParsing:
@@ -107,6 +111,60 @@ class TestParsing:
     def test_empty_input(self):
         with pytest.raises(ConditionParseError):
             parse_condition("")
+
+
+@contextmanager
+def frames_to_spare(count: int):
+    """Lower the recursion limit to ``count`` frames above the caller's."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + count)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _alternating(levels: int) -> str:
+    """``levels`` parenthesized AND/OR levels that normalization cannot flatten."""
+    text = "x == 1"
+    for level in range(levels):
+        text = f"(x {'AND' if level % 2 else 'OR'} {text})"
+    return text
+
+
+class TestNesting:
+    DEEPEST = [
+        "(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+        "NOT " * MAX_NESTING + "x",
+        "NOT (" * (MAX_NESTING // 2) + "x == 1" + ")" * (MAX_NESTING // 2),
+        _alternating(MAX_NESTING),
+    ]
+
+    @pytest.mark.parametrize("text", DEEPEST)
+    def test_the_deepest_conditions_stay_far_below_the_recursion_limit(self, text):
+        cases = [CaseRecord("c", {"x": Decimal(1)})]
+        with frames_to_spare(300):
+            ast = parse_condition(text)
+            assert evaluate(ast, cases[0].attributes) is evaluate(normalize(ast), {"x": True})
+            assert normalize(parse_condition(to_text(ast))) == normalize(ast)
+            ConditionTables(cases).table(ast)
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("(" * 300 + "x" + ")" * 300, MAX_NESTING),
+            ("NOT " * 1000 + "x", 4 * MAX_NESTING),
+            ("NOT (" * 300 + "x == 1" + ")" * 300, 5 * (MAX_NESTING // 2)),
+            (_alternating(MAX_NESTING + 1), len("(x OR (x AND " * (MAX_NESTING // 2))),
+        ],
+    )
+    def test_deeper_nesting_is_refused_where_it_passes_the_limit(self, text, offset):
+        with pytest.raises(ConditionParseError, match=f"deeper than {MAX_NESTING}") as info:
+            parse_condition(text)
+        assert info.value.offset == offset
 
 
 class TestRendering:

@@ -5,12 +5,12 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpmndiverge import diagnosis, simulation
 from bpmndiverge.diagnosis import (
     TRACE_END,
     ConflictSet,
-    Diagnosis,
     DiagnosisProblem,
     DiagnosisRun,
     DivergenceKind,
@@ -33,7 +33,12 @@ from bpmndiverge.simulation import (
 )
 
 import modelkit as mk
-from oracles import brute_force_hitting_sets, per_case_diagnosis, per_case_support
+from oracles import (
+    brute_force_hitting_sets,
+    conflict_window_oracle,
+    per_case_diagnosis,
+    per_case_support,
+)
 from test_simulation import _random_models, _sharing_populations
 
 
@@ -141,8 +146,7 @@ class TestConflictWindows:
             seq("c09"),
             seq("c09", ("Send Program Notification", "NC"), ("Provide Health Guidance", "HC")),
         )
-        conflict = conflict_from_divergence(d, tgt_trace, broad_model)
-        assert conflict == ConflictSet(("n3",), ("c09",))
+        assert conflict_from_divergence(d, tgt_trace, broad_model) == ("n3",)
 
     def test_window_between_emissions(self, strict_model, broad_model, population):
         c05 = population[4]
@@ -151,8 +155,44 @@ class TestConflictWindows:
             seq("c05", ("Send Program Notification", "NC")),
             seq("c05", ("Send Program Notification", "NC"), ("Provide Health Guidance", "HC")),
         )
-        conflict = conflict_from_divergence(d, tgt_trace, broad_model)
-        assert conflict == ConflictSet(("n5",), ("c05",))
+        assert conflict_from_divergence(d, tgt_trace, broad_model) == ("n5",)
+
+    # Tasks with 0-3 KPIs and two gateways; a window only reads the steps,
+    # so any sequence of them stands for a target trace.
+    WINDOW_MODEL = mk.model(
+        "window",
+        [
+            mk.start("s"),
+            mk.gateway("g1"),
+            mk.gateway("g2"),
+            mk.task("t0", "Quiet"),
+            mk.task("t1", "One", ("NC",)),
+            mk.task("t2", "Two", ("NC", "HC")),
+            mk.task("t3", "Three", ("NC", "HC", "RU")),
+            mk.end("e"),
+        ],
+        [mk.flow(f"f_{node}", node, "e") for node in ("s", "g1", "g2", "t0", "t1", "t2", "t3")],
+    )
+
+    @given(st.lists(st.sampled_from(["g1", "g2", "t0", "t1", "t2", "t3"]), max_size=12))
+    # Emissions 0 and 1 both come from t2: at index 1 the window is empty.
+    @example(["g1", "t2", "g2", "t1"])
+    def test_single_pass_matches_two_scan_oracle(self, steps):
+        model = self.WINDOW_MODEL
+        steps = ("s", *steps, "e")
+        emitted = sum(len(model.node(node_id).kpi_outputs) for node_id in steps)
+        trace = Trace("c", steps, (), ())
+        for index in range(emitted + 1):
+            t_first = TRACE_END if index == emitted else "any"
+            d = diagnosis.Divergence("c", DivergenceKind.EXTRA_OUTPUT, index, None, t_first)
+            assert conflict_from_divergence(d, trace, model) == conflict_window_oracle(
+                d, trace, model
+            )
+
+    def test_one_task_making_both_emissions_leaves_no_window(self):
+        trace = Trace("c", ("s", "g1", "t2", "g2", "t1", "e"), (), ())
+        d = diagnosis.Divergence("c", DivergenceKind.EXTRA_OUTPUT, 1, "Two", "Two")
+        assert conflict_from_divergence(d, trace, self.WINDOW_MODEL) == ()
 
     def test_gateway_free_window_is_unattributable(self):
         ref = mk.model(
@@ -204,16 +244,16 @@ class TestCollectConflicts:
 
 class TestHittingSets:
     def test_empty_family_yields_empty_diagnosis(self):
-        result = minimal_hitting_sets(problem_with([]))
-        assert result.diagnoses == (Diagnosis(frozenset()),)
-        assert not result.truncated
+        diagnoses, truncated = minimal_hitting_sets(problem_with([]))
+        assert diagnoses == ((),)
+        assert not truncated
 
     def test_two_overlapping_conflicts(self):
-        result = minimal_hitting_sets(
+        diagnoses, truncated = minimal_hitting_sets(
             problem_with([(("a", "b"), ("c1",)), (("b", "c"), ("c2",))])
         )
-        assert [d.sorted_gateways for d in result.diagnoses] == [("b",), ("a", "c")]
-        assert not result.truncated
+        assert list(diagnoses) == [("b",), ("a", "c")]
+        assert not truncated
 
     def test_matches_brute_force(self):
         families = [
@@ -224,26 +264,26 @@ class TestHittingSets:
         ]
         for family in families:
             conflicts = [(g, ("c",)) for g in family]
-            result = minimal_hitting_sets(problem_with(conflicts))
-            got = {frozenset(d.gateways) for d in result.diagnoses}
+            diagnoses, truncated = minimal_hitting_sets(problem_with(conflicts))
+            got = {frozenset(d) for d in diagnoses}
             universe = {g for gateways in family for g in gateways}
             expected = brute_force_hitting_sets(
                 [frozenset(g) for g in family], universe
             )
             assert got == expected, family
-            assert not result.truncated
+            assert not truncated
 
     def test_cardinality_cap_truncates(self):
         problem = problem_with([(("a",), ("c1",)), (("b",), ("c2",)), (("c",), ("c3",))])
-        result = minimal_hitting_sets(problem, max_cardinality=2)
-        assert result.diagnoses == ()
-        assert result.truncated
+        diagnoses, truncated = minimal_hitting_sets(problem, max_cardinality=2)
+        assert diagnoses == ()
+        assert truncated
 
     def test_ordering_by_size_then_lexicographic(self):
-        result = minimal_hitting_sets(
+        diagnoses, _ = minimal_hitting_sets(
             problem_with([(("b", "a"), ("c1",)), (("c", "d"), ("c2",))])
         )
-        assert [d.sorted_gateways for d in result.diagnoses] == [
+        assert list(diagnoses) == [
             ("a", "c"),
             ("a", "d"),
             ("b", "c"),
@@ -252,9 +292,9 @@ class TestHittingSets:
 
     def test_city1_single_diagnosis(self, strict_model, broad_model, population):
         problem = oriented(strict_model, broad_model, population).problem
-        result = minimal_hitting_sets(problem)
-        assert [d.sorted_gateways for d in result.diagnoses] == [("n3", "n5")]
-        assert not result.truncated
+        diagnoses, truncated = minimal_hitting_sets(problem)
+        assert list(diagnoses) == [("n3", "n5")]
+        assert not truncated
 
 
 def pipeline_models(gp_ref: str, gp_tgt: str, gx_ref: str, gx_tgt: str):
@@ -299,20 +339,20 @@ def boundary_case() -> CaseRecord:
 class TestRefinement:
     def run_refined(self, ref, tgt, cases):
         problem = oriented(ref, tgt, cases).problem
-        hitting = minimal_hitting_sets(problem)
+        diagnoses, _ = minimal_hitting_sets(problem)
         support = per_case_support(ref, tgt, problem, cases)
-        refined = refine_diagnoses(hitting.diagnoses, ref, tgt, support)
-        return problem, hitting, refined
+        refined = refine_diagnoses(diagnoses, ref, tgt, support)
+        return problem, diagnoses, refined
 
     def test_operand_permutation_discharged(self):
         ref, tgt = pipeline_models(
             "(w == 1 OR u == 1)", "(u == 1 OR w == 1)", "v >= 10", "v > 10"
         )
-        problem, hitting, refined = self.run_refined(ref, tgt, [boundary_case()])
+        problem, diagnoses, refined = self.run_refined(ref, tgt, [boundary_case()])
         assert problem.conflicts == (ConflictSet(("gp", "gx"), ("cv",)),)
-        assert [d.sorted_gateways for d in hitting.diagnoses] == [("gp",), ("gx",)]
+        assert list(diagnoses) == [("gp",), ("gx",)]
         # gp only differs by operand order; refinement discharges it.
-        assert [d.sorted_gateways for d in refined] == [("gx",)]
+        assert list(refined) == [("gx",)]
 
     def test_semantic_rewrite_not_discharged(self):
         # u >= 1 equals u == 1 on this population, but only semantically;
@@ -320,9 +360,9 @@ class TestRefinement:
         ref, tgt = pipeline_models(
             "(w == 1 OR u == 1)", "(w == 1 OR u >= 1)", "v >= 10", "v > 10"
         )
-        _, hitting, refined = self.run_refined(ref, tgt, [boundary_case()])
-        assert [d.sorted_gateways for d in hitting.diagnoses] == [("gp",), ("gx",)]
-        assert [d.sorted_gateways for d in refined] == [("gp",), ("gx",)]
+        _, diagnoses, refined = self.run_refined(ref, tgt, [boundary_case()])
+        assert list(diagnoses) == [("gp",), ("gx",)]
+        assert list(refined) == [("gp",), ("gx",)]
 
     def test_default_branch_blocks_removal(self):
         # Identical branch condition on both sides, but the divergent case
@@ -330,33 +370,33 @@ class TestRefinement:
         ref = mk.branch_model("x >= 5", model_id="ref")
         tgt = mk.branch_model("x >= 6", model_id="tgt")
         case = CaseRecord("c", {"x": Decimal("5")})
-        problem, hitting, refined = self.run_refined(ref, tgt, [case])
+        problem, _, refined = self.run_refined(ref, tgt, [case])
         assert problem.conflicts == (ConflictSet(("g",), ("c",)),)
-        assert [d.sorted_gateways for d in refined] == [("g",)]
+        assert list(refined) == [("g",)]
 
     def test_city1_refinement_keeps_both_gateways(
         self, strict_model, broad_model, population
     ):
         _, _, refined = self.run_refined(strict_model, broad_model, list(population))
-        assert [d.sorted_gateways for d in refined] == [("n3", "n5")]
+        assert list(refined) == [("n3", "n5")]
 
 
 class TestDirectionChoice:
     def test_city1_frozen_orientation(self, strict_model, broad_model, population):
         result = choose_direction(strict_model, broad_model, population)
-        assert result.reference_model_id == "city1_and_strict"
-        assert result.target_model_id == "city1_or_broad"
-        assert [d.sorted_gateways for d in result.chosen.refined] == [("n3", "n5")]
+        assert result.chosen.problem.reference_model_id == "city1_and_strict"
+        assert result.chosen.problem.target_model_id == "city1_or_broad"
+        assert list(result.chosen.refined) == [("n3", "n5")]
         assert result.reverse.problem.reference_model_id == "city1_or_broad"
-        assert [d.sorted_gateways for d in result.reverse.refined] == [
+        assert list(result.reverse.refined) == [
             ("g_accept", "g_elig")
         ]
-        assert "parsimony" in result.note
+        assert "parsimony" in diagnosis_report(result)["orientation_note"]
 
     def test_argument_order_is_irrelevant(self, strict_model, broad_model, population):
         ab = choose_direction(strict_model, broad_model, population)
         ba = choose_direction(broad_model, strict_model, population)
-        assert ab.reference_model_id == ba.reference_model_id
+        assert ab.chosen.problem.reference_model_id == ba.chosen.problem.reference_model_id
         assert ab.chosen.refined == ba.chosen.refined
 
     def test_parsimony_beats_id_order(self):
@@ -366,8 +406,8 @@ class TestDirectionChoice:
             "(w == 1 OR u == 1)", "(u == 1 OR w == 1)", "v >= 10", "v > 10"
         )
         result = choose_direction(tgt, ref, [boundary_case()])
-        assert result.reference_model_id == "ref"
-        assert [d.sorted_gateways for d in result.chosen.refined] == [("gx",)]
+        assert result.chosen.problem.reference_model_id == "ref"
+        assert list(result.chosen.refined) == [("gx",)]
 
     def test_no_divergence(self, strict_model, population):
         with pytest.raises(NoDivergenceError):
@@ -433,7 +473,7 @@ class TestDirectionChoice:
         ]
         result = choose_direction(my, mx, cases)
         # Both orientations rank equal, so the smaller id is the reference.
-        assert result.reference_model_id == "mx"
+        assert result.chosen.problem.reference_model_id == "mx"
         assert result.chosen.problem.failed_cases == (
             ("c_blank", "variable 'x' not present in case record"),
         )
@@ -478,17 +518,17 @@ class TestStageAgreement:
             attributed = {c for conflict in run.problem.conflicts for c in conflict.case_ids}
             attributed |= {d.case_id for d in run.problem.unattributable}
             assert attributed == divergent
-        a_is_ref = result.reference_model_id == model_a.model_id
+        a_is_ref = result.chosen.problem.reference_model_id == model_a.model_id
         ref, tgt = (model_a, model_b) if a_is_ref else (model_b, model_a)
         assert list(result.observations) == compare_observations(walked_pairs(ref, tgt, cases))
 
     def test_repeated_label_is_diagnosed(self):
         once, twice = mk.repeated_call_pair()
         result = choose_direction(twice, once, REPEATED_CALL_CASES)
-        assert (result.reference_model_id, result.target_model_id) == ("once", "twice")
         problem = result.chosen.problem
+        assert (problem.reference_model_id, problem.target_model_id) == ("once", "twice")
         assert problem.conflicts == (ConflictSet(("g",), ("c1",)),)
-        assert [d.sorted_gateways for d in result.chosen.refined] == [("g",)]
+        assert list(result.chosen.refined) == [("g",)]
         # Both sides emit the same set of pairs; only the sequences differ.
         assert not any(o.discrepant for o in result.observations)
         assert [d.kind for d in result.reverse.problem.unattributable] == [
