@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
+from xml.parsers import expat
 
 from .conditions import ConditionAst, ConditionParseError, parse_condition, to_text
 
@@ -202,29 +203,54 @@ def _kpi_outputs(elem: ET.Element, label: str, kpi_task_tags: Mapping[str, str] 
     return ()
 
 
+def _is_process(tag: str, depth: int) -> bool:
+    """Whether ``tag`` at ``depth`` is a ``process`` root (0) or a ``process``
+    child of it (1) in the model namespace or none; the first one is the model's."""
+    ns_ok = depth == 0 or depth == 1 and _namespace(tag) in (NS_MODEL, "")
+    return ns_ok and _local(tag) == "process"
+
+
 def _process(xml_text: str) -> ET.Element:
-    """The ``<process>`` element of BPMN XML: the root, or its first child
-    named ``process`` in the model namespace or none."""
+    """The ``<process>`` element of BPMN XML (``_is_process``)."""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         raise XmlSyntaxError(str(exc)) from exc
-    if _local(root.tag) == "process":
-        return root
-    for child in root:
-        if _local(child.tag) == "process" and _namespace(child.tag) in (NS_MODEL, ""):
-            return child
+    for depth, element in ((0, root), *((1, child) for child in root)):
+        if _is_process(element.tag, depth):
+            return element
     raise InvalidModelError("no <process> element found")
 
 
-def _process_id(process: ET.Element) -> str:
+def _process_id(process: Mapping[str, str] | ET.Element) -> str:
     return process.get("id") or "process"
 
 
 def model_id(xml_text: str) -> str:
-    """The id ``parse_bpmn`` gives the model in ``xml_text``, checking only
-    that the text is well-formed XML with a ``<process>``."""
-    return _process_id(_process(xml_text))
+    """The id ``parse_bpmn`` gives the model in ``xml_text``, with the checks
+    and errors of ``_process``: one expat pass that reads to the end, but
+    stops looking at elements once it has found the ``<process>``."""
+    if "<!DOCTYPE" in xml_text:  # ElementTree refuses entity references there that expat allows
+        return _process_id(_process(xml_text))
+    parser = expat.ParserCreate(namespace_separator="}")
+    found: list[Mapping[str, str]] = []
+    open_elements: list[str] = []
+
+    def start(name: str, attributes: Mapping[str, str]) -> None:
+        # expat names "namespace}local" what ElementTree tags "{namespace}local".
+        if _is_process("{" + name if "}" in name else name, len(open_elements)):
+            found.append(attributes)
+            parser.StartElementHandler = parser.EndElementHandler = None
+        open_elements.append(name)
+
+    parser.StartElementHandler, parser.EndElementHandler = start, lambda _: open_elements.pop()
+    try:
+        parser.Parse(xml_text, True)
+    except expat.ExpatError as exc:
+        raise XmlSyntaxError(str(exc)) from exc
+    if not found:
+        raise InvalidModelError("no <process> element found")
+    return _process_id(found[0])
 
 
 def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) -> ProcessModel:
@@ -237,12 +263,7 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
     nodes: list[Node] = []
     flows: list[tuple[ET.Element, str]] = []  # element, id
     defaults: dict[str, str] = {}  # gateway id -> default flow id
-    kind_by_tag = {
-        "startEvent": NodeKind.START_EVENT,
-        "endEvent": NodeKind.END_EVENT,
-        "task": NodeKind.TASK,
-        "exclusiveGateway": NodeKind.EXCLUSIVE_GATEWAY,
-    }
+    kind_by_tag = {tag: kind for kind, tag in _TAG_BY_KIND.items()}
     for child in process:
         ns = _namespace(child.tag)
         if ns not in (NS_MODEL, ""):

@@ -144,7 +144,7 @@ def _load_models(
     return built
 
 
-def _load_cases(config: RunConfig) -> list[simulation.CaseRecord]:
+def _load_cases(config: RunConfig) -> simulation.CaseTable:
     text = _read_input(config.cases_csv, "cases_csv")
     return simulation.load_cases_csv(text, str(config.cases_csv))
 

@@ -18,7 +18,8 @@ identifiers match ``[A-Za-z_][A-Za-z0-9_]*``, and numeric literals are exact
 decimals (no binary floating point anywhere in the pipeline).  Exactly one
 side of a comparison must be a variable; a comparison under NOT must be
 parenthesized because NOT binds tighter than the comparison operators.
-Parentheses and NOTs nest at most ``MAX_NESTING`` deep, counted together.
+Parentheses and NOTs nest at most ``MAX_NESTING`` deep, counted together,
+in the text and in its rendering (``to_text``).
 
 Normalization is purely syntactic: it flattens nested same-operator
 conjunctions/disjunctions, sorts operands by their canonical rendering,
@@ -319,8 +320,19 @@ class _Parser:
 
 
 def parse_condition(text: str) -> ConditionAst:
-    """Parse condition text into an AST.  No normalization is applied."""
-    return _Parser(text).parse()
+    """Parse condition text into an AST, without normalization.  An AST whose
+    ``to_text`` nests past ``MAX_NESTING`` is refused, so each re-parses."""
+    ast = _Parser(text).parse()
+    if _rendered_depth(ast) > MAX_NESTING:
+        raise ConditionParseError(f"rendering nests deeper than {MAX_NESTING} levels", 0)
+    return ast
+
+
+def _rendered_depth(ast: ConditionAst) -> int:
+    """The parentheses and NOTs that ``to_text(ast)`` nests, as the parser counts them."""
+    if isinstance(ast, Not):  # "NOT (...)" over a comparison or an AND/OR
+        return 1 + isinstance(ast.operand, (Compare, BoolOp)) + _rendered_depth(ast.operand)
+    return 1 + max(map(_rendered_depth, ast.operands)) if isinstance(ast, BoolOp) else 0
 
 
 # --- canonical rendering -----------------------------------------------------
@@ -342,7 +354,7 @@ def format_value(value: Value) -> str:
 
 def to_text(ast: ConditionAst) -> str:
     """Stable single-line rendering.  Faithful: re-parsing yields an equal AST
-    (rendering parenthesizes every AND/OR, so it may nest past MAX_NESTING)."""
+    for every condition ``parse_condition`` accepts."""
     if isinstance(ast, Literal):
         return "TRUE" if ast.value else "FALSE"
     if isinstance(ast, VarRef):

@@ -38,6 +38,7 @@ from .bpmn import NodeKind, ProcessModel
 from .conditions import normalize
 from .simulation import (
     CaseRecord,
+    CaseTable,
     ConditionTables,
     DEFAULT_STEP_CAP,
     KpiConfig,
@@ -220,7 +221,7 @@ class _Path(NamedTuple):
 
 
 def _class_pairs(
-    model_a: ProcessModel, model_b: ProcessModel, cases: Sequence[CaseRecord], step_cap: int
+    model_a: ProcessModel, model_b: ProcessModel, cases: CaseTable, step_cap: int
 ) -> tuple[list[tuple[int, _Path, _Path]], dict[str, str], dict[str, str]]:
     """Each non-empty intersection of a path class of ``model_a`` with one of
     ``model_b``, as (mask of its cases, path on a, path on b), and each
@@ -327,7 +328,7 @@ def _run_orientation(
     pairs: Sequence[tuple[int, _Path, _Path]],
     ref_errors: Mapping[str, str],
     tgt_errors: Mapping[str, str],
-    cases: Sequence[CaseRecord],
+    cases: CaseTable,
     max_cardinality: int,
 ) -> DiagnosisRun:
     """The conflicts, hitting sets and refined diagnoses of one orientation,
@@ -341,11 +342,8 @@ def _run_orientation(
     divergence.  Identical gateway sets from different pairs are merged,
     keeping the union of their cases.
     """
-    failed = [
-        (case.case_id, ref_errors.get(case.case_id, tgt_errors.get(case.case_id)))
-        for case in cases
-        if case.case_id in ref_errors or case.case_id in tgt_errors
-    ]
+    errors = {**tgt_errors, **ref_errors}  # the reference side's error where both fail
+    failed = [(case_id, errors[case_id]) for case_id in cases.ids if case_id in errors]
     conflicts: dict[tuple[str, ...], list[str]] = {}
     support: dict[str, list[tuple[Trace, Trace]]] = {}
     unattributable: list[Divergence] = []
@@ -406,6 +404,7 @@ def choose_direction(
     the lexicographically smaller reference model id.  Raises
     NoDivergenceError when no case that completes on both models diverges.
     """
+    cases = CaseTable.of(cases)
     pairs_ab, err_a, err_b = _class_pairs(model_a, model_b, cases, step_cap)
     pairs_ba = [(both, b, a) for both, a, b in pairs_ab]
     run_ab = _run_orientation(model_a, model_b, pairs_ab, err_a, err_b, cases, max_cardinality)

@@ -11,7 +11,8 @@ within the task.  All numeric work uses exact decimals.
 walking classes of cases, each an integer mask over the population: the cases
 that have taken the same flows walk together, and a class splits at a gateway
 into one class per branch its members take, so each path is walked once.
-Each distinct condition is evaluated once per case (``ConditionTables``).
+A condition leaf is evaluated once per distinct value of its variable, keyed
+by the value's type and the value (``CaseTable.groups``, ``ConditionTables``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 from .bpmn import NodeKind, ProcessModel
 from .conditions import (
     BoolOp,
+    Compare,
     ConditionAst,
+    Literal,
     MissingVariableError,
     Not,
     TypeMismatchError,
@@ -78,6 +81,43 @@ CASE_ERRORS = (SimulationError, MissingVariableError, TypeMismatchError)
 class CaseRecord:
     case_id: str
     attributes: Mapping[str, Value]
+
+
+class CaseTable(Sequence[CaseRecord]):
+    """A case population as columns: the ids, and each attribute's value per
+    case (``None`` where a case lacks it).  Indexing builds a ``CaseRecord``."""
+
+    def __init__(self, ids: list[str], columns: dict[str, list[Value | None]]):
+        self.ids, self.columns = ids, columns
+        self._groups: dict[str, tuple[list[dict[str, Value]], list[int]]] = {}
+
+    @classmethod
+    def of(cls, cases: Sequence[CaseRecord]) -> "CaseTable":
+        if isinstance(cases, CaseTable):
+            return cases
+        names = dict.fromkeys(name for case in cases for name in case.attributes)
+        columns = {name: [case.attributes.get(name) for case in cases] for name in names}
+        return cls([case.case_id for case in cases], columns)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> CaseRecord:  # type: ignore[override]
+        cells = {name: column[index] for name, column in self.columns.items()}
+        return CaseRecord(self.ids[index], {k: v for k, v in cells.items() if v is not None})
+
+    def groups(self, name: str) -> tuple[list[dict[str, Value]], list[int]]:
+        """The distinct values of ``name``, each as the attributes to evaluate
+        on ({} where ``name`` is missing), and each case's group number.  Values
+        group by type and value: ``True == Decimal(1)`` fails with other
+        messages, while ``Decimal("5")`` and ``Decimal("5.0")`` share."""
+        if name not in self._groups:
+            numbers: dict[tuple[type, Value | None], int] = {}
+            column = self.columns.get(name) or [None] * len(self.ids)
+            codes = [numbers.setdefault((type(value), value), len(numbers)) for value in column]
+            values = [{} if value is None else {name: value} for _type, value in numbers]
+            self._groups[name] = values, codes
+        return self._groups[name]
 
 
 @dataclass(frozen=True)
@@ -198,7 +238,7 @@ def read_csv_table(
     table: list[list[str]] = []
     seen: set[str] = set()
     for line_no, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) != len(header):
             raise CaseDataError(
@@ -216,15 +256,17 @@ def read_csv_table(
     return header, table
 
 
-def load_cases_csv(text: str, source: str = "case population") -> list[CaseRecord]:
+def load_cases_csv(text: str, source: str = "case population") -> CaseTable:
     """Load a case population from CSV text whose header is ``case_id`` and
-    distinct attribute names; ``source`` names the input in errors."""
+    distinct attribute names, parsing each distinct cell once; ``source``
+    names the input in errors."""
     header, rows = read_csv_table(text, source, "case_id", "distinct, non-empty column names")
-    names = header[1:]
-    return [
-        CaseRecord(row[0].strip(), {name: parse_cell(cell) for name, cell in zip(names, row[1:])})
-        for row in rows
-    ]
+    ids, *cells = (list(map(operator.itemgetter(i), rows)) for i in range(len(header)))
+    parsed = {cell: parse_cell(cell) for cell in set().union(*cells)}
+    return CaseTable(
+        [case_id.strip() for case_id in ids],
+        {name: list(map(parsed.__getitem__, column)) for name, column in zip(header[1:], cells)},
+    )
 
 
 def _emissions(model: ProcessModel, steps: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -331,9 +373,9 @@ class ConditionTables:
 
     Bit ``i`` of a mask stands for ``cases[i]``.  A condition's table is
     ``(true, error, messages)``: the cases on which it holds, the cases on
-    which evaluating it raises, and the message of each such error.  Each
-    distinct leaf (comparison, variable, literal) is evaluated once per case;
-    ``Not`` and ``BoolOp`` tables are composed from their operands' tables.
+    which evaluating it raises, and the message of each such error.  A leaf is
+    evaluated once per group of its variable (``CaseTable.groups``), a literal
+    once; ``Not`` and ``BoolOp`` tables are composed from their operands'.
     Like ``evaluate``, a ``BoolOp`` fails wherever any operand fails, with
     the message of its first failing operand.
 
@@ -344,7 +386,7 @@ class ConditionTables:
     """
 
     def __init__(self, cases: Sequence[CaseRecord]):
-        self.cases = cases
+        self.cases = CaseTable.of(cases)
         self.everyone = (1 << len(cases)) - 1
         self._memo: dict[str, Table] = {}
 
@@ -368,19 +410,25 @@ class ConditionTables:
                 for index, message in messages.items():
                     merged.setdefault(index, message)
             return reduce(combine, (t for t, _e, _m in operands)) & ~error, error, merged
-        true, error = bytearray(b"0" * len(self.cases)), bytearray(b"0" * len(self.cases))
-        leaf_messages: dict[int, str] = {}
-        for index, case in enumerate(self.cases):
+        if isinstance(ast, Literal):
+            values, codes = [{}], [0] * len(self.cases)
+        else:
+            values, codes = self.cases.groups(ast.var if isinstance(ast, Compare) else ast.name)
+        holds, fails = bytearray(b"0") * len(values), bytearray(b"0") * len(values)
+        failures: dict[int, str] = {}  # group number -> message
+        for number, attributes in enumerate(values):
             try:
-                if evaluate(ast, case.attributes):
-                    true[index] = ord("1")
+                if evaluate(ast, attributes):
+                    holds[number] = ord("1")
             except (MissingVariableError, TypeMismatchError) as exc:
-                error[index] = ord("1")
-                leaf_messages[index] = str(exc)
-        return _mask(true), _mask(error), leaf_messages
+                fails[number] = ord("1")
+                failures[number] = str(exc)
+        error = _mask(bytes(map(fails.__getitem__, codes))) if failures else 0
+        messages = {index: failures[codes[index]] for index in _indices(error)}
+        return _mask(bytes(map(holds.__getitem__, codes))), error, messages
 
 
-def _mask(bits: bytearray) -> int:
+def _mask(bits: bytes) -> int:
     """The int whose bit ``i`` is set where ``bits[i]`` is ``"1"``."""
     return int(b"0" + bits[::-1], 2)
 
@@ -396,9 +444,9 @@ def _indices(mask: int) -> list[int]:
     return indices
 
 
-def case_ids(cases: Sequence[CaseRecord], members: int) -> tuple[str, ...]:
+def case_ids(cases: CaseTable, members: int) -> tuple[str, ...]:
     """The ids of the cases whose bits are set in ``members``, in case order."""
-    return tuple(cases[index].case_id for index in _indices(members))
+    return tuple(map(cases.ids.__getitem__, _indices(members)))
 
 
 def _walk_paths(
@@ -420,19 +468,19 @@ def _walk_paths(
         for index in _indices(mask):
             failures[index] = message(index)
 
-    cases = tables.cases
+    ids = tables.cases.ids
     # (members, steps, flows) of each class still walking
     stack: list[tuple[int, list[str], list[str]]] = [(tables.everyone, [model.start_node], [])]
     while stack:
         members, steps, flows = stack.pop()
         node = model.node(steps[-1])
         if node.kind is NodeKind.END_EVENT:
-            first = cases[(members & -members).bit_length() - 1].case_id
+            first = ids[(members & -members).bit_length() - 1]
             walk = Trace(first, tuple(steps), tuple(flows), _emissions(model, steps))
             ended.append(CasePath(members, walk))
             continue
         if len(steps) > step_cap:
-            fail(members, lambda i: str(StepLimitExceededError(cases[i].case_id, len(steps))))
+            fail(members, lambda i: str(StepLimitExceededError(ids[i], len(steps))))
             continue
         # Only a gateway's flows carry conditions and defaults, so any other
         # node passes the whole class to its first flow.
@@ -451,7 +499,7 @@ def _walk_paths(
         if rest and default is not None:
             taken.append((default, rest))
         elif rest:
-            fail(rest, lambda i: str(NoEnabledBranchError(node.id, cases[i].case_id)))
+            fail(rest, lambda i: str(NoEnabledBranchError(node.id, ids[i])))
         taken = [(flow, mask) for flow, mask in taken if mask]
         # Only a split copies the walk so far, so a class that loops on to
         # the step cap is not copied at every step.
@@ -478,11 +526,12 @@ def simulate_population(
     the HI denominator stays the full population size.
 
     Cases walk by classes over ``tables`` (built here unless a caller shares
-    one across models).  Each successful path is listed once, with the mask
-    of its cases, and counts its NC and HC once for each of them.
+    one across models, over ``tables.cases``).  Each successful path is listed
+    once, with the mask of its cases, and counts its NC and HC once for each.
     """
     if not cases:
         raise CaseDataError("case population is empty")
+    cases = CaseTable.of(cases)
     if tables is None:
         tables = ConditionTables(cases)
     elif tables.cases is not cases:
@@ -497,5 +546,5 @@ def simulate_population(
         # The lowest set bit of a class is its first case.
         tuple(sorted(paths, key=lambda path: path.members & -path.members)),
         _kpi_vector(nc, hc, len(cases), config),
-        tuple((cases[index].case_id, failures[index]) for index in sorted(failures)),
+        tuple((cases.ids[index], failures[index]) for index in sorted(failures)),
     )

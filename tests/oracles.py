@@ -2,7 +2,9 @@
 
 The numeric oracles are written straight from the defining formulas with
 plain floats and brute-force enumeration, on purpose not reusing any
-package internals.  The per-case diagnosis oracle walks every case alone
+package internals.  The row loader parses every cell of every row on its
+own, against the package's column loader, which parses each distinct cell
+once.  The per-case diagnosis oracle walks every case alone
 with ``execute_case`` and runs the package's per-case steps on it, so it
 checks that cases sharing a pair of paths may share one run of each step;
 the conflict window oracle finds the window's bounds by two scans of the
@@ -18,7 +20,26 @@ from typing import Iterable, Sequence
 
 from bpmndiverge import diagnosis
 from bpmndiverge.bpmn import NodeKind, ProcessModel
-from bpmndiverge.simulation import CASE_ERRORS, CaseRecord, Trace, execute_case, kpi_sequence
+from bpmndiverge.simulation import (
+    CASE_ERRORS,
+    CaseRecord,
+    Trace,
+    execute_case,
+    kpi_sequence,
+    parse_cell,
+    read_csv_table,
+)
+
+
+def load_cases_per_row(text: str) -> list[CaseRecord]:
+    """A case population CSV as one record per row, every cell parsed on its
+    own, with the attributes in header order."""
+    header, rows = read_csv_table(text, "case population", "case_id", "column names")
+    names = header[1:]
+    return [
+        CaseRecord(row[0].strip(), {name: parse_cell(cell) for name, cell in zip(names, row[1:])})
+        for row in rows
+    ]
 
 
 def entropy_oracle(counts: Sequence[int]) -> float:

@@ -17,6 +17,8 @@ from bpmndiverge.bpmn import (
     SequenceFlow,
     UnsupportedElementError,
     XmlSyntaxError,
+    _process,
+    _process_id,
     escape,
     gateways,
     model_id,
@@ -47,6 +49,25 @@ MINIMAL = """
 <bpmn:sequenceFlow id="f1" sourceRef="s" targetRef="t"/>
 <bpmn:sequenceFlow id="f2" sourceRef="t" targetRef="e"/>
 """
+
+
+def _tree_id(xml: str) -> str:
+    """The model id by a whole ``ElementTree`` parse, as ``parse_bpmn`` reads it."""
+    return _process_id(_process(xml))
+
+
+def _id_outcome(read, xml: str):
+    try:
+        return read(xml)
+    except (XmlSyntaxError, InvalidModelError) as exc:
+        return type(exc), str(exc)
+
+
+_XML_PIECES = [
+    "<process", "<definitions", "<o:process", " xmlns:o='urn:o'", " id='p'", ">", "/>",
+    "</process>", "</definitions>", "</o:process>", "<lane>", "</lane>", "&amp;", "&x;",
+    "<!DOCTYPE d SYSTEM 'd.dtd'>", "<?xml version='1.0'?>", "text", "<!-- c -->", "<",
+]
 
 
 class TestParsing:
@@ -148,6 +169,36 @@ class TestParsing:
             model_id("<definitions><process></definitions>")
         with pytest.raises(InvalidModelError, match="process"):
             model_id('<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')
+
+    @pytest.mark.parametrize(
+        "xml",
+        [
+            "<definitions><process id='p'>",
+            "<definitions><process></definitions>",
+            "<process id='p'>&undefined;</process>",
+            "<!DOCTYPE process SYSTEM 'p.dtd'><process id='p'>&external;</process>",
+            "<!DOCTYPE process SYSTEM 'p.dtd'><process id='p'>&amp;&#65; text</process>",
+            "<!DOCTYPE process SYSTEM 'p.dtd'><process id='p'>&" + "\u00e9" * 60 + ";</process>",
+            "<!DOCTYPE process [<!ENTITY e 'p'>]><process id='&e;'/>",
+            '<?xml version="1.0" encoding="ISO-8859-1"?><process id="p\u00e9"/>',
+            "",
+            "junk",
+            "<definitions></process>",
+            wrap(MINIMAL),
+            '<process id="bare"/>',
+            '<definitions><o:process xmlns:o="urn:o" id="o"/><process id="plain"/></definitions>',
+            '<o:process xmlns:o="urn:o" id="foreign_root"/>',
+            wrap(MINIMAL, 'name="no id"'),
+            "<definitions><lane><process id='deep'/></lane></definitions>",
+            "<definitions><lane><process id='deep'/></lane><process id='child'/></definitions>",
+        ],
+    )
+    def test_model_id_agrees_with_the_element_tree_lookup(self, xml):
+        assert _id_outcome(model_id, xml) == _id_outcome(_tree_id, xml)
+
+    @given(st.lists(st.sampled_from(_XML_PIECES), max_size=12).map("".join))
+    def test_model_id_agrees_with_the_element_tree_lookup_on_any_piecing(self, xml):
+        assert _id_outcome(model_id, xml) == _id_outcome(_tree_id, xml)
 
     def test_empty_condition_rejected(self):
         body = MINIMAL.replace(

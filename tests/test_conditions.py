@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bpmndiverge.conditions import (
     MAX_NESTING,
@@ -165,6 +165,16 @@ class TestNesting:
         with pytest.raises(ConditionParseError, match=f"deeper than {MAX_NESTING}") as info:
             parse_condition(text)
         assert info.value.offset == offset
+
+    def test_a_condition_whose_rendering_nests_too_deep_is_refused(self):
+        # A level of "NOT (x OR ...)" nests twice in the text, but three times
+        # rendered, where the OR gets parentheses of its own.
+        ast = parse_condition("NOT (x OR " * 10 + "x" + ")" * 10)
+        assert parse_condition(to_text(ast)) == ast
+        for levels in (11, 16):
+            with pytest.raises(ConditionParseError, match=f"deeper than {MAX_NESTING}") as info:
+                parse_condition("NOT (x OR " * levels + "x" + ")" * levels)
+            assert info.value.offset == 0
 
 
 class TestRendering:
@@ -348,6 +358,26 @@ def _numeric_ast_and_attrs(draw):
 
 @given(_asts)
 def test_round_trip_through_text(ast):
+    assert parse_condition(to_text(ast)) == ast
+
+
+_condition_texts = st.recursive(
+    st.sampled_from(["x", "TRUE", "false", "x == 1", "2 < y", "s != 'a'"]),
+    lambda inner: st.builds("({})".format, inner)
+    | st.builds("NOT {}".format, inner)
+    | st.builds("{} {} {}".format, inner, st.sampled_from(["AND", "OR"]), inner),
+    max_leaves=12,
+)
+
+
+@given(_condition_texts)
+@example("NOT (x OR " * 16 + "x" + ")" * 16)
+@example("NOT (" * 16 + "x" + ")" * 16)
+def test_every_accepted_condition_reparses_from_its_rendering(text):
+    try:
+        ast = parse_condition(text)
+    except ConditionParseError:
+        return
     assert parse_condition(to_text(ast)) == ast
 
 

@@ -17,6 +17,8 @@ from bpmndiverge import cli, simulation
 from bpmndiverge.bpmn import SequenceFlow, parse_bpmn
 from bpmndiverge.conditions import (
     BoolOp,
+    Compare,
+    Literal,
     MissingVariableError,
     Not,
     TypeMismatchError,
@@ -28,6 +30,7 @@ from bpmndiverge.simulation import (
     CASE_ERRORS,
     CaseDataError,
     CaseRecord,
+    CaseTable,
     ConditionTables,
     KpiConfig,
     KpiVector,
@@ -45,6 +48,7 @@ from bpmndiverge.simulation import (
 )
 
 import modelkit as mk
+import oracles
 from test_conditions import _NAMES, _asts
 
 
@@ -123,6 +127,63 @@ class TestCaseLoading:
     def test_blank_lines_skipped(self):
         cases = load_cases_csv("case_id,x\nc1,1\n\nc2,2\n")
         assert [c.case_id for c in cases] == ["c1", "c2"]
+
+
+def _typed(records):
+    """Records as comparable rows that tell ``True`` from ``Decimal(1)`` and
+    keep the attribute order."""
+    return [
+        (record.case_id, [(name, type(value), value) for name, value in record.attributes.items()])
+        for record in records
+    ]
+
+
+_CSV_CELLS = st.sampled_from(
+    ["1", " 1", "1.0", "-0", "1e3", "true", "TRUE", " false ", "", "abc", " x "]
+)
+
+
+@st.composite
+def _case_csv(draw):
+    """A case CSV over a few distinct cells, with blank rows now and then."""
+    width = draw(st.integers(0, 4))
+    lines = [",".join(["case_id", *(f"a{column}" for column in range(width))])]
+    for index in range(draw(st.integers(1, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        cells = [draw(_CSV_CELLS) for _ in range(width)]
+        lines.append(",".join([f" c{index} ", *cells]))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnLoading:
+    @given(_case_csv())
+    def test_the_table_holds_the_records_of_the_per_row_parse(self, text):
+        table, rows = load_cases_csv(text), oracles.load_cases_per_row(text)
+        assert len(table) == len(rows)
+        assert _typed(table) == _typed(rows)
+        assert table.ids == [row.case_id for row in rows]
+
+    def test_the_city1_table_holds_the_records_of_the_per_row_parse(self, city1_dir, population):
+        text = (city1_dir / "population.csv").read_text()
+        assert _typed(population) == _typed(oracles.load_cases_per_row(text))
+
+    def test_equal_cells_share_one_value(self):
+        table = load_cases_csv("case_id,a,b\nc1,5,5\nc2,5,x\nc3, 5,5\n")
+        assert len({id(value) for column in table.columns.values() for value in column}) == 3
+
+    def test_a_table_of_records_is_built_once(self, population):
+        assert CaseTable.of(population) is population
+        records = list(population)
+        rebuilt = CaseTable.of(records)
+        assert rebuilt is not population and list(rebuilt) == records
+
+    def test_a_record_keeps_only_its_own_attributes(self):
+        records = [CaseRecord("c0", {"x": True}), CaseRecord("c1", {"y": "s"})]
+        table = CaseTable.of(records)
+        assert list(table) == records and table[-1] == records[-1]
+        with pytest.raises(IndexError):
+            table[2]
 
 
 class TestExecution:
@@ -380,18 +441,18 @@ def assert_matches_walks(model, cases, config, step_cap=simulation.DEFAULT_STEP_
 def _masks_over_cases(draw):
     """A population of up to 300 cases and a mask over it."""
     size = draw(st.integers(0, 300))
-    return [CaseRecord(f"c{index}", {}) for index in range(size)], draw(
+    return CaseTable([f"c{index}" for index in range(size)], {}), draw(
         st.integers(0, (1 << size) - 1)
     )
 
 
-_WIDE = [CaseRecord(f"c{index}", {}) for index in range(100_000)]
+_WIDE = CaseTable([f"c{index}" for index in range(100_000)], {})
 
 
 class TestMasks:
     @settings(deadline=None)
     @given(_masks_over_cases())
-    @example(([], 0))
+    @example((CaseTable([], {}), 0))
     @example((_WIDE, (1 << len(_WIDE)) - 1))
     @example((_WIDE, 1 << (len(_WIDE) - 1) | 1))
     def test_indices_and_case_ids_list_the_set_bits_lowest_first(self, drawn):
@@ -401,8 +462,33 @@ class TestMasks:
         assert case_ids(cases, mask) == tuple(cases[index].case_id for index in expected)
 
 
+# Few distinct values over many cases, and values that compare equal across
+# types (True == Decimal(1)) or within one (Decimal("1") == Decimal("1.0")).
+_REPEATED = [True, False, Decimal(1), Decimal("1.0"), Decimal(0), Decimal("-0"), "1", ""]
+_repeating_populations = st.lists(
+    st.dictionaries(_NAMES, st.sampled_from(_REPEATED)), min_size=1, max_size=60
+).map(lambda rows: [CaseRecord(f"c{index}", row) for index, row in enumerate(rows)])
+
+
 class TestConditionTables:
-    @given(_asts, _populations)
+    @given(_asts, _populations | _repeating_populations)
+    @example(
+        parse_condition("x == 1 OR NOT x"),
+        [
+            CaseRecord(f"c{index}", {"x": value})
+            for index, value in enumerate([True, Decimal(1), "1", Decimal("1.0"), True, "1", False])
+        ],
+    )
+    @example(
+        parse_condition("NOT (x > 0) AND beta"),
+        [
+            CaseRecord("c0", {"x": Decimal(1)}),
+            CaseRecord("c1", {"beta": True}),
+            CaseRecord("c2", {"x": Decimal(0), "beta": Decimal(2)}),
+            CaseRecord("c3", {}),
+            CaseRecord("c4", {"x": Decimal("0.0"), "beta": "s"}),
+        ],
+    )
     def test_table_matches_evaluate_on_every_case(self, ast, cases):
         true, error, messages = ConditionTables(cases).table(ast)
         for index, case in enumerate(cases):
@@ -660,6 +746,57 @@ def test_acyclic_simulate_evaluates_each_leaf_once_per_case(
     assert calls["walks"] == 0
     assert calls["evaluate"] == 2 * evaluated
     assert 0 < paths < 100 * len(population)
+
+
+def test_simulate_and_diagnose_evaluate_each_leaf_once_per_distinct_value(
+    repo_root, city1_dir, tmp_path, monkeypatch
+):
+    """Ten copies of every city1 case: ten times the cases over the same
+    distinct cells, so no count may grow with the cases."""
+    header, *rows = [row for row in (city1_dir / "population.csv").read_text().splitlines() if row]
+    text = "\n".join([header, *(f"r{copy}_{row}" for copy in range(10) for row in rows)]) + "\n"
+    (tmp_path / "cases.csv").write_text(text)
+    records = oracles.load_cases_per_row(text)
+    models_dir = repo_root / "fixtures" / "family_original"
+    leaves = {
+        to_text(leaf): leaf
+        for path in models_dir.glob("*.bpmn")
+        for flow in parse_bpmn(path.read_text()).flows
+        if flow.condition is not None
+        for leaf in _leaves(flow.condition)
+    }
+
+    def groups(leaf):
+        """The distinct values of the leaf's variable, keyed by type and value,
+        and one more if some case lacks it; one for a literal."""
+        if isinstance(leaf, Literal):
+            return 1
+        name = leaf.var if isinstance(leaf, Compare) else leaf.name
+        cells = [record.attributes.get(name) for record in records]  # None where it lacks it
+        return len({(type(cell), cell) for cell in cells})
+
+    most_evaluations = sum(map(groups, leaves.values()))
+    distinct_cells = len({cell for row in rows for cell in row.split(",")[1:]})
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(simulation, "evaluate", counted("evaluate", simulation.evaluate))
+    monkeypatch.setattr(simulation, "parse_cell", counted("parse_cell", simulation.parse_cell))
+    monkeypatch.chdir(repo_root)
+    argv = ["--config", "fixtures/city1/config.cfg", "--models", str(models_dir)]
+    argv += ["--cases", str(tmp_path / "cases.csv"), "--out", str(tmp_path / "out")]
+    for stage in ("simulate", "entropy", "diagnose"):
+        calls.clear()
+        assert cli.main(argv + [stage]) == 0
+        assert calls["evaluate"] <= most_evaluations < len(records), stage
+        assert calls["parse_cell"] <= distinct_cells < len(records), stage
+    assert json.loads((tmp_path / "out" / "diagnosis.json").read_text())["status"] == "diagnosed"
 
 
 @pytest.mark.parametrize("family", ["family_original", "family_repaired"])
