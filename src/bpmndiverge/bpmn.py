@@ -229,7 +229,10 @@ def _process_id(process: Mapping[str, str] | ET.Element) -> str:
 def model_id(xml_text: str) -> str:
     """The id ``parse_bpmn`` gives the model in ``xml_text``, with the checks
     and errors of ``_process``: one expat pass that reads to the end, but
-    stops looking at elements once it has found the ``<process>``."""
+    stops looking at elements once it has found the ``<process>``.  An
+    ``ET.XMLParser(target=...)`` pass would need no DOCTYPE branch, but calls
+    its Python target per element: it read the 100 ``family_original`` ids in
+    4.3-6.3 ms against this pass's 2.1-2.3 ms (best of 15, 2-core Xeon)."""
     if "<!DOCTYPE" in xml_text:  # ElementTree refuses entity references there that expat allows
         return _process_id(_process(xml_text))
     parser = expat.ParserCreate(namespace_separator="}")

@@ -157,11 +157,8 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     models = _load_models(config)
     cases = _load_cases(config)
     out_dir = _kpi_dir(config)
-    tables = simulation.ConditionTables(cases)
     for model, source in models:
-        result = simulation.simulate_population(
-            model, cases, config.kpi, step_cap=config.step_cap, tables=tables
-        )
+        result = simulation.simulate_population(model, cases, config.kpi, step_cap=config.step_cap)
         payload: dict[str, object] = {
             "model_id": model.model_id,
             "source": source,
@@ -191,22 +188,30 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     return 0
 
 
-def _parse_kpis(values: dict, source: str) -> simulation.KpiVector:
-    """The vector of the five KPIs in ``values``, each a finite decimal."""
+def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.KpiVector:
+    """The vector of the five KPIs in ``values``, each a finite decimal that
+    rounds to ``round_decimals`` places.  Errors show a value as written."""
     pairs = []
     for name in simulation.KPI_NAMES:
+        found = values.get(name)
         try:
-            value = Decimal(values[name])
-        except (KeyError, TypeError, InvalidOperation):
+            value = Decimal(found)
+        except (TypeError, InvalidOperation):
             value = None
         if value is None or not value.is_finite():
-            found = values.get(name)
             raise DataError(f"{source}: KPI {name} must be a finite number, found {found!r}")
+        try:
+            value.quantize(Decimal(1).scaleb(-round_decimals))
+        except InvalidOperation:
+            raise DataError(
+                f"{source}: KPI {name} value {found!r} has too many digits to round to "
+                f"{round_decimals} decimals"
+            )
         pairs.append((name, value))
     return simulation.KpiVector(tuple(pairs))
 
 
-def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
+def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector, str]]:
     """(model_id, vector, source file) per KPI JSON file, sorted by model id."""
     if not path.is_dir():
         raise DataError(f"KPI directory not found: {path}")
@@ -221,14 +226,14 @@ def _read_kpi_dir(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
         if model_id in files:
             raise DataError(f"{file.name}: model_id {model_id!r} is also in {files[model_id]}")
         files[model_id] = file.name
-        vector = _parse_kpis(_field(data, "kpis", dict, file.name), file.name)
+        vector = _parse_kpis(_field(data, "kpis", dict, file.name), file.name, round_decimals)
         entries.append((model_id, vector, str(data.get("source", ""))))
     if not entries:
         raise DataError(f"no KPI JSON files in {path}")
     return entries
 
 
-def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
+def _read_kpi_csv(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector, str]]:
     """KPI vectors from a CSV with model_id plus one column per KPI."""
     header, rows = simulation.read_csv_table(
         _read_input(path, "KPI CSV"),
@@ -238,7 +243,9 @@ def _read_kpi_csv(path: Path) -> list[tuple[str, simulation.KpiVector, str]]:
         simulation.KPI_NAMES,
     )
     vectors = {
-        row[0].strip(): _parse_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}")
+        row[0].strip(): _parse_kpis(
+            dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}", round_decimals
+        )
         for row in rows
     }
     return [(model_id, vectors[model_id], "") for model_id in sorted(vectors)]
@@ -274,9 +281,9 @@ def _distribution_payload(
 
 def cmd_entropy(config: RunConfig, kpis_path: Path | None, from_csv: Path | None) -> int:
     if from_csv is not None:
-        entries = _read_kpi_csv(from_csv)
+        entries = _read_kpi_csv(from_csv, config.round_decimals)
     else:
-        entries = _read_kpi_dir(kpis_path or _kpi_dir(config))
+        entries = _read_kpi_dir(kpis_path or _kpi_dir(config), config.round_decimals)
     payload, dist = _distribution_payload(entries, config.round_decimals)
     atomic_write(config.out_dir / "distribution.json", dump_json(payload))
     histogram_lines = ["label,count"]
@@ -477,7 +484,7 @@ def cmd_repair(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
     payload = {}
     for key, path in (("before", before), ("after", after)):
-        entries = _read_kpi_dir(path)
+        entries = _read_kpi_dir(path, config.round_decimals)
         block, _dist = _distribution_payload(entries, config.round_decimals)
         payload[key] = {
             "kpi_dir": str(path),
@@ -573,8 +580,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "entropy":
             return cmd_entropy(config, args.kpis, args.from_csv)
         if args.command == "diagnose":
-            if args.models and len(args.models) != 2:
-                raise ConfigError("pass either no model ids (auto-pick) or exactly two")
+            if args.models and not len(args.models) == len(set(args.models)) == 2:
+                raise ConfigError("pass no model ids (auto-pick) or exactly two distinct model ids")
             return cmd_diagnose(config, args.models)
         if args.command == "report":
             return cmd_report(config)

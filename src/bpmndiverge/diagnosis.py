@@ -30,7 +30,7 @@ correctness; the orientation is picked only for explanatory parsimony.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -39,7 +39,6 @@ from .conditions import normalize
 from .simulation import (
     CaseRecord,
     CaseTable,
-    ConditionTables,
     DEFAULT_STEP_CAP,
     KpiConfig,
     KpiSequence,
@@ -85,7 +84,6 @@ class Observation:
 
 @dataclass(frozen=True)
 class Divergence:
-    case_id: str
     kind: DivergenceKind
     index: int
     t_last: str | None  # target-side task label before the divergence, if any
@@ -110,7 +108,7 @@ class DiagnosisProblem:
     target_model_id: str
     components: tuple[str, ...]  # all target-model gateway ids, document order
     conflicts: tuple[ConflictSet, ...]
-    unattributable: tuple[Divergence, ...]
+    unattributable: tuple[tuple[str, Divergence], ...]  # (case id, divergence), by case id
     failed_cases: tuple[tuple[str, str], ...]  # (case id, reason)
 
 
@@ -135,21 +133,21 @@ class DirectionResult:
 
 
 def compare_observations(
-    pairs: Sequence[tuple[KpiSequence, KpiSequence]],
+    compared: Sequence[tuple[str, KpiSequence, KpiSequence]],
 ) -> list[Observation]:
-    """One observation per (case, task label, kpi) seen on either side of
-    each aligned (reference, target) pair of one case's KPI sequences.
+    """One observation per (case, task label, kpi) seen on either side, from
+    one (case id, reference sequence, target sequence) per compared case.
 
-    Output order follows the pairs (case-id order as ``choose_direction``
-    passes them), then task label, then kpi name.
+    Output order follows ``compared`` (case-id order as ``choose_direction``
+    passes it), then task label, then kpi name.
     """
     observations: list[Observation] = []
-    for ref_seq, tgt_seq in pairs:
-        ref_pairs, tgt_pairs = set(ref_seq.pairs), set(tgt_seq.pairs)
+    for case_id, ref_seq, tgt_seq in compared:
+        ref_pairs, tgt_pairs = set(ref_seq), set(tgt_seq)
         for task_label, kpi in sorted(ref_pairs | tgt_pairs):
             observations.append(
                 Observation(
-                    ref_seq.case_id,
+                    case_id,
                     task_label,
                     kpi,
                     ref_emitted=(task_label, kpi) in ref_pairs,
@@ -159,15 +157,13 @@ def compare_observations(
     return observations
 
 
-def first_divergence(ref_seq: KpiSequence, tgt_seq: KpiSequence) -> Divergence | None:
+def first_divergence(ref_pairs: KpiSequence, tgt_pairs: KpiSequence) -> Divergence | None:
     """Earliest index where the two KPI sequences differ, or None if equal.
 
     The bounding task labels are taken from the target side; a target
     sequence that ends early yields a missing_output whose window runs to
     the end of the target trace (t_first is the TRACE_END marker).
     """
-    ref_pairs = ref_seq.pairs
-    tgt_pairs = tgt_seq.pairs
     limit = min(len(ref_pairs), len(tgt_pairs))
     index = next(
         (i for i in range(limit) if ref_pairs[i] != tgt_pairs[i]),
@@ -177,17 +173,12 @@ def first_divergence(ref_seq: KpiSequence, tgt_seq: KpiSequence) -> Divergence |
         if len(ref_pairs) == len(tgt_pairs):
             return None
         index = limit
-    case_id = tgt_seq.case_id
     t_last = tgt_pairs[index - 1][0] if index > 0 else None
     if index >= len(tgt_pairs):
-        return Divergence(case_id, DivergenceKind.MISSING_OUTPUT, index, t_last, TRACE_END)
+        return Divergence(DivergenceKind.MISSING_OUTPUT, index, t_last, TRACE_END)
     if index >= len(ref_pairs):
-        return Divergence(
-            case_id, DivergenceKind.EXTRA_OUTPUT, index, t_last, tgt_pairs[index][0]
-        )
-    return Divergence(
-        case_id, DivergenceKind.INCORRECT_OUTPUT, index, t_last, tgt_pairs[index][0]
-    )
+        return Divergence(DivergenceKind.EXTRA_OUTPUT, index, t_last, tgt_pairs[index][0])
+    return Divergence(DivergenceKind.INCORRECT_OUTPUT, index, t_last, tgt_pairs[index][0])
 
 
 def conflict_from_divergence(
@@ -226,11 +217,10 @@ def _class_pairs(
     """Each non-empty intersection of a path class of ``model_a`` with one of
     ``model_b``, as (mask of its cases, path on a, path on b), and each
     model's error of every case that fails on it.  Both models walk the
-    cases once, by ``simulate_population`` over shared condition tables."""
-    tables = ConditionTables(cases)
+    cases once, by ``simulate_population`` over the condition tables of ``cases``."""
     paths, errors = [], []
     for model in (model_a, model_b):
-        result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap, tables=tables)
+        result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap)
         paths.append([_Path(mask, walk, kpi_sequence(walk, model)) for mask, walk in result.paths])
         errors.append(dict(result.errors))
     pairs = [(both, a, b) for a in paths[0] for b in paths[1] if (both := a.members & b.members)]
@@ -346,7 +336,7 @@ def _run_orientation(
     failed = [(case_id, errors[case_id]) for case_id in cases.ids if case_id in errors]
     conflicts: dict[tuple[str, ...], list[str]] = {}
     support: dict[str, list[tuple[Trace, Trace]]] = {}
-    unattributable: list[Divergence] = []
+    unattributable: list[tuple[str, Divergence]] = []
     for members, ref, tgt in pairs:
         divergence = first_divergence(ref.sequence, tgt.sequence)
         if divergence is None:
@@ -354,7 +344,7 @@ def _run_orientation(
         ids = case_ids(cases, members)
         gateways = conflict_from_divergence(divergence, tgt.walk, tgt_model)
         if not gateways:
-            unattributable.extend(replace(divergence, case_id=case_id) for case_id in ids)
+            unattributable.extend((case_id, divergence) for case_id in ids)
             continue
         conflicts.setdefault(gateways, []).extend(ids)
         for gateway in gateways:
@@ -367,7 +357,7 @@ def _run_orientation(
         target_model_id=tgt_model.model_id,
         components=tuple(n.id for n in tgt_model.nodes if n.kind is NodeKind.EXCLUSIVE_GATEWAY),
         conflicts=merged,
-        unattributable=tuple(sorted(unattributable, key=lambda d: d.case_id)),
+        unattributable=tuple(sorted(unattributable, key=lambda pair: pair[0])),
         failed_cases=tuple(failed),
     )
     diagnoses, truncated = minimal_hitting_sets(problem, max_cardinality=max_cardinality)
@@ -414,15 +404,12 @@ def choose_direction(
             f"models {model_a.model_id!r} and {model_b.model_id!r} agree on all cases"
         )
     chosen, reverse = sorted((run_ab, run_ba), key=_ranking_key)
-    aligned = sorted(
-        (
-            (KpiSequence(case_id, ref.sequence.pairs), KpiSequence(case_id, tgt.sequence.pairs))
-            for members, ref, tgt in (pairs_ab if chosen is run_ab else pairs_ba)
-            for case_id in case_ids(cases, members)
-        ),
-        key=lambda pair: pair[0].case_id,
+    compared = sorted(
+        (case_id, ref.sequence, tgt.sequence)
+        for members, ref, tgt in (pairs_ab if chosen is run_ab else pairs_ba)
+        for case_id in case_ids(cases, members)
     )
-    return DirectionResult(chosen, reverse, tuple(compare_observations(aligned)))
+    return DirectionResult(chosen, reverse, tuple(compare_observations(compared)))
 
 
 def diagnosis_report(result: DirectionResult) -> dict:
@@ -445,13 +432,13 @@ def diagnosis_report(result: DirectionResult) -> dict:
         "refined_diagnoses": [{"gateways": list(d)} for d in result.chosen.refined],
         "unattributable": [
             {
-                "case_id": d.case_id,
+                "case_id": case_id,
                 "kind": d.kind.value,
                 "index": d.index,
                 "t_last": d.t_last,
                 "t_first": d.t_first,
             }
-            for d in problem.unattributable
+            for case_id, d in problem.unattributable
         ],
         "failed_cases": [
             {"case_id": case_id, "reason": reason} for case_id, reason in problem.failed_cases

@@ -12,7 +12,8 @@ walking classes of cases, each an integer mask over the population: the cases
 that have taken the same flows walk together, and a class splits at a gateway
 into one class per branch its members take, so each path is walked once.
 A condition leaf is evaluated once per distinct value of its variable, keyed
-by the value's type and the value (``CaseTable.groups``, ``ConditionTables``).
+by the value's type and the value; ``CaseTable.table`` memoizes each
+condition's masks, so every model simulated over one table shares them.
 """
 
 from __future__ import annotations
@@ -83,13 +84,33 @@ class CaseRecord:
     attributes: Mapping[str, Value]
 
 
+Table = tuple[int, int, Mapping[int, str]]
+
+
 class CaseTable(Sequence[CaseRecord]):
     """A case population as columns: the ids, and each attribute's value per
-    case (``None`` where a case lacks it).  Indexing builds a ``CaseRecord``."""
+    case (``None`` where a case lacks it).  Indexing builds a ``CaseRecord``.
+
+    ``table`` gives a condition's outcomes over the population as bitmasks;
+    bit ``i`` of a mask stands for case ``i``.  A condition's table is
+    ``(true, error, messages)``: the cases on which it holds, the cases on
+    which evaluating it raises, and the message of each such error.  A leaf is
+    evaluated once per group of its variable (``_groups``), a literal once;
+    ``Not`` and ``BoolOp`` tables are composed from their operands'.  Like
+    ``evaluate``, a ``BoolOp`` fails wherever any operand fails, with the
+    message of its first failing operand.
+
+    Tables are memoized by the condition's source rendering.  Neither AST
+    equality nor the normal form would do: ``x == TRUE`` equals ``x == 1``
+    as a dataclass but fails with another message on a string cell, and
+    normalizing reorders operands, which changes which error comes first.
+    """
 
     def __init__(self, ids: list[str], columns: dict[str, list[Value | None]]):
         self.ids, self.columns = ids, columns
-        self._groups: dict[str, tuple[list[dict[str, Value]], list[int]]] = {}
+        self.everyone = (1 << len(ids)) - 1
+        self._grouped: dict[str, tuple[list[dict[str, Value]], list[int]]] = {}
+        self._tables: dict[str, Table] = {}
 
     @classmethod
     def of(cls, cases: Sequence[CaseRecord]) -> "CaseTable":
@@ -106,18 +127,55 @@ class CaseTable(Sequence[CaseRecord]):
         cells = {name: column[index] for name, column in self.columns.items()}
         return CaseRecord(self.ids[index], {k: v for k, v in cells.items() if v is not None})
 
-    def groups(self, name: str) -> tuple[list[dict[str, Value]], list[int]]:
+    def _groups(self, name: str) -> tuple[list[dict[str, Value]], list[int]]:
         """The distinct values of ``name``, each as the attributes to evaluate
         on ({} where ``name`` is missing), and each case's group number.  Values
         group by type and value: ``True == Decimal(1)`` fails with other
         messages, while ``Decimal("5")`` and ``Decimal("5.0")`` share."""
-        if name not in self._groups:
+        if name not in self._grouped:
             numbers: dict[tuple[type, Value | None], int] = {}
             column = self.columns.get(name) or [None] * len(self.ids)
             codes = [numbers.setdefault((type(value), value), len(numbers)) for value in column]
             values = [{} if value is None else {name: value} for _type, value in numbers]
-            self._groups[name] = values, codes
-        return self._groups[name]
+            self._grouped[name] = values, codes
+        return self._grouped[name]
+
+    def table(self, ast: ConditionAst) -> Table:
+        key = to_text(ast)
+        found = self._tables.get(key)
+        if found is None:
+            found = self._tables[key] = self._build(ast)
+        return found
+
+    def _build(self, ast: ConditionAst) -> Table:
+        if isinstance(ast, Not):
+            true, error, messages = self.table(ast.operand)
+            return self.everyone & ~(true | error), error, messages
+        if isinstance(ast, BoolOp):
+            operands = [self.table(operand) for operand in ast.operands]
+            combine = operator.and_ if ast.op == "AND" else operator.or_
+            error = reduce(operator.or_, (e for _t, e, _m in operands))
+            merged: dict[int, str] = {}
+            for _true, _error, messages in operands:
+                for index, message in messages.items():
+                    merged.setdefault(index, message)
+            return reduce(combine, (t for t, _e, _m in operands)) & ~error, error, merged
+        if isinstance(ast, Literal):
+            values, codes = [{}], [0] * len(self.ids)
+        else:
+            values, codes = self._groups(ast.var if isinstance(ast, Compare) else ast.name)
+        holds, fails = bytearray(b"0") * len(values), bytearray(b"0") * len(values)
+        failures: dict[int, str] = {}  # group number -> message
+        for number, attributes in enumerate(values):
+            try:
+                if evaluate(ast, attributes):
+                    holds[number] = ord("1")
+            except (MissingVariableError, TypeMismatchError) as exc:
+                fails[number] = ord("1")
+                failures[number] = str(exc)
+        error = _mask(bytes(map(fails.__getitem__, codes))) if failures else 0
+        messages = {index: failures[codes[index]] for index in _indices(error)}
+        return _mask(bytes(map(holds.__getitem__, codes))), error, messages
 
 
 @dataclass(frozen=True)
@@ -132,12 +190,7 @@ class Trace:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class KpiSequence:
-    """Ordered (task label, kpi name) pairs for cross-model comparison."""
-
-    case_id: str
-    pairs: tuple[tuple[str, str], ...]
+KpiSequence = tuple[tuple[str, str], ...]  # (task label, kpi name) pairs, in walk order
 
 
 @dataclass(frozen=True)
@@ -316,10 +369,7 @@ def execute_case(
 
 def kpi_sequence(trace: Trace, model: ProcessModel) -> KpiSequence:
     """Project a trace onto (task label, kpi name) pairs in execution order."""
-    return KpiSequence(
-        trace.case_id,
-        tuple((model.node(task_id).label, kpi) for task_id, kpi in trace.emissions),
-    )
+    return tuple((model.node(task_id).label, kpi) for task_id, kpi in trace.emissions)
 
 
 def aggregate_kpis(
@@ -365,69 +415,6 @@ def _kpi_vector(nc: int, hc: int, cases_total: int, config: KpiConfig) -> KpiVec
     )
 
 
-Table = tuple[int, int, Mapping[int, str]]
-
-
-class ConditionTables:
-    """Condition outcomes over one case population, as bitmasks.
-
-    Bit ``i`` of a mask stands for ``cases[i]``.  A condition's table is
-    ``(true, error, messages)``: the cases on which it holds, the cases on
-    which evaluating it raises, and the message of each such error.  A leaf is
-    evaluated once per group of its variable (``CaseTable.groups``), a literal
-    once; ``Not`` and ``BoolOp`` tables are composed from their operands'.
-    Like ``evaluate``, a ``BoolOp`` fails wherever any operand fails, with
-    the message of its first failing operand.
-
-    Tables are memoized by the condition's source rendering.  Neither AST
-    equality nor the normal form would do: ``x == TRUE`` equals ``x == 1``
-    as a dataclass but fails with another message on a string cell, and
-    normalizing reorders operands, which changes which error comes first.
-    """
-
-    def __init__(self, cases: Sequence[CaseRecord]):
-        self.cases = CaseTable.of(cases)
-        self.everyone = (1 << len(cases)) - 1
-        self._memo: dict[str, Table] = {}
-
-    def table(self, ast: ConditionAst) -> Table:
-        key = to_text(ast)
-        found = self._memo.get(key)
-        if found is None:
-            found = self._memo[key] = self._build(ast)
-        return found
-
-    def _build(self, ast: ConditionAst) -> Table:
-        if isinstance(ast, Not):
-            true, error, messages = self.table(ast.operand)
-            return self.everyone & ~(true | error), error, messages
-        if isinstance(ast, BoolOp):
-            operands = [self.table(operand) for operand in ast.operands]
-            combine = operator.and_ if ast.op == "AND" else operator.or_
-            error = reduce(operator.or_, (e for _t, e, _m in operands))
-            merged: dict[int, str] = {}
-            for _true, _error, messages in operands:
-                for index, message in messages.items():
-                    merged.setdefault(index, message)
-            return reduce(combine, (t for t, _e, _m in operands)) & ~error, error, merged
-        if isinstance(ast, Literal):
-            values, codes = [{}], [0] * len(self.cases)
-        else:
-            values, codes = self.cases.groups(ast.var if isinstance(ast, Compare) else ast.name)
-        holds, fails = bytearray(b"0") * len(values), bytearray(b"0") * len(values)
-        failures: dict[int, str] = {}  # group number -> message
-        for number, attributes in enumerate(values):
-            try:
-                if evaluate(ast, attributes):
-                    holds[number] = ord("1")
-            except (MissingVariableError, TypeMismatchError) as exc:
-                fails[number] = ord("1")
-                failures[number] = str(exc)
-        error = _mask(bytes(map(fails.__getitem__, codes))) if failures else 0
-        messages = {index: failures[codes[index]] for index in _indices(error)}
-        return _mask(bytes(map(holds.__getitem__, codes))), error, messages
-
-
 def _mask(bits: bytes) -> int:
     """The int whose bit ``i`` is set where ``bits[i]`` is ``"1"``."""
     return int(b"0" + bits[::-1], 2)
@@ -450,7 +437,7 @@ def case_ids(cases: CaseTable, members: int) -> tuple[str, ...]:
 
 
 def _walk_paths(
-    model: ProcessModel, tables: ConditionTables, step_cap: int
+    model: ProcessModel, cases: CaseTable, step_cap: int
 ) -> tuple[list[CasePath], dict[int, str]]:
     """Each path that reaches an end event, with the mask of its cases, and
     the error of each case, by index, that fails.
@@ -468,9 +455,9 @@ def _walk_paths(
         for index in _indices(mask):
             failures[index] = message(index)
 
-    ids = tables.cases.ids
+    ids = cases.ids
     # (members, steps, flows) of each class still walking
-    stack: list[tuple[int, list[str], list[str]]] = [(tables.everyone, [model.start_node], [])]
+    stack: list[tuple[int, list[str], list[str]]] = [(cases.everyone, [model.start_node], [])]
     while stack:
         members, steps, flows = stack.pop()
         node = model.node(steps[-1])
@@ -492,7 +479,7 @@ def _walk_paths(
                 taken.append((flow, rest))
                 rest = 0
             elif rest:
-                true, error, messages = tables.table(flow.condition)
+                true, error, messages = cases.table(flow.condition)
                 fail(rest & error, messages.__getitem__)
                 taken.append((flow, rest & true))
                 rest &= ~(true | error)
@@ -519,24 +506,19 @@ def simulate_population(
     config: KpiConfig,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
-    tables: ConditionTables | None = None,
 ) -> PopulationResult:
     """Simulate every case.  Per-case failures are collected with their case
     id, in case order; aggregation runs over the successful cases only, while
     the HI denominator stays the full population size.
 
-    Cases walk by classes over ``tables`` (built here unless a caller shares
-    one across models, over ``tables.cases``).  Each successful path is listed
+    Cases walk by classes over the condition tables of ``cases``, which every
+    call given the same ``CaseTable`` shares.  Each successful path is listed
     once, with the mask of its cases, and counts its NC and HC once for each.
     """
     if not cases:
         raise CaseDataError("case population is empty")
     cases = CaseTable.of(cases)
-    if tables is None:
-        tables = ConditionTables(cases)
-    elif tables.cases is not cases:
-        raise ValueError("condition tables were built over another case population")
-    paths, failures = _walk_paths(model, tables, step_cap)
+    paths, failures = _walk_paths(model, cases, step_cap)
     nc = hc = 0
     for members, walk in paths:
         kpis = [kpi for _task, kpi in walk.emissions]

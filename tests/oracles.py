@@ -161,7 +161,7 @@ def per_case_diagnosis(
         if gateways:
             conflicts.setdefault(gateways, []).append(case_id)
         else:
-            unattributable.append(divergence)
+            unattributable.append((case_id, divergence))
     problem = diagnosis.DiagnosisProblem(
         reference_model_id=ref_model.model_id,
         target_model_id=tgt_model.model_id,

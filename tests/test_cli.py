@@ -196,6 +196,10 @@ class TestEntropy:
             ("Infinity", "KPI CSV row 'm2': KPI NC must be a finite number, found 'Infinity'"),
             ("sNaN", "KPI CSV row 'm2': KPI NC must be a finite number, found 'sNaN'"),
             ("1e30", "too many digits to round to 6 decimals"),
+            (
+                "1e999999999",
+                "KPI CSV row 'm2': KPI NC value '1e999999999' has too many digits to round to 6",
+            ),
         ],
     )
     def test_from_csv_rejects_values_it_cannot_round(self, out, tmp_path, capsys, cell, message):
@@ -222,6 +226,10 @@ class TestEntropy:
         "key,value,message",
         [
             ("kpis", {**STRICT_KPIS, "CS": "NaN"}, "KPI CS must be a finite number, found 'NaN'"),
+            *(
+                ("kpis", {**STRICT_KPIS, "CS": big}, f"KPI CS value {big!r} has too many digits")
+                for big in ("1e999999999", "1e5000")
+            ),
             ("kpis", ["8"], "'kpis' is missing or has the wrong type"),
             ("model_id", ["x"], "'model_id' is missing or has the wrong type"),
         ],
@@ -370,6 +378,13 @@ class TestDiagnose:
     def test_single_model_id_is_usage_error(self, out, capsys):
         assert run_city1(out, "diagnose", "city1_and_strict") == 1
         assert "exactly two" in capsys.readouterr().err
+
+    def test_one_model_id_twice_is_usage_error(self, out, capsys):
+        assert run_city1(out, "diagnose", "city1_and_strict", "city1_or_broad") == 0
+        before = (out / "diagnosis.json").read_bytes()
+        assert run_city1(out, "diagnose", "city1_and_strict", "city1_and_strict") == 1
+        assert "two distinct model ids" in capsys.readouterr().err
+        assert (out / "diagnosis.json").read_bytes() == before
 
     def test_unknown_model_id(self, out, capsys):
         assert run_city1(out, "diagnose", "nope_a", "nope_b") == 2
@@ -769,6 +784,18 @@ class TestVerify:
         kpis = str(out / "kpis")
         assert run_city1(out, "verify", "--before", kpis, "--after", str(after)) == 0
         assert read_json(out / "verify.json")["after"]["total"] == 2
+
+    def test_a_kpi_it_cannot_round_is_a_data_error(self, out, tmp_path, capsys):
+        assert run_city1(out, "simulate") == 0
+        after = tmp_path / "after"
+        shutil.copytree(out / "kpis", after)
+        path = after / "city1_or_broad.json"
+        path.write_text(json.dumps({**read_json(path), "kpis": {**STRICT_KPIS, "HI": "-1e5000"}}))
+        kpis = str(out / "kpis")
+        assert run_city1(out, "verify", "--before", kpis, "--after", str(after)) == 2
+        message = "city1_or_broad.json: KPI HI value '-1e5000' has too many digits to round to 6"
+        assert message in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
 
     def test_missing_before_flag(self, out, capsys):
         assert run_city1(out, "verify", "--after", str(out)) == 1

@@ -24,7 +24,7 @@ from bpmndiverge.conditions import (
     to_text,
     variables,
 )
-from bpmndiverge.simulation import CaseRecord, ConditionTables
+from bpmndiverge.simulation import CaseRecord, CaseTable
 
 
 class TestParsing:
@@ -150,7 +150,7 @@ class TestNesting:
             ast = parse_condition(text)
             assert evaluate(ast, cases[0].attributes) is evaluate(normalize(ast), {"x": True})
             assert normalize(parse_condition(to_text(ast))) == normalize(ast)
-            ConditionTables(cases).table(ast)
+            CaseTable.of(cases).table(ast)
 
     @pytest.mark.parametrize(
         "text,offset",

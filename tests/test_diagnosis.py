@@ -26,7 +26,6 @@ from bpmndiverge.diagnosis import (
 from bpmndiverge.simulation import (
     CASE_ERRORS,
     CaseRecord,
-    KpiSequence,
     Trace,
     execute_case,
     kpi_sequence,
@@ -60,18 +59,20 @@ def oriented(ref, tgt, cases) -> DiagnosisRun:
     return next(run for run in runs if run.problem.reference_model_id == ref.model_id)
 
 
-def seq(case_id: str, *pairs: tuple[str, str]) -> KpiSequence:
-    return KpiSequence(case_id, pairs)
+def seq(*pairs: tuple[str, str]) -> tuple[tuple[str, str], ...]:
+    return pairs
 
 
-def walked_pairs(ref, tgt, cases) -> list[tuple[KpiSequence, KpiSequence]]:
-    """(reference, target) KPI sequences from per-case ``execute_case``
-    walks of every case that completes on both models, in case-id order."""
+def walked_pairs(ref, tgt, cases) -> list[tuple[str, tuple, tuple]]:
+    """(case id, reference, target KPI sequence) from per-case
+    ``execute_case`` walks of every case that completes on both models, in
+    case-id order."""
     pairs = []
     for case in sorted(cases, key=lambda c: c.case_id):
         try:
             pairs.append(
                 (
+                    case.case_id,
                     kpi_sequence(execute_case(ref, case), ref),
                     kpi_sequence(execute_case(tgt, case), tgt),
                 )
@@ -96,14 +97,14 @@ class TestObservations:
 
 class TestFirstDivergence:
     def test_equal_sequences(self):
-        a = seq("c", ("Notify", "NC"))
+        a = seq(("Notify", "NC"))
         assert first_divergence(a, a) is None
-        assert first_divergence(seq("c"), seq("c")) is None
+        assert first_divergence(seq(), seq()) is None
 
     def test_extra_output(self):
         d = first_divergence(
-            seq("c", ("Notify", "NC")),
-            seq("c", ("Notify", "NC"), ("Guide", "HC")),
+            seq(("Notify", "NC")),
+            seq(("Notify", "NC"), ("Guide", "HC")),
         )
         assert d.kind is DivergenceKind.EXTRA_OUTPUT
         assert d.index == 1
@@ -112,8 +113,8 @@ class TestFirstDivergence:
 
     def test_missing_output_runs_to_trace_end(self):
         d = first_divergence(
-            seq("c", ("Notify", "NC"), ("Guide", "HC")),
-            seq("c", ("Notify", "NC")),
+            seq(("Notify", "NC"), ("Guide", "HC")),
+            seq(("Notify", "NC")),
         )
         assert d.kind is DivergenceKind.MISSING_OUTPUT
         assert d.index == 1
@@ -121,7 +122,7 @@ class TestFirstDivergence:
         assert d.t_first == TRACE_END
 
     def test_incorrect_output_at_start(self):
-        d = first_divergence(seq("c", ("Yes", "NC")), seq("c", ("No", "NC")))
+        d = first_divergence(seq(("Yes", "NC")), seq(("No", "NC")))
         assert d.kind is DivergenceKind.INCORRECT_OUTPUT
         assert d.index == 0
         assert d.t_last is None
@@ -129,8 +130,8 @@ class TestFirstDivergence:
 
     def test_earliest_difference_wins(self):
         d = first_divergence(
-            seq("c", ("A", "NC"), ("B", "NC"), ("C", "NC")),
-            seq("c", ("A", "NC"), ("X", "NC"), ("Y", "NC")),
+            seq(("A", "NC"), ("B", "NC"), ("C", "NC")),
+            seq(("A", "NC"), ("X", "NC"), ("Y", "NC")),
         )
         assert d.index == 1
         assert d.t_first == "X"
@@ -143,8 +144,8 @@ class TestConflictWindows:
         assert ref_seq_pairs == ()
         tgt_trace = execute_case(broad_model, c09)
         d = first_divergence(
-            seq("c09"),
-            seq("c09", ("Send Program Notification", "NC"), ("Provide Health Guidance", "HC")),
+            seq(),
+            seq(("Send Program Notification", "NC"), ("Provide Health Guidance", "HC")),
         )
         assert conflict_from_divergence(d, tgt_trace, broad_model) == ("n3",)
 
@@ -152,8 +153,8 @@ class TestConflictWindows:
         c05 = population[4]
         tgt_trace = execute_case(broad_model, c05)
         d = first_divergence(
-            seq("c05", ("Send Program Notification", "NC")),
-            seq("c05", ("Send Program Notification", "NC"), ("Provide Health Guidance", "HC")),
+            seq(("Send Program Notification", "NC")),
+            seq(("Send Program Notification", "NC"), ("Provide Health Guidance", "HC")),
         )
         assert conflict_from_divergence(d, tgt_trace, broad_model) == ("n5",)
 
@@ -184,14 +185,14 @@ class TestConflictWindows:
         trace = Trace("c", steps, (), ())
         for index in range(emitted + 1):
             t_first = TRACE_END if index == emitted else "any"
-            d = diagnosis.Divergence("c", DivergenceKind.EXTRA_OUTPUT, index, None, t_first)
+            d = diagnosis.Divergence(DivergenceKind.EXTRA_OUTPUT, index, None, t_first)
             assert conflict_from_divergence(d, trace, model) == conflict_window_oracle(
                 d, trace, model
             )
 
     def test_one_task_making_both_emissions_leaves_no_window(self):
         trace = Trace("c", ("s", "g1", "t2", "g2", "t1", "e"), (), ())
-        d = diagnosis.Divergence("c", DivergenceKind.EXTRA_OUTPUT, 1, "Two", "Two")
+        d = diagnosis.Divergence(DivergenceKind.EXTRA_OUTPUT, 1, "Two", "Two")
         assert conflict_from_divergence(d, trace, self.WINDOW_MODEL) == ()
 
     def test_gateway_free_window_is_unattributable(self):
@@ -212,8 +213,9 @@ class TestConflictWindows:
         )
         problem = oriented(ref, tgt, [CaseRecord("c1", {})]).problem
         assert problem.conflicts == ()
-        assert len(problem.unattributable) == 1
-        assert problem.unattributable[0].kind is DivergenceKind.EXTRA_OUTPUT
+        [(case_id, divergence)] = problem.unattributable
+        assert case_id == "c1"
+        assert divergence.kind is DivergenceKind.EXTRA_OUTPUT
 
 
 class TestCollectConflicts:
@@ -460,8 +462,8 @@ class TestDirectionChoice:
         assert len(paths) == 4
         assert sorted(projected) == sorted(paths)
         assert compare.call_count == 1
-        compared = [(ref.case_id, tgt.case_id) for ref, tgt in compare.call_args.args[0]]
-        assert compared == [("c1", "c1"), ("c_y", "c_y")]
+        compared = [case_id for case_id, _ref, _tgt in compare.call_args.args[0]]
+        assert compared == ["c1", "c_y"]
         assert {o.case_id for o in result.observations} == {"c1", "c_y"}
 
     def test_failed_case_reports_reference_error(self):
@@ -507,7 +509,7 @@ class TestStageAgreement:
                 seq_b = kpi_sequence(execute_case(model_b, case), model_b)
             except CASE_ERRORS:
                 continue
-            if seq_a.pairs != seq_b.pairs:
+            if seq_a != seq_b:
                 divergent.add(case.case_id)
         if not divergent:
             with pytest.raises(NoDivergenceError):
@@ -516,7 +518,7 @@ class TestStageAgreement:
         result = choose_direction(model_a, model_b, cases)
         for run in (result.chosen, result.reverse):
             attributed = {c for conflict in run.problem.conflicts for c in conflict.case_ids}
-            attributed |= {d.case_id for d in run.problem.unattributable}
+            attributed |= {case_id for case_id, _d in run.problem.unattributable}
             assert attributed == divergent
         a_is_ref = result.chosen.problem.reference_model_id == model_a.model_id
         ref, tgt = (model_a, model_b) if a_is_ref else (model_b, model_a)
@@ -531,7 +533,7 @@ class TestStageAgreement:
         assert list(result.chosen.refined) == [("g",)]
         # Both sides emit the same set of pairs; only the sequences differ.
         assert not any(o.discrepant for o in result.observations)
-        assert [d.kind for d in result.reverse.problem.unattributable] == [
+        assert [d.kind for _case_id, d in result.reverse.problem.unattributable] == [
             DivergenceKind.MISSING_OUTPUT
         ]
 
@@ -579,8 +581,8 @@ class TestClassPairs:
         diverges = {}
         for case in cases:
             ref, tgt = (execute_case(model, case) for model in (strict_model, broad_model))
-            ref_pairs = kpi_sequence(ref, strict_model).pairs
-            diverges[ref.flows, tgt.flows] = ref_pairs != kpi_sequence(tgt, broad_model).pairs
+            ref_pairs = kpi_sequence(ref, strict_model)
+            diverges[ref.flows, tgt.flows] = ref_pairs != kpi_sequence(tgt, broad_model)
         with mock.patch.object(
             diagnosis, "first_divergence", wraps=first_divergence
         ) as locate, mock.patch.object(

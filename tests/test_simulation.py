@@ -31,7 +31,6 @@ from bpmndiverge.simulation import (
     CaseDataError,
     CaseRecord,
     CaseTable,
-    ConditionTables,
     KpiConfig,
     KpiVector,
     NoEnabledBranchError,
@@ -264,9 +263,7 @@ class TestExecution:
 
     def test_kpi_sequence_labels(self, strict_model, population):
         trace = execute_case(strict_model, population[0])
-        seq = kpi_sequence(trace, strict_model)
-        assert seq.case_id == "c01"
-        assert seq.pairs == (
+        assert kpi_sequence(trace, strict_model) == (
             ("Send Program Notification", "NC"),
             ("Provide Health Guidance", "HC"),
         )
@@ -470,7 +467,7 @@ _repeating_populations = st.lists(
 ).map(lambda rows: [CaseRecord(f"c{index}", row) for index, row in enumerate(rows)])
 
 
-class TestConditionTables:
+class TestCaseTableConditions:
     @given(_asts, _populations | _repeating_populations)
     @example(
         parse_condition("x == 1 OR NOT x"),
@@ -490,7 +487,7 @@ class TestConditionTables:
         ],
     )
     def test_table_matches_evaluate_on_every_case(self, ast, cases):
-        true, error, messages = ConditionTables(cases).table(ast)
+        true, error, messages = CaseTable.of(cases).table(ast)
         for index, case in enumerate(cases):
             bit = 1 << index
             try:
@@ -507,23 +504,45 @@ class TestConditionTables:
     def test_equal_asts_with_different_errors_get_their_own_tables(self):
         boolean, number = parse_condition("x == TRUE"), parse_condition("x == 1")
         assert boolean == number  # True == Decimal(1), so the dataclasses compare equal
-        tables = ConditionTables([CaseRecord("c0", {"x": "yes"}), CaseRecord("c1", {"x": True})])
+        tables = CaseTable.of([CaseRecord("c0", {"x": "yes"}), CaseRecord("c1", {"x": True})])
         assert tables.table(boolean)[2] == {0: "variable 'x': expected boolean, found string"}
         assert tables.table(number)[2] == {0: "variable 'x': expected number, found string"}
         assert tables.table(boolean)[:2] == tables.table(number)[:2] == (0b10, 0b01)
 
     def test_bool_op_reports_its_first_failing_operand_in_source_order(self):
         # Both conditions normalize alike, but each reports its own first error.
-        tables = ConditionTables([CaseRecord("c0", {"b": "s"})])
+        tables = CaseTable.of([CaseRecord("c0", {"b": "s"})])
         first_b = tables.table(parse_condition("b > 1 OR a == 1"))
         first_a = tables.table(parse_condition("a == 1 OR b > 1"))
         assert first_b == (0, 1, {0: "variable 'b': expected number, found string"})
         assert first_a == (0, 1, {0: "variable 'a' not present in case record"})
 
-    def test_tables_belong_to_one_population(self, strict_model, population):
-        other = ConditionTables(list(population))
-        with pytest.raises(ValueError, match="another case population"):
-            simulate_population(strict_model, population, KpiConfig(), tables=other)
+    def test_models_over_one_table_share_its_condition_tables(
+        self, strict_model, broad_model, population, monkeypatch
+    ):
+        # broad_model's conditions are made of strict_model's leaves, so the
+        # second model evaluates nothing; another table evaluates again.
+        calls = Counter()
+
+        def counted(*args):
+            calls["evaluate"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(simulation, "evaluate", counted)
+        cases = CaseTable.of(list(population))
+        simulate_population(strict_model, cases, KpiConfig())
+        first = calls["evaluate"]
+        simulate_population(broad_model, cases, KpiConfig())
+        assert 0 < first == calls["evaluate"]
+        simulate_population(broad_model, CaseTable.of(list(population)), KpiConfig())
+        assert calls["evaluate"] > first
+
+    def test_tables_never_cross_populations(self):
+        ast = parse_condition("x > 1")
+        low = CaseTable.of([CaseRecord("c0", {"x": Decimal(0)}), CaseRecord("c1", {})])
+        high = CaseTable.of([CaseRecord("c0", {"x": Decimal(2)}), CaseRecord("c1", {"x": "s"})])
+        assert low.table(ast) == (0, 0b10, {1: "variable 'x' not present in case record"})
+        assert high.table(ast) == (0b01, 0b10, {1: "variable 'x': expected number, found string"})
 
 
 @st.composite
