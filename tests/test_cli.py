@@ -226,12 +226,12 @@ class TestEntropy:
         "key,value,message",
         [
             ("kpis", {**STRICT_KPIS, "CS": "NaN"}, "KPI CS must be a finite number, found 'NaN'"),
+            ("kpis", ["8"], "'kpis' is missing or has the wrong type"),
+            ("model_id", ["x"], "'model_id' is missing or has the wrong type"),
             *(
                 ("kpis", {**STRICT_KPIS, "CS": big}, f"KPI CS value {big!r} has too many digits")
                 for big in ("1e999999999", "1e5000")
             ),
-            ("kpis", ["8"], "'kpis' is missing or has the wrong type"),
-            ("model_id", ["x"], "'model_id' is missing or has the wrong type"),
         ],
     )
     def test_malformed_kpi_json_is_a_data_error(self, out, capsys, key, value, message):
