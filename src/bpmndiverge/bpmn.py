@@ -12,9 +12,8 @@ implemented by :mod:`bpmndiverge.conditions`.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 from xml.parsers import expat
 
 from .conditions import ConditionAst, ConditionParseError, parse_condition, to_text
@@ -71,35 +70,42 @@ class IssueCategory(str, Enum):
     UNCONDITIONED_BRANCH = "unconditioned_branch"
 
 
-@dataclass(frozen=True)
-class Node:
+class _NodeFields(NamedTuple):
     id: str
     kind: NodeKind
     label: str
     kpi_outputs: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class Node(_NodeFields):
+    __slots__ = ()
+
+    # The NamedTuple's __new__ sets the fields; __init__ checks them.  Like
+    # every validating record here, _replace and _make skip the check.
+    def __init__(self, *args: object, **kwargs: object):
         if self.kpi_outputs and self.kind is not NodeKind.TASK:
             raise InvalidModelError(f"node {self.id!r}: kpi outputs on non-task")
         if len(set(self.kpi_outputs)) != len(self.kpi_outputs):
             raise InvalidModelError(f"node {self.id!r}: duplicate kpi outputs")
 
 
-@dataclass(frozen=True)
-class SequenceFlow:
+class _SequenceFlowFields(NamedTuple):
     id: str
     source: str
     target: str
     condition: ConditionAst | None = None
     is_default: bool = False
 
-    def __post_init__(self):
+
+class SequenceFlow(_SequenceFlowFields):
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object):
         if self.is_default and self.condition is not None:
             raise InvalidModelError(f"flow {self.id!r}: default flow cannot carry a condition")
 
 
-@dataclass(frozen=True)
-class GatewayView:
+class GatewayView(NamedTuple):
     """Per-gateway routing summary derived from the model."""
 
     gateway_id: str
@@ -108,19 +114,23 @@ class GatewayView:
     default_flow: str | None
 
 
-@dataclass(frozen=True)
 class ProcessModel:
-    """Immutable process graph.  Node and flow tuples preserve document order."""
+    """Process graph; node and flow tuples preserve document order.  Treat it
+    as immutable: its indexes are built at construction.  Equality and hashing
+    ignore ``metadata``."""
 
-    model_id: str
-    nodes: tuple[Node, ...]
-    flows: tuple[SequenceFlow, ...]
-    start_node: str
-    metadata: Mapping[str, str] = field(default_factory=dict, compare=False)
-    _by_id: dict = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _outgoing: dict = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    __slots__ = ("model_id", "nodes", "flows", "start_node", "metadata", "_by_id", "_outgoing")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        model_id: str,
+        nodes: tuple[Node, ...],
+        flows: tuple[SequenceFlow, ...],
+        start_node: str,
+        metadata: Mapping[str, str] | None = None,
+    ):
+        self.model_id, self.nodes, self.flows, self.start_node = model_id, nodes, flows, start_node
+        self.metadata = {} if metadata is None else metadata
         by_id: dict[str, Node] = {}
         for node in self.nodes:
             if node.id in by_id:
@@ -158,8 +168,20 @@ class ProcessModel:
                 raise InvalidModelError(f"default flow on non-gateway {node.id!r}")
             if len(defaults) > 1:
                 raise InvalidModelError(f"gateway {node.id!r} has multiple default flows")
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_outgoing", {k: tuple(v) for k, v in outgoing.items()})
+        self._by_id = by_id
+        self._outgoing = {k: tuple(v) for k, v in outgoing.items()}
+
+    def _key(self) -> tuple:
+        return self.model_id, self.nodes, self.flows, self.start_node
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is ProcessModel else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ProcessModel{(*self._key(), self.metadata)!r}"
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -172,8 +194,7 @@ class ProcessModel:
         return tuple(n.id for n in self.nodes if n.kind is NodeKind.END_EVENT)
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     node_id: str
     category: IssueCategory
     detail: str

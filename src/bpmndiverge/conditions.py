@@ -32,9 +32,8 @@ conditions may be semantically equivalent yet canonically distinct.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 Value = Union[Decimal, bool, str]
 
@@ -74,22 +73,19 @@ class TypeMismatchError(Exception):
         super().__init__(f"variable {name!r}: expected {expected}, found {found}")
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """Standalone boolean constant (TRUE or FALSE)."""
 
     value: bool
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(NamedTuple):
     """Bare variable reference, coerced to boolean at evaluation time."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(NamedTuple):
     """Single comparison between one variable and one literal.
 
     ``var_on_left`` records the source orientation; normalization always
@@ -102,13 +98,11 @@ class Compare:
     var_on_left: bool = True
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     operand: "ConditionAst"
 
 
-@dataclass(frozen=True)
-class BoolOp:
+class BoolOp(NamedTuple):
     """N-ary AND/OR.  Parenthesized subexpressions keep their own node."""
 
     op: str  # "AND" | "OR"
@@ -136,8 +130,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"and", "or", "not", "true", "false"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     offset: int
@@ -339,11 +332,15 @@ def _rendered_depth(ast: ConditionAst) -> int:
 
 
 def format_value(value: Value) -> str:
-    """Render a literal exactly; decimals drop trailing zeros."""
+    """Render a literal exactly, at any length; decimals drop trailing
+    fractional zeros.  (``Decimal.normalize`` would round to the context's
+    28 digits.)"""
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
     if isinstance(value, Decimal):
-        text = format(value.normalize(), "f")
+        text = format(value, "f")
+        if "." in text:
+            text = text.rstrip("0").rstrip(".")
         return "0" if text == "-0" else text
     if '"' not in value:
         return f'"{value}"'

@@ -10,9 +10,9 @@ time.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagnosis import DEFAULT_MAX_CARDINALITY
 from .distribution import DEFAULT_ROUND_DECIMALS
@@ -51,12 +51,10 @@ KEYS: dict[str, type] = {
     "provider_retries": int,
 }
 
-_KPI_KEYS = {f.name for f in fields(KpiConfig)}
 _TYPE_NAMES = {int: "integer", float: "number", Decimal: "decimal"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     models_dir: Path | None = None
     cases_csv: Path | None = None
     narrative: Path | None = None
@@ -67,7 +65,7 @@ class RunConfig:
     step_cap: int = DEFAULT_STEP_CAP
     max_diagnosis_cardinality: int = DEFAULT_MAX_CARDINALITY
     localization_threshold: float = DEFAULT_LOCALIZATION_THRESHOLD
-    kpi: KpiConfig = field(default_factory=KpiConfig)
+    kpi: KpiConfig = KpiConfig()
     provider: str | None = None  # "canned" | "http"
     provider_canned_path: Path | None = None
     provider_endpoint: str | None = None
@@ -115,13 +113,12 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
             raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
         if kind is Decimal and not converted.is_finite():
             raise ConfigError(f"{key}: expected a finite decimal, got {value!r}")
-        (kpi_kwargs if key in _KPI_KEYS else updates)[key] = converted
-    if kpi_kwargs or kpi_tags != dict(config.kpi.kpi_task_tags):
-        try:
-            updates["kpi"] = replace(config.kpi, **kpi_kwargs, kpi_task_tags=kpi_tags)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    config = replace(config, **updates)  # type: ignore[arg-type]
+        (kpi_kwargs if key in KpiConfig._fields else updates)[key] = converted
+    try:
+        kpi = KpiConfig(**{**config.kpi._asdict(), **kpi_kwargs, "kpi_task_tags": kpi_tags})
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    config = config._replace(kpi=kpi, **updates)
     if not 0 <= config.round_decimals <= 12:
         raise ConfigError("round_decimals must be in [0, 12]")
     if config.step_cap <= 0:

@@ -30,7 +30,6 @@ correctness; the orientation is picked only for explanatory parsimony.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -69,8 +68,7 @@ class DivergenceKind(str, Enum):
     INCORRECT_OUTPUT = "incorrect_output"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     case_id: str
     task_label: str
     kpi_name: str
@@ -82,16 +80,14 @@ class Observation:
         return self.ref_emitted != self.tgt_emitted
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     kind: DivergenceKind
     index: int
     t_last: str | None  # target-side task label before the divergence, if any
     t_first: str  # target-side task label at the divergence, or TRACE_END
 
 
-@dataclass(frozen=True)
-class ConflictSet:
+class ConflictSet(NamedTuple):
     """Gateways on the target trace that bound a divergence window.
 
     ``gateways`` keeps execution order along the trace; ``case_ids`` is the
@@ -102,8 +98,7 @@ class ConflictSet:
     case_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DiagnosisProblem:
+class DiagnosisProblem(NamedTuple):
     reference_model_id: str
     target_model_id: str
     components: tuple[str, ...]  # all target-model gateway ids, document order
@@ -115,8 +110,7 @@ class DiagnosisProblem:
 Diagnosis = tuple[str, ...]  # sorted target gateway ids
 
 
-@dataclass(frozen=True)
-class DiagnosisRun:
+class DiagnosisRun(NamedTuple):
     """Everything computed for one reference/target orientation."""
 
     problem: DiagnosisProblem
@@ -125,8 +119,7 @@ class DiagnosisRun:
     refined: tuple[Diagnosis, ...]
 
 
-@dataclass(frozen=True)
-class DirectionResult:
+class DirectionResult(NamedTuple):
     chosen: DiagnosisRun
     reverse: DiagnosisRun
     observations: tuple[Observation, ...]  # of the chosen orientation

@@ -9,10 +9,9 @@ consistently the family behaves, and maps onto four consistency categories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import InvalidOperation
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .simulation import KpiVector
 
@@ -38,21 +37,17 @@ class ConsistencyCategory(str, Enum):
     LOW = "low"
 
 
-@dataclass(frozen=True)
-class DistributionCombo:
+class DistributionCombo(NamedTuple):
     vector: KpiVector  # quantized
     count: int
     probability: float
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(NamedTuple):
     combos: tuple[DistributionCombo, ...]
     total: int
     round_decimals: int
-    # The combo index of each input vector, in input order; it does not take
-    # part in comparisons, which look at the distribution only.
-    combo_of: tuple[int, ...] = field(compare=False)
+    combo_of: tuple[int, ...]  # the combo index of each input vector, in input order
 
 
 def build_distribution(
@@ -70,9 +65,10 @@ def build_distribution(
         try:
             quantized = vector.quantized(round_decimals)
         except InvalidOperation:
+            # As written: label() would expand 1e999999999 to a billion digits.
+            written = ";".join(f"{k}={v}" for k, v in vector.values)
             raise OutOfRangeError(
-                f"KPI vector {vector.label()} has too many digits to round to "
-                f"{round_decimals} decimals"
+                f"KPI vector {written} has too many digits to round to {round_decimals} decimals"
             )
         key = quantized.label()
         keys.append(key)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Mapping, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .bpmn import NodeKind, ProcessModel
@@ -41,23 +40,25 @@ class ProviderMalformedResponseError(Exception):
         super().__init__(f"{ambiguity_id}: {detail}")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     segment_id: str
     start: int
     end: int
     text: str
 
 
-@dataclass(frozen=True)
-class NarrativeDocument:
-    """Narrative text with ordered, non-overlapping, uniquely named segments."""
-
+class _NarrativeDocumentFields(NamedTuple):
     doc_id: str
     text: str
     segments: tuple[Segment, ...]
 
-    def __post_init__(self):
+
+class NarrativeDocument(_NarrativeDocumentFields):
+    """Narrative text with ordered, non-overlapping, uniquely named segments."""
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object):
         last_end = 0
         seen: set[str] = set()
         for segment in self.segments:
@@ -121,8 +122,7 @@ class NarrativeDocument:
         return cls(doc_id, text, tuple(segments))
 
 
-@dataclass(frozen=True)
-class RepairRecord:
+class RepairRecord(NamedTuple):
     ambiguity_id: str
     segment_id: str  # the anchor of the ambiguity this record repairs
     excerpt: str
@@ -131,14 +131,12 @@ class RepairRecord:
     evidence_refs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RejectedRepair:
+class RejectedRepair(NamedTuple):
     ambiguity_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class RepairOutcome:
+class RepairOutcome(NamedTuple):
     records: tuple[RepairRecord, ...]
     rejected: tuple[RejectedRepair, ...]
 

@@ -22,9 +22,9 @@ import csv
 import io
 import operator
 import re
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import reduce
+from types import MappingProxyType
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .bpmn import NodeKind, ProcessModel
@@ -78,8 +78,7 @@ class CaseDataError(Exception):
 CASE_ERRORS = (SimulationError, MissingVariableError, TypeMismatchError)
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     case_id: str
     attributes: Mapping[str, Value]
 
@@ -102,7 +101,7 @@ class CaseTable(Sequence[CaseRecord]):
 
     Tables are memoized by the condition's source rendering.  Neither AST
     equality nor the normal form would do: ``x == TRUE`` equals ``x == 1``
-    as a dataclass but fails with another message on a string cell, and
+    as a tuple but fails with another message on a string cell, and
     normalizing reorders operands, which changes which error comes first.
     """
 
@@ -178,8 +177,7 @@ class CaseTable(Sequence[CaseRecord]):
         return _mask(bytes(map(holds.__getitem__, codes))), error, messages
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """One completed walk.  ``flows`` holds the taken flow ids, one per step
     transition, so branch decisions can be replayed without re-evaluation."""
 
@@ -193,15 +191,20 @@ class Trace:
 KpiSequence = tuple[tuple[str, str], ...]  # (task label, kpi name) pairs, in walk order
 
 
-@dataclass(frozen=True)
-class KpiConfig:
+class _KpiConfigFields(NamedTuple):
     guidance_capacity: int = 50
     overload_penalty_alpha: Decimal = Decimal("0.5")
     response_rate: Decimal = Decimal("0.30")
     cost_saving_per_improved_patient: Decimal = Decimal("1000")
-    kpi_task_tags: Mapping[str, str] = field(default_factory=dict)
+    kpi_task_tags: Mapping[str, str] = MappingProxyType({})
 
-    def __post_init__(self):
+
+class KpiConfig(_KpiConfigFields):
+    """Validated at construction, which ``_replace`` and ``_make`` skip."""
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object):
         if self.guidance_capacity <= 0:
             raise ValueError("guidance_capacity must be positive")
         if not Decimal(0) <= self.overload_penalty_alpha <= Decimal(1):
@@ -212,8 +215,7 @@ class KpiConfig:
             raise ValueError("cost_saving_per_improved_patient must be nonnegative")
 
 
-@dataclass(frozen=True)
-class KpiVector:
+class KpiVector(NamedTuple):
     """Ordered kpi-name -> decimal map; NC, HC, RU, HI, CS by default."""
 
     values: tuple[tuple[str, Decimal], ...]
@@ -240,8 +242,7 @@ class CasePath(NamedTuple):
     walk: Trace
 
 
-@dataclass(frozen=True)
-class PopulationResult:
+class PopulationResult(NamedTuple):
     paths: tuple[CasePath, ...]  # of the successful cases, by first case
     kpis: KpiVector
     errors: tuple[tuple[str, str], ...]  # (case id, message)

@@ -1,6 +1,5 @@
 """End-to-end command-line behavior against the bundled City 1 fixtures."""
 
-import dataclasses
 import json
 import shutil
 import socket
@@ -1110,8 +1109,8 @@ class TestModelLoading:
 
 
 def test_every_run_config_field_is_a_key():
-    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"kpi"}
-    kpi_fields = {f.name for f in dataclasses.fields(KpiConfig)} - {"kpi_task_tags"}
+    fields = set(RunConfig._fields) - {"kpi"}
+    kpi_fields = set(KpiConfig._fields) - {"kpi_task_tags"}
     assert set(KEYS) == fields | kpi_fields
 
 
@@ -1129,4 +1128,22 @@ def test_a_non_finite_decimal_is_a_config_error(out, tmp_path, capsys, key, toke
     cfg = config_with(tmp_path, key, token)
     assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
     assert f"{key}: expected a finite decimal, got {token!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("guidance_capacity", "0", "guidance_capacity must be positive"),
+        ("response_rate", "1.5", "response_rate must be in [0, 1]"),
+    ],
+)
+def test_an_out_of_range_kpi_parameter_is_a_config_error(
+    out, tmp_path, capsys, key, value, message
+):
+    # The KPI parameters are checked where KpiConfig is built, so the config
+    # must build it, not copy it past the checks.
+    cfg = config_with(tmp_path, key, value)
+    assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()

@@ -188,6 +188,8 @@ class TestRendering:
             "NOT NOT Flag",
             "status == \"open\"",
             "(Flag OR x != 0.5)",
+            "x >= 1234567890123456789012345678901",
+            pytest.param("x >= " + "7" * 1_000_001, id="x >= 1000001 digits"),
         ],
     )
     def test_to_text_is_faithful(self, text):
@@ -379,6 +381,30 @@ def test_every_accepted_condition_reparses_from_its_rendering(text):
     except ConditionParseError:
         return
     assert parse_condition(to_text(ast)) == ast
+
+
+def _shape(ast):
+    """The node type of ``ast`` at every level."""
+    if isinstance(ast, Not):
+        return Not, _shape(ast.operand)
+    if isinstance(ast, BoolOp):
+        return BoolOp, tuple(map(_shape, ast.operands))
+    return type(ast)
+
+
+def _subtrees(ast):
+    yield ast
+    for child in (ast.operand,) if isinstance(ast, Not) else getattr(ast, "operands", ()):
+        yield from _subtrees(child)
+
+
+@given(_asts, _asts)
+def test_nodes_compare_equal_only_with_the_same_type_at_every_level(a, b):
+    # Nodes are tuples and compare as tuples, so equality looks at field
+    # values alone; the node types' fields never hold values that collide.
+    for x in _subtrees(a):
+        for y in _subtrees(b):
+            assert x != y or _shape(x) == _shape(y)
 
 
 @given(_asts)

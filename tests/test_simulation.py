@@ -1,7 +1,6 @@
 """Case loading, trace execution, KPI aggregation, and set-at-a-time
 population runs checked against per-case walks."""
 
-import dataclasses
 import importlib.util
 import json
 from collections import Counter
@@ -416,7 +415,7 @@ def expand_paths(result, cases):
     walked = [index for indices in members for index in indices]
     assert sorted(walked + failed) == list(range(len(cases)))
     traces = {
-        index: dataclasses.replace(path.walk, case_id=cases[index].case_id)
+        index: path.walk._replace(case_id=cases[index].case_id)
         for path, indices in zip(result.paths, members)
         for index in indices
     }
@@ -503,7 +502,7 @@ class TestCaseTableConditions:
 
     def test_equal_asts_with_different_errors_get_their_own_tables(self):
         boolean, number = parse_condition("x == TRUE"), parse_condition("x == 1")
-        assert boolean == number  # True == Decimal(1), so the dataclasses compare equal
+        assert boolean == number  # True == Decimal(1), so the records compare equal
         tables = CaseTable.of([CaseRecord("c0", {"x": "yes"}), CaseRecord("c1", {"x": True})])
         assert tables.table(boolean)[2] == {0: "variable 'x': expected boolean, found string"}
         assert tables.table(number)[2] == {0: "variable 'x': expected number, found string"}
@@ -543,6 +542,18 @@ class TestCaseTableConditions:
         high = CaseTable.of([CaseRecord("c0", {"x": Decimal(2)}), CaseRecord("c1", {"x": "s"})])
         assert low.table(ast) == (0, 0b10, {1: "variable 'x' not present in case record"})
         assert high.table(ast) == (0b01, 0b10, {1: "variable 'x': expected number, found string"})
+
+    def test_literals_that_differ_past_28_digits_get_their_own_tables(self):
+        # Rendered through the decimal context's 28 digits, both conditions
+        # would read x >= 1234567890123456789012345679000 and share one table.
+        cases = CaseTable.of([CaseRecord("c0", {"x": Decimal("1234567890123456789012345678900")})])
+        above, at = (mk.branch_model(f"x >= 123456789012345678901234567890{d}") for d in "10")
+        walks = [
+            simulate_population(model, cases, KpiConfig()).paths[0].walk.steps
+            for model in (above, at)
+        ]
+        assert walks == [("s", "g", "tn", "e"), ("s", "g", "ty", "e")]
+        assert execute_case(at, cases[0]).steps == walks[1]
 
 
 @st.composite
