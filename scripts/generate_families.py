@@ -106,7 +106,6 @@ def build_model(
         model_id=model_id,
         nodes=nodes,
         flows=flows,
-        start_node=nid["start"],
         metadata={"name": "City 1 Health Guidance Program"},
     )
 

@@ -126,10 +126,9 @@ class ProcessModel:
         model_id: str,
         nodes: tuple[Node, ...],
         flows: tuple[SequenceFlow, ...],
-        start_node: str,
         metadata: Mapping[str, str] | None = None,
     ):
-        self.model_id, self.nodes, self.flows, self.start_node = model_id, nodes, flows, start_node
+        self.model_id, self.nodes, self.flows = model_id, nodes, flows
         self.metadata = {} if metadata is None else metadata
         by_id: dict[str, Node] = {}
         for node in self.nodes:
@@ -155,8 +154,7 @@ class ProcessModel:
         starts = [n for n in self.nodes if n.kind is NodeKind.START_EVENT]
         if len(starts) != 1:
             raise InvalidModelError(f"model {self.model_id!r}: expected exactly one start event")
-        if self.start_node != starts[0].id:
-            raise InvalidModelError(f"start_node {self.start_node!r} is not the start event")
+        self.start_node = starts[0].id
         if not any(n.kind is NodeKind.END_EVENT for n in self.nodes):
             raise InvalidModelError(f"model {self.model_id!r}: no end event")
         for node in self.nodes:
@@ -172,7 +170,7 @@ class ProcessModel:
         self._outgoing = {k: tuple(v) for k, v in outgoing.items()}
 
     def _key(self) -> tuple:
-        return self.model_id, self.nodes, self.flows, self.start_node
+        return self.model_id, self.nodes, self.flows
 
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if type(other) is ProcessModel else NotImplemented
@@ -335,9 +333,6 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
                 f"gateway {gateway_id!r} default references unknown flow {flow_ref!r}"
             )
 
-    starts = [n for n in nodes if n.kind is NodeKind.START_EVENT]
-    if len(starts) != 1:
-        raise InvalidModelError("expected exactly one start event")
     metadata: dict[str, str] = {}
     name = process.get("name")
     if name:
@@ -346,7 +341,6 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
         model_id=_process_id(process),
         nodes=tuple(nodes),
         flows=tuple(built_flows),
-        start_node=starts[0].id,
         metadata=metadata,
     )
 

@@ -158,7 +158,7 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     cases = _load_cases(config)
     out_dir = _kpi_dir(config)
     for model, source in models:
-        result = simulation.simulate_population(model, cases, config.kpi, step_cap=config.step_cap)
+        result = simulation.simulate_population(model, cases, config.kpi)
         payload: dict[str, object] = {
             "model_id": model.model_id,
             "source": source,
@@ -329,11 +329,7 @@ def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
     path = config.out_dir / "diagnosis.json"
     try:
         result = diagnosis.choose_direction(
-            model_a,
-            model_b,
-            cases,
-            step_cap=config.step_cap,
-            max_cardinality=config.max_diagnosis_cardinality,
+            model_a, model_b, cases, max_cardinality=config.max_diagnosis_cardinality
         )
     except diagnosis.NoDivergenceError:
         models_pair = sorted([model_a.model_id, model_b.model_id])

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .diagnosis import DEFAULT_MAX_CARDINALITY
 from .distribution import DEFAULT_ROUND_DECIMALS
 from .repair import DEFAULT_LOCALIZATION_THRESHOLD
-from .simulation import DEFAULT_STEP_CAP, KpiConfig
+from .simulation import KpiConfig
 
 
 class ConfigError(Exception):
@@ -35,7 +35,6 @@ KEYS: dict[str, type] = {
     "supplemental": Path,
     "out_dir": Path,
     "round_decimals": int,
-    "step_cap": int,
     "max_diagnosis_cardinality": int,
     "localization_threshold": float,
     "guidance_capacity": int,
@@ -62,7 +61,6 @@ class RunConfig(NamedTuple):
     supplemental: Path | None = None
     out_dir: Path = Path("out")
     round_decimals: int = DEFAULT_ROUND_DECIMALS
-    step_cap: int = DEFAULT_STEP_CAP
     max_diagnosis_cardinality: int = DEFAULT_MAX_CARDINALITY
     localization_threshold: float = DEFAULT_LOCALIZATION_THRESHOLD
     kpi: KpiConfig = KpiConfig()
@@ -121,8 +119,6 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
     config = config._replace(kpi=kpi, **updates)
     if not 0 <= config.round_decimals <= 12:
         raise ConfigError("round_decimals must be in [0, 12]")
-    if config.step_cap <= 0:
-        raise ConfigError("step_cap must be positive")
     if config.max_diagnosis_cardinality <= 0:
         raise ConfigError("max_diagnosis_cardinality must be positive")
     if not 0.0 <= config.localization_threshold <= 1.0:

@@ -38,7 +38,6 @@ from .conditions import normalize
 from .simulation import (
     CaseRecord,
     CaseTable,
-    DEFAULT_STEP_CAP,
     KpiConfig,
     KpiSequence,
     Trace,
@@ -205,7 +204,7 @@ class _Path(NamedTuple):
 
 
 def _class_pairs(
-    model_a: ProcessModel, model_b: ProcessModel, cases: CaseTable, step_cap: int
+    model_a: ProcessModel, model_b: ProcessModel, cases: CaseTable
 ) -> tuple[list[tuple[int, _Path, _Path]], dict[str, str], dict[str, str]]:
     """Each non-empty intersection of a path class of ``model_a`` with one of
     ``model_b``, as (mask of its cases, path on a, path on b), and each
@@ -213,7 +212,7 @@ def _class_pairs(
     cases once, by ``simulate_population`` over the condition tables of ``cases``."""
     paths, errors = [], []
     for model in (model_a, model_b):
-        result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap)
+        result = simulate_population(model, cases, KpiConfig())
         paths.append([_Path(mask, walk, kpi_sequence(walk, model)) for mask, walk in result.paths])
         errors.append(dict(result.errors))
     pairs = [(both, a, b) for a in paths[0] for b in paths[1] if (both := a.members & b.members)]
@@ -376,7 +375,6 @@ def choose_direction(
     model_b: ProcessModel,
     cases: Sequence[CaseRecord],
     *,
-    step_cap: int = DEFAULT_STEP_CAP,
     max_cardinality: int = DEFAULT_MAX_CARDINALITY,
 ) -> DirectionResult:
     """Diagnose in both orientations and keep the more parsimonious one.
@@ -388,7 +386,7 @@ def choose_direction(
     NoDivergenceError when no case that completes on both models diverges.
     """
     cases = CaseTable.of(cases)
-    pairs_ab, err_a, err_b = _class_pairs(model_a, model_b, cases, step_cap)
+    pairs_ab, err_a, err_b = _class_pairs(model_a, model_b, cases)
     pairs_ba = [(both, b, a) for both, a, b in pairs_ab]
     run_ab = _run_orientation(model_a, model_b, pairs_ab, err_a, err_b, cases, max_cardinality)
     run_ba = _run_orientation(model_b, model_a, pairs_ba, err_b, err_a, cases, max_cardinality)

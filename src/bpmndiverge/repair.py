@@ -329,7 +329,8 @@ REPAIR_PROCEDURE = (
 
 
 class CannedRewriteProvider:
-    """File-backed provider keyed by ambiguity id; used for offline runs and
+    """File-backed provider keyed by segment id, the stable anchor of a
+    request (ambiguity ids are positional); used for offline runs and
     reproducible tests."""
 
     def __init__(self, responses: Mapping[str, Mapping[str, object]]):
@@ -337,9 +338,10 @@ class CannedRewriteProvider:
 
     def rewrite(self, request: Mapping[str, object]) -> Mapping[str, object]:
         ambiguity_id = str(request.get("ambiguity_id", ""))
-        if ambiguity_id not in self._responses:
+        segment_id = str(request.get("segment_id", ""))
+        if segment_id not in self._responses:
             raise ProviderMalformedResponseError(ambiguity_id, "no canned response")
-        response = self._responses[ambiguity_id]
+        response = self._responses[segment_id]
         if not isinstance(response, Mapping):
             raise ProviderMalformedResponseError(ambiguity_id, "canned response is not an object")
         return {"ambiguity_id": ambiguity_id, **response}

@@ -44,8 +44,6 @@ from .conditions import (
 
 KPI_NAMES = ("NC", "HC", "RU", "HI", "CS")
 
-DEFAULT_STEP_CAP = 10_000
-
 
 class SimulationError(Exception):
     pass
@@ -60,14 +58,16 @@ class NoEnabledBranchError(SimulationError):
         )
 
 
-class StepLimitExceededError(SimulationError):
-    """A case is still walking after ``steps`` steps; ``partial`` holds the
-    walk so far when ``execute_case`` raised it."""
+class EndlessLoopError(SimulationError):
+    """A case came back to ``node_id``.  Its attributes do not change during
+    a walk and routing is deterministic, so it would go round forever."""
 
-    def __init__(self, case_id: str, steps: int, partial: "Trace | None" = None):
+    def __init__(self, case_id: str, node_id: str):
         self.case_id = case_id
-        self.partial = partial
-        super().__init__(f"case {case_id!r}: step limit exceeded after {steps} steps")
+        self.node_id = node_id
+        super().__init__(
+            f"case {case_id!r}: loops through node {node_id!r} and never reaches an end event"
+        )
 
 
 class CaseDataError(Exception):
@@ -185,7 +185,6 @@ class Trace(NamedTuple):
     steps: tuple[str, ...]
     flows: tuple[str, ...]
     emissions: tuple[tuple[str, str], ...]  # (task id, kpi name)
-    truncated: bool = False
 
 
 KpiSequence = tuple[tuple[str, str], ...]  # (task label, kpi name) pairs, in walk order
@@ -213,6 +212,17 @@ class KpiConfig(_KpiConfigFields):
             raise ValueError("response_rate must be in [0, 1]")
         if self.cost_saving_per_improved_patient < 0:
             raise ValueError("cost_saving_per_improved_patient must be nonnegative")
+        # Over up to 10^6 cases every KPI then stays below 10^16, so it rounds
+        # to 12 places within the 28-digit decimal context.
+        if self.cost_saving_per_improved_patient >= 10**9:
+            raise ValueError(
+                "cost_saving_per_improved_patient must be below 10^9, got "
+                f"{self.cost_saving_per_improved_patient}"
+            )
+        for name in ("overload_penalty_alpha", "response_rate", "cost_saving_per_improved_patient"):
+            value = getattr(self, name)
+            if value.as_tuple().exponent < -12:
+                raise ValueError(f"{name} must have at most 12 digits after the point, got {value}")
 
 
 class KpiVector(NamedTuple):
@@ -331,20 +341,18 @@ def _emissions(model: ProcessModel, steps: Sequence[str]) -> tuple[tuple[str, st
     )
 
 
-def execute_case(
-    model: ProcessModel, case: CaseRecord, *, step_cap: int = DEFAULT_STEP_CAP
-) -> Trace:
+def execute_case(model: ProcessModel, case: CaseRecord) -> Trace:
     """Walk one case through the model.  Deterministic; raises on a gateway
-    with no enabled branch and no default, or when the step cap is hit."""
+    with no enabled branch and no default, or on a walk that loops."""
     steps: list[str] = [model.start_node]
     flows: list[str] = []
     current = model.node(model.start_node)
+    bound = len(model.nodes)
     while current.kind is not NodeKind.END_EVENT:
-        if len(steps) > step_cap:
-            partial = Trace(
-                case.case_id, tuple(steps), tuple(flows), _emissions(model, steps), truncated=True
-            )
-            raise StepLimitExceededError(case.case_id, len(steps), partial)
+        if len(steps) > bound:
+            # Some node came twice; the lead-in and the loop hold at most
+            # ``bound`` distinct nodes, so the current one is on the loop.
+            raise EndlessLoopError(case.case_id, current.id)
         out = model.outgoing(current.id)
         if current.kind is NodeKind.EXCLUSIVE_GATEWAY:
             chosen = None
@@ -437,9 +445,7 @@ def case_ids(cases: CaseTable, members: int) -> tuple[str, ...]:
     return tuple(map(cases.ids.__getitem__, _indices(members)))
 
 
-def _walk_paths(
-    model: ProcessModel, cases: CaseTable, step_cap: int
-) -> tuple[list[CasePath], dict[int, str]]:
+def _walk_paths(model: ProcessModel, cases: CaseTable) -> tuple[list[CasePath], dict[int, str]]:
     """Each path that reaches an end event, with the mask of its cases, and
     the error of each case, by index, that fails.
 
@@ -447,7 +453,9 @@ def _walk_paths(
     a gateway into one class per branch its members take, trying the flows
     as ``execute_case`` does.  Attributes do not change during a walk, so a
     class that comes back to a gateway takes the branch it took before: it
-    splits at most once per gateway, and a loop carries it to the step cap.
+    splits at most once per gateway, and one that comes back to any node
+    goes round forever.  Like ``execute_case``, a class fails with
+    ``EndlessLoopError`` once its walk is longer than the model has nodes.
     """
     ended: list[CasePath] = []
     failures: dict[int, str] = {}
@@ -457,6 +465,7 @@ def _walk_paths(
             failures[index] = message(index)
 
     ids = cases.ids
+    bound = len(model.nodes)
     # (members, steps, flows) of each class still walking
     stack: list[tuple[int, list[str], list[str]]] = [(cases.everyone, [model.start_node], [])]
     while stack:
@@ -467,8 +476,8 @@ def _walk_paths(
             walk = Trace(first, tuple(steps), tuple(flows), _emissions(model, steps))
             ended.append(CasePath(members, walk))
             continue
-        if len(steps) > step_cap:
-            fail(members, lambda i: str(StepLimitExceededError(ids[i], len(steps))))
+        if len(steps) > bound:
+            fail(members, lambda i: str(EndlessLoopError(ids[i], node.id)))
             continue
         # Only a gateway's flows carry conditions and defaults, so any other
         # node passes the whole class to its first flow.
@@ -489,8 +498,8 @@ def _walk_paths(
         elif rest:
             fail(rest, lambda i: str(NoEnabledBranchError(node.id, ids[i])))
         taken = [(flow, mask) for flow, mask in taken if mask]
-        # Only a split copies the walk so far, so a class that loops on to
-        # the step cap is not copied at every step.
+        # Only a split copies the walk so far; the first branch extends it
+        # in place, so a class is not copied at every step.
         for flow, mask in taken[1:]:
             stack.append((mask, [*steps, flow.target], [*flows, flow.id]))
         if taken:
@@ -502,11 +511,7 @@ def _walk_paths(
 
 
 def simulate_population(
-    model: ProcessModel,
-    cases: Sequence[CaseRecord],
-    config: KpiConfig,
-    *,
-    step_cap: int = DEFAULT_STEP_CAP,
+    model: ProcessModel, cases: Sequence[CaseRecord], config: KpiConfig
 ) -> PopulationResult:
     """Simulate every case.  Per-case failures are collected with their case
     id, in case order; aggregation runs over the successful cases only, while
@@ -519,7 +524,7 @@ def simulate_population(
     if not cases:
         raise CaseDataError("case population is empty")
     cases = CaseTable.of(cases)
-    paths, failures = _walk_paths(model, cases, step_cap)
+    paths, failures = _walk_paths(model, cases)
     nc = hc = 0
     for members, walk in paths:
         kpis = [kpi for _task, kpi in walk.emissions]

@@ -33,8 +33,8 @@ def flow(
     return SequenceFlow(flow_id, source, target, parsed, default)
 
 
-def model(model_id: str, nodes, flows, start_node: str = "s") -> ProcessModel:
-    return ProcessModel(model_id, tuple(nodes), tuple(flows), start_node)
+def model(model_id: str, nodes, flows) -> ProcessModel:
+    return ProcessModel(model_id, tuple(nodes), tuple(flows))
 
 
 def loop_model() -> ProcessModel:

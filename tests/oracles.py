@@ -9,6 +9,8 @@ with ``execute_case`` and runs the package's per-case steps on it, so it
 checks that cases sharing a pair of paths may share one run of each step;
 the conflict window oracle finds the window's bounds by two scans of the
 target trace, against the package's single pass.
+The loop oracle walks a case with a set of the nodes it has visited,
+against the package's bound of one step per node of the model.
 The KPI recount oracle is ``scripts/recount_kpis.py``.
 """
 
@@ -20,6 +22,7 @@ from typing import Iterable, Sequence
 
 from bpmndiverge import diagnosis
 from bpmndiverge.bpmn import NodeKind, ProcessModel
+from bpmndiverge.conditions import evaluate
 from bpmndiverge.simulation import (
     CASE_ERRORS,
     CaseRecord,
@@ -40,6 +43,36 @@ def load_cases_per_row(text: str) -> list[CaseRecord]:
         CaseRecord(row[0].strip(), {name: parse_cell(cell) for name, cell in zip(names, row[1:])})
         for row in rows
     ]
+
+
+def loop_of(model: ProcessModel, case: CaseRecord) -> frozenset[str] | None:
+    """The nodes of the loop that ``case`` walks into: the walk keeps the
+    nodes it has visited and stops at the first one it comes back to.  None
+    when the walk reaches an end event, or fails, first."""
+    visited: list[str] = []
+    node = model.start_node
+    while node not in visited:
+        visited.append(node)
+        if model.node(node).kind is NodeKind.END_EVENT:
+            return None
+        flows = model.outgoing(node)
+        default = next((flow for flow in flows if flow.is_default), None)
+        try:  # the first enabled branch in document order, else the default
+            taken = next(
+                (
+                    flow
+                    for flow in flows
+                    if not flow.is_default
+                    and (flow.condition is None or evaluate(flow.condition, case.attributes))
+                ),
+                default,
+            )
+        except CASE_ERRORS:
+            return None
+        if taken is None:
+            return None
+        node = taken.target
+    return frozenset(visited[visited.index(node) :])
 
 
 def entropy_oracle(counts: Sequence[int]) -> float:

@@ -564,6 +564,23 @@ class TestRepair:
         assert original.split("\n\n")[0] in repaired
         assert "applied 2 repair(s), rejected 0" in capsys.readouterr().out
 
+    def test_canned_repair_lands_on_the_segment_it_answers(self, out, repo_root, capsys):
+        # On the family the report's only ambiguity, AMB-1, is the acceptance
+        # paragraph; city1's AMB-1 is the eligibility paragraph.
+        for stage in ("simulate", "entropy", "diagnose", "report", "repair"):
+            assert run_city1(out, "--models", "fixtures/family_original", stage) == 0
+        report = read_json(out / "ambiguity_report.json")
+        assert [(a["id"], a["segment_id"]) for a in report["ambiguities"]] == [("AMB-1", "seg-4")]
+        original = NarrativeDocument.from_text(
+            "narrative", (repo_root / "fixtures" / "city1" / "narrative.txt").read_text()
+        )
+        repaired = NarrativeDocument.from_text(
+            "narrative", (out / "narrative_repaired.txt").read_text()
+        )
+        assert repaired.segment("seg-2").text == original.segment("seg-2").text
+        assert "health guidance request box" in repaired.segment("seg-4").text
+        assert "applied 1 repair(s), rejected 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("excerpt", ["", None, 7])
     def test_excerpt_that_is_not_a_non_empty_string_is_rejected(self, out, repo_root, excerpt):
         full_pipeline(out)
@@ -860,6 +877,13 @@ class TestExitCodes:
         assert run("--config", str(cfg), "simulate") == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_step_cap_is_an_unknown_key(self, out, tmp_path, capsys):
+        # Walks are bounded by the model's node count, not by a setting.
+        cfg = config_with(tmp_path, "step_cap", "5")
+        assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
+        assert "unknown key 'step_cap'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_that_is_not_utf8_is_a_config_error(self, out, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"# caf\xe9\nmodels_dir = fixtures/city1/models\n")
@@ -1136,6 +1160,22 @@ def test_a_non_finite_decimal_is_a_config_error(out, tmp_path, capsys, key, toke
     [
         ("guidance_capacity", "0", "guidance_capacity must be positive"),
         ("response_rate", "1.5", "response_rate must be in [0, 1]"),
+        (
+            "cost_saving_per_improved_patient",
+            "1e999999999",
+            "cost_saving_per_improved_patient must be below 10^9, got 1E+999999999",
+        ),
+        (
+            "cost_saving_per_improved_patient",
+            "1e400000",
+            "cost_saving_per_improved_patient must be below 10^9, got 1E+400000",
+        ),
+        (
+            "cost_saving_per_improved_patient",
+            "1e-400000",
+            "cost_saving_per_improved_patient must have at most 12 digits after the point, "
+            "got 1E-400000",
+        ),
     ],
 )
 def test_an_out_of_range_kpi_parameter_is_a_config_error(

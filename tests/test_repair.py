@@ -284,7 +284,7 @@ class TestOneAmbiguityPerSegment:
             doc.doc_id, ambiguities, unlocalized, {}, ("reference", "target", refined)
         )
         response = {"revised_excerpt": revised, "rationale": "r", "evidence_refs": ["e"]}
-        provider = CannedRewriteProvider({entry["id"]: response for entry in ambiguities})
+        provider = CannedRewriteProvider({entry["segment_id"]: response for entry in ambiguities})
         supplemental = NarrativeDocument.from_text("s", "")
         outcome = propose_repairs(report["ambiguities"], doc, supplemental, provider)
         assert outcome.rejected == ()
@@ -395,7 +395,7 @@ class TestProposeRepairs:
     def test_missing_canned_key_rejects_that_ambiguity(
         self, report, narrative_doc, supplemental_doc
     ):
-        provider = CannedRewriteProvider({"AMB-1": {
+        provider = CannedRewriteProvider({"seg-2": {
             "revised_excerpt": "x", "rationale": "y", "evidence_refs": ["z"],
         }})
         outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
@@ -418,7 +418,7 @@ class TestProposeRepairs:
     def test_unsupported_records_rejected(
         self, report, narrative_doc, supplemental_doc, response, reason
     ):
-        responses = {"AMB-1": response, "AMB-2": response}
+        responses = {"seg-2": response, "seg-4": response}
         provider = CannedRewriteProvider(responses)
         outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
         assert outcome.records == ()
@@ -668,7 +668,7 @@ class TestReconstruction:
         doc = NarrativeDocument.from_text("d", "say yes or say yes\n\nother\n")
         entry = {"id": "AMB-1", "segment_id": "seg-1", "excerpt": "say yes"}
         response = {"revised_excerpt": "say NO", "rationale": "r", "evidence_refs": ["e"]}
-        provider = CannedRewriteProvider({"AMB-1": response})
+        provider = CannedRewriteProvider({"seg-1": response})
         outcome = propose_repairs([entry], doc, NarrativeDocument.from_text("s", ""), provider)
         repaired = reconstruct_narrative(doc, outcome.records)
         assert repaired == "say NO or say yes\n\nother\n"

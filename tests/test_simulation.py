@@ -3,6 +3,7 @@ population runs checked against per-case walks."""
 
 import importlib.util
 import json
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -30,10 +31,10 @@ from bpmndiverge.simulation import (
     CaseDataError,
     CaseRecord,
     CaseTable,
+    EndlessLoopError,
     KpiConfig,
     KpiVector,
     NoEnabledBranchError,
-    StepLimitExceededError,
     Trace,
     _indices,
     aggregate_kpis,
@@ -206,7 +207,6 @@ class TestExecution:
             "f_guided",
         )
         assert trace.emissions == (("t_notify", "NC"), ("t_guide", "HC"))
-        assert not trace.truncated
 
     def test_not_eligible_walk(self, strict_model, population):
         c20 = population[19]
@@ -253,12 +253,13 @@ class TestExecution:
             execute_case(strict_model, CaseRecord("c", {"HbA1c": Decimal("7")}))
 
     def test_step_cap(self):
-        m = mk.loop_model()
-        with pytest.raises(StepLimitExceededError) as info:
-            execute_case(m, CaseRecord("c", {"Loop": Decimal("1")}), step_cap=10)
-        partial = info.value.partial
-        assert partial.truncated
-        assert len(partial.steps) == 11  # cap exceeded on the 11th visit
+        # A walk longer than the model's node count has come back to a node.
+        with pytest.raises(EndlessLoopError) as info:
+            execute_case(mk.loop_model(), CaseRecord("c1", {"Loop": Decimal("1")}))
+        assert (info.value.case_id, info.value.node_id) == ("c1", "g")
+        assert str(info.value) == (
+            "case 'c1': loops through node 'g' and never reaches an end event"
+        )
 
     def test_kpi_sequence_labels(self, strict_model, population):
         trace = execute_case(strict_model, population[0])
@@ -389,13 +390,13 @@ _populations = st.lists(st.dictionaries(_NAMES, _CELLS), min_size=1, max_size=12
 )
 
 
-def walk_each_case(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
+def walk_each_case(model, cases, config):
     """The per-case oracle: ``execute_case`` on every case, then
     ``aggregate_kpis`` over the successful traces."""
     traces, errors = [], []
     for case in cases:
         try:
-            traces.append(execute_case(model, case, step_cap=step_cap))
+            traces.append(execute_case(model, case))
         except CASE_ERRORS as exc:
             errors.append((case.case_id, str(exc)))
     return tuple(traces), aggregate_kpis(traces, len(cases), config), tuple(errors)
@@ -423,14 +424,17 @@ def expand_paths(result, cases):
     return tuple(traces[index] for index in sorted(traces))
 
 
-def assert_matches_walks(model, cases, config, step_cap=simulation.DEFAULT_STEP_CAP):
+def assert_matches_walks(model, cases, config):
     """``simulate_population`` gives the per-case oracle's traces, KPIs and
     errors without calling ``execute_case``."""
-    traces, kpis, errors = walk_each_case(model, cases, config, step_cap)
+    traces, kpis, errors = walk_each_case(model, cases, config)
     with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
-        result = simulate_population(model, cases, config, step_cap=step_cap)
+        result = simulate_population(model, cases, config)
     assert walk.call_count == 0
     assert (expand_paths(result, cases), result.kpis, result.errors) == (traces, kpis, errors)
+
+
+_LOOP_ERROR = re.compile(r"case '(.*)': loops through node '(.*)' and never reaches an end event")
 
 
 @st.composite
@@ -647,16 +651,29 @@ class TestSetAtATime:
         assert_matches_walks(m, cases, KpiConfig())
 
     @settings(deadline=None)
-    @given(_random_models(back_edges=True), _populations, st.integers(1, 12))
-    def test_cyclic_masks_match_per_case_walks(self, model, cases, step_cap):
-        assert_matches_walks(model, cases, KpiConfig(guidance_capacity=2), step_cap)
+    @given(_random_models(back_edges=True), _populations)
+    def test_cyclic_masks_match_per_case_walks(self, model, cases):
+        assert_matches_walks(model, cases, KpiConfig(guidance_capacity=2))
+
+    @settings(deadline=None)
+    @given(_random_models(back_edges=True), _populations)
+    def test_the_loop_error_names_exactly_the_cases_that_revisit_a_node(self, model, cases):
+        loops = {case.case_id: oracles.loop_of(model, case) for case in cases}
+        looping = {}
+        for case_id, message in simulate_population(model, cases, KpiConfig()).errors:
+            if found := _LOOP_ERROR.fullmatch(message):
+                assert found[1] == case_id
+                looping[case_id] = found[2]
+        assert set(looping) == {case_id for case_id, loop in loops.items() if loop}
+        assert all(node in loops[case_id] for case_id, node in looping.items())
 
     def test_looping_case_fails_at_the_step_cap(self):
         cases = [CaseRecord("c0", {"Loop": Decimal(0)}), CaseRecord("c1", {"Loop": Decimal(1)})]
-        assert_matches_walks(mk.loop_model(), cases, KpiConfig(), step_cap=10)
-        result = simulate_population(mk.loop_model(), cases, KpiConfig(), step_cap=10)
-        assert [case_id for case_id, _ in result.errors] == ["c1"]
-        assert "step limit" in result.errors[0][1]
+        assert_matches_walks(mk.loop_model(), cases, KpiConfig())
+        result = simulate_population(mk.loop_model(), cases, KpiConfig())
+        assert result.errors == (
+            ("c1", "case 'c1': loops through node 'g' and never reaches an end event"),
+        )
 
     def test_untraced_cyclic_model_walks_no_case(self):
         cases = [CaseRecord(f"c{i}", {"Loop": Decimal(i % 2)}) for i in range(20)]
@@ -664,27 +681,23 @@ class TestSetAtATime:
             result = simulate_population(mk.loop_model(), cases, KpiConfig())
         assert walk.call_count == 0
         assert [message for _case_id, message in result.errors] == [
-            f"case 'c{i}': step limit exceeded after 10001 steps" for i in range(1, 20, 2)
+            f"case 'c{i}': loops through node 'g' and never reaches an end event"
+            for i in range(1, 20, 2)
         ]
         assert dict(result.kpis.values)["NC"] == Decimal(10)
 
-    @pytest.mark.parametrize("step_cap", [3, 4, 5])
-    def test_step_cap_fails_only_longer_walks(self, step_cap):
-        # Five nodes in a row: a cap of 3 stops every walk at the third task.
-        chain = mk.model(
-            "chain",
-            [mk.start("s"), *(mk.task(f"t{i}", f"T{i}", ("NC",)) for i in range(3)), mk.end("e")],
-            [
-                mk.flow("f0", "s", "t0"),
-                mk.flow("f1", "t0", "t1"),
-                mk.flow("f2", "t1", "t2"),
-                mk.flow("f3", "t2", "e"),
-            ],
-        )
+    def test_a_long_acyclic_chain_walks_to_its_end(self):
+        # 12,000 tasks in a row: a walk of any length ends if no node comes twice.
+        count = 12_000
+        nodes = [mk.start("s"), *(mk.task(f"t{i}", f"T{i}", ("NC",)) for i in range(count))]
+        ids = [node.id for node in nodes] + ["e"]
+        flows = [mk.flow(f"f{i}", a, b) for i, (a, b) in enumerate(zip(ids, ids[1:]))]
+        chain = mk.model("chain", [*nodes, mk.end("e")], flows)
         cases = [CaseRecord("c0", {}), CaseRecord("c1", {})]
-        assert_matches_walks(chain, cases, KpiConfig(), step_cap=step_cap)
-        errors = simulate_population(chain, cases, KpiConfig(), step_cap=step_cap).errors
-        assert len(errors) == (2 if step_cap < 4 else 0)
+        assert len(execute_case(chain, cases[0]).steps) == count + 2
+        result = simulate_population(chain, cases, KpiConfig())
+        assert result.errors == ()
+        assert dict(result.kpis.values)["NC"] == Decimal(2 * count)
 
     def test_city1_and_families_match_per_case_walks(self, repo_root, population):
         for family in ("city1/models", "family_original", "family_repaired"):
@@ -702,11 +715,11 @@ _sharing_populations = st.lists(
 ).map(lambda rows: [CaseRecord(f"c{index}", row) for index, row in enumerate(rows)])
 
 
-def assert_one_walk_per_path(model, cases, step_cap=simulation.DEFAULT_STEP_CAP):
+def assert_one_walk_per_path(model, cases):
     """One listed walk per distinct successful path, and no per-case walk."""
-    traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig(), step_cap)
+    traces, _kpis, _errors = walk_each_case(model, cases, KpiConfig())
     with mock.patch.object(simulation, "execute_case", wraps=execute_case) as walk:
-        result = simulate_population(model, cases, KpiConfig(), step_cap=step_cap)
+        result = simulate_population(model, cases, KpiConfig())
     assert expand_paths(result, cases) == traces
     distinct = {(trace.steps, trace.flows) for trace in traces}
     assert walk.call_count == 0
@@ -720,11 +733,9 @@ class TestSharedTraces:
         assert_one_walk_per_path(model, cases)
 
     @settings(deadline=None)
-    @given(_random_models(back_edges=True), _sharing_populations, st.integers(1, 12))
-    def test_cyclic_traces_match_per_case_walks_with_one_walk_per_path(
-        self, model, cases, step_cap
-    ):
-        assert_one_walk_per_path(model, cases, step_cap)
+    @given(_random_models(back_edges=True), _sharing_populations)
+    def test_cyclic_traces_match_per_case_walks_with_one_walk_per_path(self, model, cases):
+        assert_one_walk_per_path(model, cases)
 
 
 def _leaves(ast):
