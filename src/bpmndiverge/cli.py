@@ -10,9 +10,7 @@ Exit codes: 0 success or benign status, 1 usage error, 2 data error,
 
 from __future__ import annotations
 
-import argparse
 import json
-import locale  # noqa: F401  argparse's gettext imports it at the first parser build
 import os
 import re
 import sys
@@ -22,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection, NoReturn, Sequence
 
 from . import bpmn, diagnosis, distribution, repair, simulation
-from .config import KEYS, ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
+from .config import ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
 
 
 class DataError(Exception):
@@ -38,18 +36,22 @@ def dump_json(payload: object) -> str:
 
 
 def atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Write ``text`` to ``path`` through a temp file; failing to is a config error."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(temp_name, path)
+        except BaseException:
+            try:
+                os.unlink(temp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
 
 
 def _read_input(path: Path | None, key: str, hint: str = "") -> str:
@@ -153,7 +155,7 @@ def _kpi_dir(config: RunConfig) -> Path:
     return config.out_dir / "kpis"
 
 
-def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
+def cmd_simulate(config: RunConfig, traces: bool = False) -> int:
     models = _load_models(config)
     cases = _load_cases(config)
     out_dir = _kpi_dir(config)
@@ -168,7 +170,7 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
                 {"case_id": case_id, "reason": reason} for case_id, reason in result.errors
             ],
         }
-        if include_traces:
+        if traces:
             payload["traces"] = [
                 {
                     "case_ids": simulation.case_ids(cases, members),
@@ -183,7 +185,10 @@ def cmd_simulate(config: RunConfig, include_traces: bool) -> int:
     model_ids = {model.model_id for model, _ in models}
     for stale in out_dir.glob("*.json"):
         if stale.stem not in model_ids and stale.is_file():
-            stale.unlink()
+            try:
+                stale.unlink()
+            except OSError as exc:
+                raise ConfigError(f"cannot remove {stale}: {exc.strerror}")
     print(f"simulated {len(models)} model(s) over {len(cases)} case(s) -> {out_dir}")
     return 0
 
@@ -279,11 +284,11 @@ def _distribution_payload(
     return payload, dist
 
 
-def cmd_entropy(config: RunConfig, kpis_path: Path | None, from_csv: Path | None) -> int:
+def cmd_entropy(config: RunConfig, kpis: Path | None = None, from_csv: Path | None = None) -> int:
     if from_csv is not None:
         entries = _read_kpi_csv(from_csv, config.round_decimals)
     else:
-        entries = _read_kpi_dir(kpis_path or _kpi_dir(config), config.round_decimals)
+        entries = _read_kpi_dir(kpis or _kpi_dir(config), config.round_decimals)
     payload, dist = _distribution_payload(entries, config.round_decimals)
     atomic_write(config.out_dir / "distribution.json", dump_json(payload))
     histogram_lines = ["label,count"]
@@ -321,7 +326,9 @@ def _pick_pair(
     return distribution.select_representatives(members)
 
 
-def cmd_diagnose(config: RunConfig, requested: Sequence[str]) -> int:
+def cmd_diagnose(config: RunConfig, *requested: str) -> int:
+    if requested and not len(requested) == len(set(requested)) == 2:
+        raise ConfigError("pass no model ids (auto-pick) or exactly two distinct model ids")
     (model_a, _), (model_b, _) = _load_models(
         config, lambda ids: _pick_pair(config, ids, requested)
     )
@@ -512,82 +519,131 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
+# The flags before the command, each to the config key it sets over the
+# keys of the --config file.
+_GLOBAL_FLAGS = {
+    "--config": "config", "--models": "models_dir", "--cases": "cases_csv",
+    "--narrative": "narrative", "--segments": "segments_json", "--supplemental": "supplemental",
+    "--out": "out_dir", "--round-decimals": "round_decimals",
+}
+
+# Each command's function, help line and options: flag -> metavar, None for a
+# switch.  An option reaches the function as the keyword its flag names
+# (--from-csv -> from_csv), a value as a Path.  Only diagnose takes positional
+# arguments, its model ids.
+_COMMANDS: dict[str, tuple[Callable[..., int], str, dict[str, str | None]]] = {
+    "simulate": (cmd_simulate, "simulate every model over the case population", {"--traces": None}),
+    "entropy": (cmd_entropy, "KPI outcome entropy", {"--kpis": "DIR", "--from-csv": "FILE"}),
+    "diagnose": (cmd_diagnose, "divergence diagnosis for a model pair (default: auto-pick)", {}),
+    "report": (cmd_report, "ambiguity report for the pair diagnose chose", {}),
+    "repair": (cmd_repair, "provider-backed narrative repair", {}),
+    "verify": (cmd_verify, "compare two KPI directories", {"--before": "DIR", "--after": "DIR"}),
+    "validate": (cmd_validate, "structural validation of every model", {}),
+}
+_REQUIRED = ("--before", "--after")
+# What starts with "-" yet is a value, as argparse reads it: "-", a negative
+# number, a word with a space; and "--", which no model id needs to escape.
+_DASHED_VALUE = re.compile(r"--?|-\d+|-\d*\.\d+|.* .*")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="bpmndiverge", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", type=Path, help="key=value configuration file")
-    parser.add_argument("--models", type=Path, dest="models_dir")
-    parser.add_argument("--cases", type=Path, dest="cases_csv")
-    parser.add_argument("--narrative", type=Path)
-    parser.add_argument("--segments", type=Path, dest="segments_json")
-    parser.add_argument("--supplemental", type=Path)
-    parser.add_argument("--out", type=Path, dest="out_dir")
-    parser.add_argument("--round-decimals", type=int, dest="round_decimals")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_simulate = sub.add_parser("simulate", help="simulate every model over the case population")
-    p_simulate.add_argument("--traces", action="store_true", help="include traces in KPI JSON")
-
-    p_entropy = sub.add_parser("entropy", help="outcome distribution and normalized entropy")
-    p_entropy.add_argument("--kpis", type=Path, help="KPI JSON directory (default OUT/kpis)")
-    p_entropy.add_argument("--from-csv", type=Path, help="read vectors from a CSV instead")
-
-    p_diagnose = sub.add_parser("diagnose", help="divergence diagnosis for a model pair")
-    p_diagnose.add_argument("models", nargs="*", help="two model ids (default: auto-pick)")
-
-    sub.add_parser("report", help="ambiguity report for the pair diagnose chose")
-
-    sub.add_parser("repair", help="provider-backed narrative repair")
-
-    p_verify = sub.add_parser("verify", help="compare entropy of two KPI directories")
-    p_verify.add_argument("--before", type=Path, required=True)
-    p_verify.add_argument("--after", type=Path, required=True)
-
-    sub.add_parser("validate", help="structural validation of every model")
-    return parser
+class _UsageError(Exception):
+    """args: the message, and the command whose usage to show (None: all)."""
 
 
-def _merged_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config is not None:
-        config = load_config(args.config, config)
-    overrides = {
-        key: str(value) for key in KEYS if (value := getattr(args, key, None)) is not None
+def _is_flag(arg: str) -> bool:
+    return arg[:1] == "-" and not _DASHED_VALUE.fullmatch(arg)
+
+
+def _synopsis(command: str | None) -> str:
+    if command is None:
+        flags = " ".join(f"[{flag} {key.upper()}]" for flag, key in _GLOBAL_FLAGS.items())
+        return f"[-h] {flags} COMMAND ..."
+    words = [command, "[REF TGT]"] if command == "diagnose" else [command]
+    for flag, metavar in _COMMANDS[command][2].items():
+        word = flag if metavar is None else f"{flag} {metavar}"
+        words.append(word if flag in _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help() -> str:
+    lines = [f"usage: bpmndiverge {_synopsis(None)}", "", "commands:"]
+    for command, (_, text, _) in _COMMANDS.items():
+        lines += [f"  {_synopsis(command)}", f"      {text}"]
+    lines.append("\nGlobal flags go before the command, and a unique prefix stands for a flag.")
+    return "\n".join(lines)
+
+
+def _parse(argv: Sequence[str]) -> tuple[dict[str, str], str, list[str], dict[str, Any]] | None:
+    """(config-key overrides, command, model ids, options) from ``argv``, or
+    None once the help is printed.  The grammar is argparse's: --flag VALUE
+    or --flag=VALUE, a unique prefix for a flag, and the last repeat wins."""
+    command, flags = None, _GLOBAL_FLAGS
+    given: dict[str, Any] = {}
+    ids: list[str] = []
+    unknown: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        if not _is_flag(arg):
+            if command is None and arg not in _COMMANDS:
+                raise _UsageError(f"invalid choice: {arg!r} (choose from {', '.join(_COMMANDS)})", None)
+            if command is None:
+                command, flags = arg, _COMMANDS[arg][2]
+            else:
+                (ids if command == "diagnose" else unknown).append(arg)
+            continue
+        name, equals, value = arg.partition("=")
+        known = [*flags, "--help"]
+        matches = [name] if name in known else [flag for flag in known if flag.startswith(name)]
+        if name == "-h" or matches == ["--help"]:
+            print(_help())
+            return None
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {name} could match {', '.join(matches)}", command)
+        if not matches:
+            unknown.append(arg)
+            continue
+        flag = matches[0]
+        if flags[flag] is None:
+            if equals:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}", command)
+            value = True
+        elif not equals:
+            value = next(args, None)
+            if value is None or _is_flag(value):
+                raise _UsageError(f"argument {flag}: expected one argument", command)
+        given[flag] = value
+    if command is None:
+        raise _UsageError("the following arguments are required: command", None)
+    missing = [flag for flag in flags if flag in _REQUIRED and flag not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}", None)
+    overrides = {_GLOBAL_FLAGS[flag]: v for flag, v in given.items() if flag in _GLOBAL_FLAGS}
+    options = {
+        flag[2:].replace("-", "_"): v if v is True else Path(v)
+        for flag, v in given.items()
+        if flag in flags
     }
-    return build_run_config(overrides, config)
+    return overrides, command, ids, options
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        message, command = exc.args
+        print(f"usage: bpmndiverge {_synopsis(command)}\nerror: {message}", file=sys.stderr)
+        return 1
+    if parsed is None:
+        return 0
+    overrides, command, ids, options = parsed
     try:
-        config = _merged_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.traces)
-        if args.command == "entropy":
-            return cmd_entropy(config, args.kpis, args.from_csv)
-        if args.command == "diagnose":
-            if args.models and not len(args.models) == len(set(args.models)) == 2:
-                raise ConfigError("pass no model ids (auto-pick) or exactly two distinct model ids")
-            return cmd_diagnose(config, args.models)
-        if args.command == "report":
-            return cmd_report(config)
-        if args.command == "repair":
-            return cmd_repair(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.before, args.after)
-        if args.command == "validate":
-            return cmd_validate(config)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        config = RunConfig()
+        if "config" in overrides:
+            config = load_config(Path(overrides.pop("config")), config)
+        config = build_run_config(overrides, config)
+        return _COMMANDS[command][0](config, *ids, **options)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

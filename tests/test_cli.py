@@ -930,6 +930,117 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
 
+# Command lines as argparse read them, each with its exit code, the stream it
+# writes to ("usage": stderr, starting with a usage line) and phrases of it.
+# OUT stands for the output directory.
+COMMAND_LINES = {
+    "flag=value": (
+        ["--config", CONFIG, "--round-decimals=13", "validate"],
+        1, "err", "error: round_decimals must be in [0, 12]",
+    ),
+    "global flag prefix": (
+        ["--config", CONFIG, "--round-dec", "13", "validate"],
+        1, "err", "error: round_decimals must be in [0, 12]",
+    ),
+    "command flag prefix": (
+        ["--config", CONFIG, "--out", "OUT", "simulate", "--tr"], 0, "out", "simulated 2 model(s)"
+    ),
+    "last repeat wins": (
+        ["--config", CONFIG, "--out", "x", "--out=OUT", "simulate"], 0, "out", "-> OUT/kpis"
+    ),
+    "ambiguous prefix": (
+        ["--s", "x", "validate"],
+        1, "usage", "error: ambiguous option: --s could match --segments, --supplemental",
+    ),
+    "missing global value": (["--out"], 1, "usage", "error: argument --out: expected one argument"),
+    "missing command value": (
+        ["--config", CONFIG, "entropy", "--kpis"],
+        1, "usage", "error: argument --kpis: expected one argument",
+    ),
+    "flag as a value": (
+        ["--out", "--models", "x", "validate"],
+        1, "usage", "error: argument --out: expected one argument",
+    ),
+    "unknown flag": (["--bogus", "validate"], 1, "usage", "error: unrecognized arguments: --bogus"),
+    "flag of another command": (
+        ["--config", CONFIG, "report", "--traces"],
+        1, "usage", "error: unrecognized arguments: --traces",
+    ),
+    "command flag before the command": (
+        ["--traces", "simulate"], 1, "usage", "error: unrecognized arguments: --traces"
+    ),
+    "global flag after the command": (
+        ["validate", "--config", CONFIG],
+        1, "usage", f"error: unrecognized arguments: --config {CONFIG}",
+    ),
+    "switch with a value": (
+        ["simulate", "--traces=1"],
+        1, "usage", "error: argument --traces: ignored explicit argument '1'",
+    ),
+    "unknown command": (["nope"], 1, "usage", "invalid choice: 'nope'"),
+    "no command": ([], 1, "usage", "error: the following arguments are required: command"),
+    "verify without its options": (
+        ["--config", CONFIG, "verify"],
+        1, "usage", "error: the following arguments are required: --before, --after",
+    ),
+    "verify without --after": (
+        ["verify", "--before", "x"],
+        1, "usage", "error: the following arguments are required: --after",
+    ),
+    "help": (
+        ["-h"],
+        0, "out", "simulate", "entropy", "diagnose", "report", "repair", "verify", "validate",
+    ),
+    "command help": (["simulate", "--help"], 0, "out", "simulate", "--traces"),
+    "help prefix": (["--he"], 0, "out", "--round-decimals", "simulate"),
+    # build_run_config, not the parser, converts a global flag's value.
+    "non-integer round_decimals": (
+        ["--config", CONFIG, "--round-decimals", "1e3", "validate"],
+        1, "err", "error: round_decimals: expected integer, got '1e3'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_LINES)
+def test_command_line_grammar(out, capsys, case):
+    argv, code, stream, *phrases = COMMAND_LINES[case]
+    assert run(*[arg.replace("OUT", str(out)) for arg in argv]) == code
+    captured = capsys.readouterr()
+    text = captured.out if stream == "out" else captured.err
+    if stream == "usage":
+        assert text.startswith("usage: bpmndiverge")
+    for phrase in phrases:
+        assert phrase.replace("OUT", str(out)) in text
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a configuration error (exit
+    1) that names it, not a traceback."""
+
+    def test_out_is_a_file(self, out, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_city1(taken, "simulate") == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {taken}/kpis/city1_and_strict.json: Not a directory\n"
+        )
+        assert run_city1(out, "simulate") == 0
+        capsys.readouterr()
+        assert run_city1(taken, "entropy", "--kpis", str(out / "kpis")) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {taken}/distribution.json: File exists\n"
+        )
+
+    def test_a_directory_in_place_of_an_artifact(self, out, capsys):
+        assert run_city1(out, "simulate") == 0
+        (out / "distribution.json").mkdir()
+        assert run_city1(out, "entropy") == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}/distribution.json: Is a directory\n"
+        )
+        assert sorted(path.name for path in out.iterdir()) == ["distribution.json", "kpis"]
+
+
 # The command that reads each input file.
 INPUT_KEYS = {
     "models_dir": "simulate",

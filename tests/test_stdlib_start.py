@@ -2,10 +2,10 @@
 
 Importing ``bpmndiverge.cli`` loads no HTTP client, no XML SAX package, no TLS,
 and neither ``dataclasses`` nor ``inspect``, which would add about 8 ms to
-every start (they load ``ast``, ``dis`` and ``tokenize``).  A whole city1
-pipeline run and ``validate`` in that same interpreter load no further
-module.  A module that a stage imports lazily (argparse's ``locale`` is one)
-would otherwise be paid inside every forked stage of the benchmark.
+every start (they load ``ast``, ``dis`` and ``tokenize``).  Nor does it load
+``argparse``, ``gettext`` or ``locale``: building argparse's parsers cost
+about 2.5 ms in every stage.  A whole city1 pipeline run and ``validate`` in
+that same interpreter load no further module.
 """
 
 import json
@@ -14,7 +14,8 @@ import subprocess
 import sys
 
 FORBIDDEN = (
-    "requests", "urllib.request", "http.client", "xml.sax", "ssl", "dataclasses", "inspect"
+    "requests", "urllib.request", "http.client", "xml.sax", "ssl", "dataclasses", "inspect",
+    "argparse", "gettext", "locale",
 )
 
 PIPELINE = """
