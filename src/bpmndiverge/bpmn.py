@@ -6,7 +6,7 @@ from foreign namespaces (diagram interchange, vendor extensions) are ignored.
 Tasks carry KPI emissions through the extension attribute ``kpi:outputs``
 (semicolon-separated names, namespace ``urn:bpmndiverge:kpi``); branch
 conditions live in standard ``conditionExpression`` children in the grammar
-implemented by :mod:`bpmndiverge.conditions`.
+implemented by :mod:`bpmndiverge.conditions`.  ``ProcessModel`` checks its nodes and flows.
 """
 
 from __future__ import annotations
@@ -70,39 +70,19 @@ class IssueCategory(str, Enum):
     UNCONDITIONED_BRANCH = "unconditioned_branch"
 
 
-class _NodeFields(NamedTuple):
+class Node(NamedTuple):
     id: str
     kind: NodeKind
     label: str
     kpi_outputs: tuple[str, ...] = ()
 
 
-class Node(_NodeFields):
-    __slots__ = ()
-
-    # The NamedTuple's __new__ sets the fields; __init__ checks them.  Like
-    # every validating record here, _replace and _make skip the check.
-    def __init__(self, *args: object, **kwargs: object):
-        if self.kpi_outputs and self.kind is not NodeKind.TASK:
-            raise InvalidModelError(f"node {self.id!r}: kpi outputs on non-task")
-        if len(set(self.kpi_outputs)) != len(self.kpi_outputs):
-            raise InvalidModelError(f"node {self.id!r}: duplicate kpi outputs")
-
-
-class _SequenceFlowFields(NamedTuple):
+class SequenceFlow(NamedTuple):
     id: str
     source: str
     target: str
     condition: ConditionAst | None = None
     is_default: bool = False
-
-
-class SequenceFlow(_SequenceFlowFields):
-    __slots__ = ()
-
-    def __init__(self, *args: object, **kwargs: object):
-        if self.is_default and self.condition is not None:
-            raise InvalidModelError(f"flow {self.id!r}: default flow cannot carry a condition")
 
 
 class GatewayView(NamedTuple):
@@ -116,8 +96,8 @@ class GatewayView(NamedTuple):
 
 class ProcessModel:
     """Process graph; node and flow tuples preserve document order.  Treat it
-    as immutable: its indexes are built at construction.  Equality and hashing
-    ignore ``metadata``."""
+    as immutable: its nodes and flows are checked, and its indexes built, at
+    construction.  Equality and hashing ignore ``metadata``."""
 
     __slots__ = ("model_id", "nodes", "flows", "start_node", "metadata", "_by_id", "_outgoing")
 
@@ -134,10 +114,16 @@ class ProcessModel:
         for node in self.nodes:
             if node.id in by_id:
                 raise InvalidModelError(f"duplicate node id {node.id!r}")
+            if node.kpi_outputs and node.kind is not NodeKind.TASK:
+                raise InvalidModelError(f"node {node.id!r}: kpi outputs on non-task")
+            if len(set(node.kpi_outputs)) != len(node.kpi_outputs):
+                raise InvalidModelError(f"node {node.id!r}: duplicate kpi outputs")
             by_id[node.id] = node
         outgoing: dict[str, list[SequenceFlow]] = {n.id: [] for n in self.nodes}
         flow_ids: set[str] = set()
         for flow in self.flows:
+            if flow.is_default and flow.condition is not None:
+                raise InvalidModelError(f"flow {flow.id!r}: default flow cannot carry a condition")
             if flow.id in flow_ids:
                 raise InvalidModelError(f"duplicate flow id {flow.id!r}")
             flow_ids.add(flow.id)

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Callable, Collection, NoReturn, Sequence
@@ -36,10 +35,12 @@ def dump_json(payload: object) -> str:
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file; failing to is a config error."""
+    """Write ``text`` to ``path`` through a new temp file beside it, made with
+    mode 0o666 less the umask as ``open`` would; failing to is a config error."""
+    temp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        fd = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -67,43 +68,44 @@ def _read_input(path: Path | None, key: str, hint: str = "") -> str:
         raise DataError(f"{path}: not UTF-8 text: {exc}")
 
 
-def _parse_json(text: str, source: str) -> Any:
-    """The JSON value in ``text``.  The non-standard ``NaN``, ``Infinity``
-    and ``-Infinity`` tokens are rejected."""
+def _parse_json(text: str, source: str, parse_float: Callable[[str], Any] = float) -> Any:
+    """The JSON value in ``text``, its fractions read by ``parse_float``.  The
+    non-standard ``NaN``, ``Infinity`` and ``-Infinity`` tokens are rejected."""
 
     def non_finite(token: str) -> NoReturn:
         raise DataError(f"{source}: non-finite number {token}")
 
     try:
-        return json.loads(text, parse_constant=non_finite)
+        return json.loads(text, parse_float=parse_float, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"{source}: invalid JSON: {exc}")
 
 
-def _read_artifact(path: Path, producer: str) -> Any:
+def _read_artifact(path: Path, producer: str, parse_float: Callable[[str], Any] = float) -> Any:
     """The JSON value an earlier stage wrote to ``path``."""
-    return _parse_json(_read_input(path, path.name, f" (run {producer} first)"), path.name)
+    text = _read_input(path, path.name, f" (run {producer} first)")
+    return _parse_json(text, path.name, parse_float)
 
 
 def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str):
-    """``payload[key]``, required to exist and to be an instance of ``kind``."""
+    """``payload[key]``, required to exist and to be a ``kind`` but not a bool."""
     value = payload.get(key) if isinstance(payload, dict) else None
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise DataError(f"{source}: {key!r} is missing or has the wrong type")
     return value
 
 
 def _load_models(
-    config: RunConfig, pick: Callable[[Collection[str]], Sequence[str]] | None = None
+    config: RunConfig, pair: Sequence[str] | None = None
 ) -> list[tuple[bpmn.ProcessModel, str]]:
     """(model, file name) pairs from the regular model files in ``models_dir``.
 
     Every file must be UTF-8 XML with a ``<process>`` whose id is a plain
     file name that no other file has; sorted file order keeps the duplicate
-    message deterministic.  Without ``pick`` every model is built, in model id
-    order, from one XML parse per file.  With ``pick``, the other files are
-    parsed for their id alone: ``pick`` gets every id and names the models to
-    build, in the order returned."""
+    message deterministic.  Without ``pair`` every model is built, in model id
+    order, from one XML parse per file.  With ``pair``, only the two models
+    ``_pick_pair`` chooses for it are built, in its order, and the other files
+    are parsed for their id alone."""
     models_dir = config.models_dir
     if models_dir is None:
         raise ConfigError("models_dir is not configured")
@@ -120,8 +122,8 @@ def _load_models(
     for path in files:
         try:
             text = path.read_text(encoding="utf-8")
-            entry = bpmn.parse_bpmn(text, tags) if pick is None else text
-            model_id = entry.model_id if pick is None else bpmn.model_id(text)
+            entry = bpmn.parse_bpmn(text, tags) if pair is None else text
+            model_id = entry.model_id if pair is None else bpmn.model_id(text)
         except (UnicodeDecodeError, bpmn.ModelError) as exc:
             raise DataError(f"{path.name}: {exc}")
         if not _MODEL_ID.fullmatch(model_id):
@@ -134,10 +136,10 @@ def _load_models(
                 f"duplicate model id {model_id!r} in {path.name} and {found[model_id][1]}"
             )
         found[model_id] = (entry, path.name)
-    if pick is None:
+    if pair is None:
         return [found[model_id] for model_id in sorted(found)]
     built = []
-    for model_id in pick(found.keys()):
+    for model_id in _pick_pair(config, found.keys(), pair):
         text, name = found[model_id]
         try:
             built.append((bpmn.parse_bpmn(text, tags), name))
@@ -194,13 +196,13 @@ def cmd_simulate(config: RunConfig, traces: bool = False) -> int:
 
 
 def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.KpiVector:
-    """The vector of the five KPIs in ``values``, each a finite decimal that
-    rounds to ``round_decimals`` places.  Errors show a value as written."""
+    """The vector of the five KPIs in ``values``, each a finite non-bool number
+    that rounds to ``round_decimals`` places.  Errors show a value as written."""
     pairs = []
     for name in simulation.KPI_NAMES:
         found = values.get(name)
         try:
-            value = Decimal(found)
+            value = None if isinstance(found, bool) else Decimal(found)
         except (TypeError, InvalidOperation):
             value = None
         if value is None or not value.is_finite():
@@ -208,8 +210,9 @@ def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.Kp
         try:
             value.quantize(Decimal(1).scaleb(-round_decimals))
         except InvalidOperation:
+            shown = found if isinstance(found, Decimal) else repr(found)  # a JSON number or text
             raise DataError(
-                f"{source}: KPI {name} value {found!r} has too many digits to round to "
+                f"{source}: KPI {name} value {shown} has too many digits to round to "
                 f"{round_decimals} decimals"
             )
         pairs.append((name, value))
@@ -226,7 +229,7 @@ def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation
     # costs no stat call.
     names = (e.name for e in os.scandir(path) if e.name.endswith(".json") and e.is_file())
     for file in (path / name for name in sorted(names)):
-        data = _read_artifact(file, "simulate")
+        data = _read_artifact(file, "simulate", Decimal)  # a KPI number is read exactly
         model_id = _field(data, "model_id", str, file.name)
         if model_id in files:
             raise DataError(f"{file.name}: model_id {model_id!r} is also in {files[model_id]}")
@@ -329,9 +332,7 @@ def _pick_pair(
 def cmd_diagnose(config: RunConfig, *requested: str) -> int:
     if requested and not len(requested) == len(set(requested)) == 2:
         raise ConfigError("pass no model ids (auto-pick) or exactly two distinct model ids")
-    (model_a, _), (model_b, _) = _load_models(
-        config, lambda ids: _pick_pair(config, ids, requested)
-    )
+    (model_a, _), (model_b, _) = _load_models(config, requested)
     cases = _load_cases(config)
     path = config.out_dir / "diagnosis.json"
     try:
@@ -399,9 +400,7 @@ def cmd_report(config: RunConfig) -> int:
     ambiguities, unlocalized = [], []
     if diagnosed is not None:
         reference, target, refined = diagnosed
-        (ref_model, _), (tgt_model, _) = _load_models(
-            config, lambda ids: _pick_pair(config, ids, (reference, target))
-        )
+        (ref_model, _), (tgt_model, _) = _load_models(config, (reference, target))
         ambiguities, unlocalized = repair.localize_ambiguity(
             refined,
             tgt_model,

@@ -4,7 +4,7 @@ The file format is one ``key = value`` pair per line; blank lines and lines
 starting with ``#`` are ignored.  KPI tag fallbacks use dotted keys
 (``kpi_tag.NC = notification``).  Provider secrets never live in the file:
 ``provider_auth_env`` names an environment variable that is read at run
-time.
+time.  ``build_run_config`` converts and checks every value, file or flag.
 """
 
 from __future__ import annotations
@@ -112,11 +112,25 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
         if kind is Decimal and not converted.is_finite():
             raise ConfigError(f"{key}: expected a finite decimal, got {value!r}")
         (kpi_kwargs if key in KpiConfig._fields else updates)[key] = converted
-    try:
-        kpi = KpiConfig(**{**config.kpi._asdict(), **kpi_kwargs, "kpi_task_tags": kpi_tags})
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    kpi = config.kpi._replace(**kpi_kwargs, kpi_task_tags=kpi_tags)
     config = config._replace(kpi=kpi, **updates)
+    if kpi.guidance_capacity <= 0:
+        raise ConfigError("guidance_capacity must be positive")
+    if not Decimal(0) <= kpi.overload_penalty_alpha <= Decimal(1):
+        raise ConfigError("overload_penalty_alpha must be in [0, 1]")
+    if not Decimal(0) <= kpi.response_rate <= Decimal(1):
+        raise ConfigError("response_rate must be in [0, 1]")
+    saving = kpi.cost_saving_per_improved_patient
+    if saving < 0:
+        raise ConfigError("cost_saving_per_improved_patient must be nonnegative")
+    # Over up to 10^6 cases every KPI then stays below 10^16, so it rounds
+    # to 12 places within the 28-digit decimal context.
+    if saving >= 10**9:
+        raise ConfigError(f"cost_saving_per_improved_patient must be below 10^9, got {saving}")
+    for name in ("overload_penalty_alpha", "response_rate", "cost_saving_per_improved_patient"):
+        value = getattr(kpi, name)
+        if value.as_tuple().exponent < -12:
+            raise ConfigError(f"{name} must have at most 12 digits after the point, got {value}")
     if not 0 <= config.round_decimals <= 12:
         raise ConfigError("round_decimals must be in [0, 12]")
     if config.max_diagnosis_cardinality <= 0:

@@ -47,34 +47,13 @@ class Segment(NamedTuple):
     text: str
 
 
-class _NarrativeDocumentFields(NamedTuple):
+class NarrativeDocument(NamedTuple):
+    """Narrative text with ordered, non-overlapping, uniquely named segments
+    that hold the text of their ranges; ``with_segments`` checks given ranges."""
+
     doc_id: str
     text: str
     segments: tuple[Segment, ...]
-
-
-class NarrativeDocument(_NarrativeDocumentFields):
-    """Narrative text with ordered, non-overlapping, uniquely named segments."""
-
-    __slots__ = ()
-
-    def __init__(self, *args: object, **kwargs: object):
-        last_end = 0
-        seen: set[str] = set()
-        for segment in self.segments:
-            if segment.segment_id in seen:
-                raise ValueError(f"segment id {segment.segment_id!r} is used twice")
-            seen.add(segment.segment_id)
-            if not 0 <= segment.start <= segment.end <= len(self.text):
-                raise ValueError(
-                    f"segment {segment.segment_id!r} range {segment.start}..{segment.end} "
-                    f"is not inside the {len(self.text)}-character text"
-                )
-            if segment.start < last_end:
-                raise ValueError(f"segment {segment.segment_id!r} overlaps its predecessor")
-            if self.text[segment.start : segment.end] != segment.text:
-                raise ValueError(f"segment {segment.segment_id!r} does not match its range")
-            last_end = segment.end
 
     def segment(self, segment_id: str) -> Segment:
         for segment in self.segments:
@@ -101,11 +80,13 @@ class NarrativeDocument(_NarrativeDocumentFields):
     def with_segments(
         cls, doc_id: str, text: str, ranges: Sequence[Mapping[str, object]]
     ) -> "NarrativeDocument":
-        """Sidecar override: explicit [{segment_id, start, end}] ranges with
-        integer bounds.  Raises ValueError on any other shape."""
+        """Sidecar override: explicit [{segment_id, start, end}] ranges inside
+        ``text`` with integer bounds, unique ids and no overlap, in order.
+        Raises ValueError on any other input."""
         if not isinstance(ranges, (list, tuple)):
             raise ValueError("segments sidecar must be a list of {segment_id, start, end} objects")
-        segments = []
+        segments: list[Segment] = []
+        seen: set[str] = set()
         for index, entry in enumerate(ranges):
             try:
                 start, end = entry["start"], entry["end"]  # type: ignore[index]
@@ -118,6 +99,16 @@ class NarrativeDocument(_NarrativeDocumentFields):
                 raise ValueError(
                     f"segments sidecar entry {index}: start and end must be integers: {entry!r}"
                 )
+            if segment_id in seen:
+                raise ValueError(f"segment id {segment_id!r} is used twice")
+            seen.add(segment_id)
+            if not 0 <= start <= end <= len(text):
+                raise ValueError(
+                    f"segment {segment_id!r} range {start}..{end} "
+                    f"is not inside the {len(text)}-character text"
+                )
+            if segments and start < segments[-1].end:
+                raise ValueError(f"segment {segment_id!r} overlaps its predecessor")
             segments.append(Segment(segment_id, start, end, text[start:end]))
         return cls(doc_id, text, tuple(segments))
 

@@ -190,39 +190,14 @@ class Trace(NamedTuple):
 KpiSequence = tuple[tuple[str, str], ...]  # (task label, kpi name) pairs, in walk order
 
 
-class _KpiConfigFields(NamedTuple):
+class KpiConfig(NamedTuple):
+    """KPI parameters; ``config.build_run_config`` checks their ranges."""
+
     guidance_capacity: int = 50
     overload_penalty_alpha: Decimal = Decimal("0.5")
     response_rate: Decimal = Decimal("0.30")
     cost_saving_per_improved_patient: Decimal = Decimal("1000")
     kpi_task_tags: Mapping[str, str] = MappingProxyType({})
-
-
-class KpiConfig(_KpiConfigFields):
-    """Validated at construction, which ``_replace`` and ``_make`` skip."""
-
-    __slots__ = ()
-
-    def __init__(self, *args: object, **kwargs: object):
-        if self.guidance_capacity <= 0:
-            raise ValueError("guidance_capacity must be positive")
-        if not Decimal(0) <= self.overload_penalty_alpha <= Decimal(1):
-            raise ValueError("overload_penalty_alpha must be in [0, 1]")
-        if not Decimal(0) <= self.response_rate <= Decimal(1):
-            raise ValueError("response_rate must be in [0, 1]")
-        if self.cost_saving_per_improved_patient < 0:
-            raise ValueError("cost_saving_per_improved_patient must be nonnegative")
-        # Over up to 10^6 cases every KPI then stays below 10^16, so it rounds
-        # to 12 places within the 28-digit decimal context.
-        if self.cost_saving_per_improved_patient >= 10**9:
-            raise ValueError(
-                "cost_saving_per_improved_patient must be below 10^9, got "
-                f"{self.cost_saving_per_improved_patient}"
-            )
-        for name in ("overload_penalty_alpha", "response_rate", "cost_saving_per_improved_patient"):
-            value = getattr(self, name)
-            if value.as_tuple().exponent < -12:
-                raise ValueError(f"{name} must have at most 12 digits after the point, got {value}")
 
 
 class KpiVector(NamedTuple):

@@ -286,17 +286,48 @@ class TestParsing:
 
 
 class TestTypeInvariants:
+    # Nodes and flows are plain records: the model built from them checks them.
     def test_default_flow_cannot_carry_condition(self):
-        with pytest.raises(InvalidModelError, match="default"):
-            mk.flow("f", "a", "b", "x == 1", default=True)
+        with pytest.raises(InvalidModelError, match="flow 'f2': default flow cannot carry"):
+            mk.model(
+                "m",
+                [mk.start("s"), mk.gateway("g"), mk.end("e")],
+                [mk.flow("f1", "s", "g"), mk.flow("f2", "g", "e", "x == 1", default=True)],
+            )
 
     def test_kpi_outputs_only_on_tasks(self):
-        with pytest.raises(InvalidModelError, match="non-task"):
-            Node("g", NodeKind.EXCLUSIVE_GATEWAY, "", ("NC",))
+        with pytest.raises(InvalidModelError, match="node 'g': kpi outputs on non-task"):
+            mk.model(
+                "m",
+                [mk.start("s"), Node("g", NodeKind.EXCLUSIVE_GATEWAY, "", ("NC",)), mk.end("e")],
+                [mk.flow("f1", "s", "g"), mk.flow("f2", "g", "e")],
+            )
 
     def test_duplicate_kpi_outputs(self):
-        with pytest.raises(InvalidModelError, match="duplicate kpi"):
-            Node("t", NodeKind.TASK, "", ("NC", "NC"))
+        with pytest.raises(InvalidModelError, match="node 't': duplicate kpi outputs"):
+            mk.model(
+                "m",
+                [mk.start("s"), mk.task("t", "Work", ("NC", "NC")), mk.end("e")],
+                [mk.flow("f1", "s", "t"), mk.flow("f2", "t", "e")],
+            )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (MINIMAL.replace('"NC;HC"', '"NC;HC;NC"'), "node 't': duplicate kpi outputs"),
+            (
+                MINIMAL.replace('sourceRef="s" targetRef="t"/>', 'sourceRef="s" targetRef="g"/>')
+                + '<bpmn:exclusiveGateway id="g" default="f3"/>'
+                '<bpmn:sequenceFlow id="f3" sourceRef="g" targetRef="t">'
+                "<bpmn:conditionExpression>x == 1</bpmn:conditionExpression>"
+                "</bpmn:sequenceFlow>",
+                "flow 'f3': default flow cannot carry a condition",
+            ),
+        ],
+    )
+    def test_parsed_models_are_checked_too(self, body, message):
+        with pytest.raises(InvalidModelError, match=message):
+            parse_bpmn(wrap(body))
 
     def test_multiple_defaults_rejected(self):
         with pytest.raises(InvalidModelError, match="multiple default"):

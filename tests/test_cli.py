@@ -1,8 +1,10 @@
 """End-to-end command-line behavior against the bundled City 1 fixtures."""
 
 import json
+import os
 import shutil
 import socket
+import stat
 import threading
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -137,6 +139,26 @@ class TestKpiJson:
         strict = read_json(out / "kpis" / "city1_and_strict.json")
         assert (strict["cases_total"], strict["traces"]) == (2, [])
 
+    def test_a_kpi_number_is_read_exactly(self, out):
+        # As a binary float 2.675 is 2.67499..., which would round to 2.67.
+        assert run_city1(out, "simulate") == 0
+        path = out / "kpis" / "city1_and_strict.json"
+        path.write_text(json.dumps({**read_json(path), "kpis": {**STRICT_KPIS, "NC": 2.675}}))
+        assert '"NC": 2.675,' in path.read_text()
+        assert run_city1(out, "--round-decimals", "2", "entropy") == 0
+        combos = read_json(out / "distribution.json")["combos"]
+        assert sorted(combo["kpis"]["NC"] for combo in combos) == ["17", "2.68"]
+
+    def test_artifacts_get_the_mode_the_umask_leaves(self, out):
+        previous = os.umask(0o022)
+        try:
+            assert run_city1(out, "simulate") == 0
+            assert run_city1(out, "entropy") == 0
+        finally:
+            os.umask(previous)
+        for path in [*(out / "kpis").iterdir(), out / "distribution.json", out / "histogram.csv"]:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+
 
 class TestEntropy:
     def test_distribution_and_histogram(self, out, capsys):
@@ -225,12 +247,14 @@ class TestEntropy:
         "key,value,message",
         [
             ("kpis", {**STRICT_KPIS, "CS": "NaN"}, "KPI CS must be a finite number, found 'NaN'"),
+            ("kpis", {**STRICT_KPIS, "NC": True}, "KPI NC must be a finite number, found True"),
             ("kpis", ["8"], "'kpis' is missing or has the wrong type"),
             ("model_id", ["x"], "'model_id' is missing or has the wrong type"),
             *(
                 ("kpis", {**STRICT_KPIS, "CS": big}, f"KPI CS value {big!r} has too many digits")
                 for big in ("1e999999999", "1e5000")
             ),
+            ("kpis", {**STRICT_KPIS, "CS": 1e300}, "KPI CS value 1E+300 has too many digits"),
         ],
     )
     def test_malformed_kpi_json_is_a_data_error(self, out, capsys, key, value, message):
@@ -769,6 +793,18 @@ def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["count", "h_norm"])
+def test_a_boolean_in_an_artifact_is_not_a_number(out, capsys, key):
+    full_pipeline(out)
+    path = out / "distribution.json"
+    payload = read_json(path)
+    (payload["combos"][0] if key == "count" else payload)[key] = True
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_city1(out, "report") == 2
+    assert f"distribution.json: {key!r} is missing or has the wrong type" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key,number,token", [("h_norm", "1.0", "NaN"), ("probability", "0.5", "Infinity")]
 )
@@ -1292,8 +1328,8 @@ def test_a_non_finite_decimal_is_a_config_error(out, tmp_path, capsys, key, toke
 def test_an_out_of_range_kpi_parameter_is_a_config_error(
     out, tmp_path, capsys, key, value, message
 ):
-    # The KPI parameters are checked where KpiConfig is built, so the config
-    # must build it, not copy it past the checks.
+    # KpiConfig is a plain record, so build_run_config checks its parameters
+    # whether they come from the file or the base configuration.
     cfg = config_with(tmp_path, key, value)
     assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
     assert f"error: {message}\n" in capsys.readouterr().err

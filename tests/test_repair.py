@@ -21,7 +21,6 @@ from bpmndiverge.repair import (
     ProviderUnavailableError,
     RepairOutcome,
     RepairRecord,
-    Segment,
     build_ambiguity_report,
     localize_ambiguity,
     propose_repairs,
@@ -115,16 +114,30 @@ class TestSegmentation:
             )
 
     def test_overlapping_segments_rejected(self):
-        with pytest.raises(ValueError, match="overlaps"):
-            NarrativeDocument(
+        with pytest.raises(ValueError, match="segment 'b' overlaps its predecessor"):
+            NarrativeDocument.with_segments(
                 "d",
                 "abcdef",
-                (Segment("a", 0, 4, "abcd"), Segment("b", 2, 6, "cdef")),
+                [
+                    {"segment_id": "a", "start": 0, "end": 4},
+                    {"segment_id": "b", "start": 2, "end": 6},
+                ],
             )
 
-    def test_mismatched_segment_text_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            NarrativeDocument("d", "abcdef", (Segment("a", 0, 3, "xyz"),))
+    @given(st.text(alphabet=st.sampled_from("ab \t\r\n\u00a0\u2028"), max_size=40) | st.text())
+    def test_paragraphs_are_ordered_disjoint_named_ranges(self, text):
+        # NarrativeDocument is a plain record: from_text makes its segments
+        # valid by construction, and nothing checks them afterwards.
+        doc = NarrativeDocument.from_text("d", text)
+        ids = [segment.segment_id for segment in doc.segments]
+        assert len(set(ids)) == len(ids)
+        last_end = 0
+        for segment in doc.segments:
+            assert last_end <= segment.start <= segment.end <= len(text)
+            assert text[segment.start : segment.end] == segment.text
+            assert segment.text.strip()
+            last_end = segment.end
+        assert reconstruct_narrative(doc, ()) == text
 
 
 class TestTokens:

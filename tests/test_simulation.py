@@ -26,6 +26,7 @@ from bpmndiverge.conditions import (
     parse_condition,
     to_text,
 )
+from bpmndiverge.config import ConfigError, build_run_config
 from bpmndiverge.simulation import (
     CASE_ERRORS,
     CaseDataError,
@@ -349,14 +350,15 @@ class TestAggregation:
         assert v.as_json_dict() == {"NC": "1.5", "HC": "0"}
 
     def test_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            KpiConfig(guidance_capacity=0)
-        with pytest.raises(ValueError):
-            KpiConfig(overload_penalty_alpha=Decimal("1.5"))
-        with pytest.raises(ValueError):
-            KpiConfig(response_rate=Decimal("-0.1"))
-        with pytest.raises(ValueError):
-            KpiConfig(cost_saving_per_improved_patient=Decimal("-1"))
+        # KpiConfig is a plain record: the configuration it comes from is checked.
+        for key, value, message in [
+            ("guidance_capacity", "0", "guidance_capacity must be positive"),
+            ("overload_penalty_alpha", "1.5", "overload_penalty_alpha must be in [0, 1]"),
+            ("response_rate", "-0.1", "response_rate must be in [0, 1]"),
+            ("cost_saving_per_improved_patient", "-1", "must be nonnegative"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                build_run_config({key: value})
 
 
 class TestPopulationRuns:

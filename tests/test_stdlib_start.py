@@ -4,8 +4,12 @@ Importing ``bpmndiverge.cli`` loads no HTTP client, no XML SAX package, no TLS,
 and neither ``dataclasses`` nor ``inspect``, which would add about 8 ms to
 every start (they load ``ast``, ``dis`` and ``tokenize``).  Nor does it load
 ``argparse``, ``gettext`` or ``locale``: building argparse's parsers cost
-about 2.5 ms in every stage.  A whole city1 pipeline run and ``validate`` in
-that same interpreter load no further module.
+about 2.5 ms in every stage.  Nor ``tempfile``, with the ``shutil``,
+``random``, ``bz2`` and ``lzma`` it loads: artifacts are written through a
+temp file that ``os.open`` creates.  A whole city1 pipeline run and
+``validate`` in that same interpreter load no further module.  The child runs
+with ``-S``, since start-up hooks in site-packages may import ``tempfile``
+and ``random`` before the CLI does.
 """
 
 import json
@@ -15,7 +19,7 @@ import sys
 
 FORBIDDEN = (
     "requests", "urllib.request", "http.client", "xml.sax", "ssl", "dataclasses", "inspect",
-    "argparse", "gettext", "locale",
+    "argparse", "gettext", "locale", "tempfile", "shutil", "random",
 )
 
 PIPELINE = """
@@ -35,7 +39,7 @@ print(json.dumps({"imported": sorted(imported - before), "codes": codes,
 def test_cli_import_is_stdlib_only_and_the_pipeline_loads_nothing_more(repo_root, tmp_path):
     paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, "-c", PIPELINE, str(tmp_path / "out")],
+        [sys.executable, "-S", "-c", PIPELINE, str(tmp_path / "out")],
         cwd=repo_root,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
         capture_output=True,
