@@ -4,6 +4,7 @@ validate.
 Every command reads its inputs from the merged configuration (config file,
 then flags) and writes deterministic artifacts into the output directory via
 atomic temp-file renames, so reruns on unchanged inputs are byte-identical.
+``entropy`` and ``verify`` round each KPI value once, as they read it.
 Exit codes: 0 success or benign status, 1 usage error, 2 data error,
 3 provider error.
 """
@@ -14,7 +15,7 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Callable, Collection, NoReturn, Sequence
 
@@ -196,34 +197,35 @@ def cmd_simulate(config: RunConfig, traces: bool = False) -> int:
 
 
 def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.KpiVector:
-    """The vector of the five KPIs in ``values``, each a finite non-bool number
-    that rounds to ``round_decimals`` places.  Errors show a value as written."""
-    pairs = []
+    """The vector of the five KPIs in ``values``, each a finite number (a JSON
+    number or text, not a bool) rounded half to even to ``round_decimals``
+    places.  Errors show a value as written."""
+    exponent = Decimal(1).scaleb(-round_decimals)
+    rounded = []
     for name in simulation.KPI_NAMES:
         found = values.get(name)
         try:
-            value = None if isinstance(found, bool) else Decimal(found)
-        except (TypeError, InvalidOperation):
+            value = Decimal(found) if type(found) in (str, int, Decimal) else None
+        except InvalidOperation:
             value = None
         if value is None or not value.is_finite():
             raise DataError(f"{source}: KPI {name} must be a finite number, found {found!r}")
         try:
-            value.quantize(Decimal(1).scaleb(-round_decimals))
+            rounded.append(value.quantize(exponent, rounding=ROUND_HALF_EVEN))
         except InvalidOperation:
             shown = found if isinstance(found, Decimal) else repr(found)  # a JSON number or text
             raise DataError(
                 f"{source}: KPI {name} value {shown} has too many digits to round to "
                 f"{round_decimals} decimals"
             )
-        pairs.append((name, value))
-    return simulation.KpiVector(tuple(pairs))
+    return simulation.KpiVector(*rounded)
 
 
-def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector, str]]:
-    """(model_id, vector, source file) per KPI JSON file, sorted by model id."""
+def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
+    """(model_id, vector) per KPI JSON file, in file name order."""
     if not path.is_dir():
         raise DataError(f"KPI directory not found: {path}")
-    entries: list[tuple[str, simulation.KpiVector, str]] = []
+    entries: list[tuple[str, simulation.KpiVector]] = []
     files: dict[str, str] = {}
     # A directory entry knows whether it is a file, so skipping subdirectories
     # costs no stat call.
@@ -235,14 +237,14 @@ def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation
             raise DataError(f"{file.name}: model_id {model_id!r} is also in {files[model_id]}")
         files[model_id] = file.name
         vector = _parse_kpis(_field(data, "kpis", dict, file.name), file.name, round_decimals)
-        entries.append((model_id, vector, str(data.get("source", ""))))
+        entries.append((model_id, vector))
     if not entries:
         raise DataError(f"no KPI JSON files in {path}")
     return entries
 
 
-def _read_kpi_csv(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector, str]]:
-    """KPI vectors from a CSV with model_id plus one column per KPI."""
+def _read_kpi_csv(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
+    """(model_id, vector) per row of a CSV with model_id plus one column per KPI."""
     header, rows = simulation.read_csv_table(
         _read_input(path, "KPI CSV"),
         "KPI CSV",
@@ -250,41 +252,36 @@ def _read_kpi_csv(path: Path, round_decimals: int) -> list[tuple[str, simulation
         "the five KPI names, each once",
         simulation.KPI_NAMES,
     )
-    vectors = {
-        row[0].strip(): _parse_kpis(
-            dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}", round_decimals
+    return [
+        (
+            row[0].strip(),
+            _parse_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}", round_decimals),
         )
         for row in rows
-    }
-    return [(model_id, vectors[model_id], "") for model_id in sorted(vectors)]
+    ]
 
 
 def _distribution_payload(
-    entries: Sequence[tuple[str, simulation.KpiVector, str]], round_decimals: int
-) -> tuple[dict, distribution.EmpiricalDistribution]:
-    vectors = [vector for _, vector, _ in entries]
-    dist = distribution.build_distribution(vectors, round_decimals)
-    members: list[list[str]] = [[] for _ in dist.combos]
-    for (model_id, _, _), index in zip(entries, dist.combo_of):
-        members[index].append(model_id)
-    h_norm = distribution.normalized_entropy(dist)
-    category = distribution.consistency_category(h_norm)
+    entries: Sequence[tuple[str, simulation.KpiVector]], round_decimals: int
+) -> tuple[dict, list[distribution.DistributionCombo]]:
+    combos = distribution.build_distribution(entries)
+    h_norm = distribution.normalized_entropy([combo.count for combo in combos])
     payload = {
-        "total": dist.total,
-        "round_decimals": dist.round_decimals,
+        "total": len(entries),
+        "round_decimals": round_decimals,
         "h_norm": h_norm,
-        "category": category.value,
+        "category": distribution.consistency_category(h_norm).value,
         "combos": [
             {
                 "kpis": combo.vector.as_json_dict(),
                 "count": combo.count,
-                "probability": combo.probability,
-                "models": sorted(models),
+                "probability": combo.count / len(entries),
+                "models": combo.models,
             }
-            for combo, models in zip(dist.combos, members)
+            for combo in combos
         ],
     }
-    return payload, dist
+    return payload, combos
 
 
 def cmd_entropy(config: RunConfig, kpis: Path | None = None, from_csv: Path | None = None) -> int:
@@ -292,15 +289,15 @@ def cmd_entropy(config: RunConfig, kpis: Path | None = None, from_csv: Path | No
         entries = _read_kpi_csv(from_csv, config.round_decimals)
     else:
         entries = _read_kpi_dir(kpis or _kpi_dir(config), config.round_decimals)
-    payload, dist = _distribution_payload(entries, config.round_decimals)
+    payload, combos = _distribution_payload(entries, config.round_decimals)
     atomic_write(config.out_dir / "distribution.json", dump_json(payload))
     histogram_lines = ["label,count"]
-    for combo in dist.combos:
+    for combo in combos:
         histogram_lines.append(f'"{combo.vector.label()}",{combo.count}')
     atomic_write(config.out_dir / "histogram.csv", "\n".join(histogram_lines) + "\n")
     print(
         f"h_norm={payload['h_norm']:.6f} category={payload['category']} "
-        f"combos={len(dist.combos)} -> {config.out_dir / 'distribution.json'}"
+        f"combos={len(combos)} -> {config.out_dir / 'distribution.json'}"
     )
     return 0
 
@@ -487,7 +484,7 @@ def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
     payload = {}
     for key, path in (("before", before), ("after", after)):
         entries = _read_kpi_dir(path, config.round_decimals)
-        block, _dist = _distribution_payload(entries, config.round_decimals)
+        block, _combos = _distribution_payload(entries, config.round_decimals)
         payload[key] = {
             "kpi_dir": str(path),
             "total": block["total"],
@@ -651,8 +648,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         bpmn.ModelError,
         simulation.CaseDataError,
         simulation.SimulationError,
-        distribution.EmptyInputError,
-        distribution.OutOfRangeError,
         distribution.SingleClassError,
         repair.ExcerptNotFoundError,
         ValueError,

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .diagnosis import DEFAULT_MAX_CARDINALITY
-from .distribution import DEFAULT_ROUND_DECIMALS
 from .repair import DEFAULT_LOCALIZATION_THRESHOLD
 from .simulation import KpiConfig
 
@@ -60,7 +59,7 @@ class RunConfig(NamedTuple):
     segments_json: Path | None = None
     supplemental: Path | None = None
     out_dir: Path = Path("out")
-    round_decimals: int = DEFAULT_ROUND_DECIMALS
+    round_decimals: int = 6
     max_diagnosis_cardinality: int = DEFAULT_MAX_CARDINALITY
     localization_threshold: float = DEFAULT_LOCALIZATION_THRESHOLD
     kpi: KpiConfig = KpiConfig()

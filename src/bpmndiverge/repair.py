@@ -81,8 +81,8 @@ class NarrativeDocument(NamedTuple):
         cls, doc_id: str, text: str, ranges: Sequence[Mapping[str, object]]
     ) -> "NarrativeDocument":
         """Sidecar override: explicit [{segment_id, start, end}] ranges inside
-        ``text`` with integer bounds, unique ids and no overlap, in order.
-        Raises ValueError on any other input."""
+        ``text`` with string ids, integer bounds, unique ids and no overlap,
+        in order.  Raises ValueError on any other input."""
         if not isinstance(ranges, (list, tuple)):
             raise ValueError("segments sidecar must be a list of {segment_id, start, end} objects")
         segments: list[Segment] = []
@@ -90,10 +90,14 @@ class NarrativeDocument(NamedTuple):
         for index, entry in enumerate(ranges):
             try:
                 start, end = entry["start"], entry["end"]  # type: ignore[index]
-                segment_id = str(entry["segment_id"])  # type: ignore[index]
+                segment_id = entry["segment_id"]  # type: ignore[index]
             except (KeyError, TypeError):
                 raise ValueError(
                     f"segments sidecar entry {index} needs segment_id, start and end: {entry!r}"
+                )
+            if not isinstance(segment_id, str):
+                raise ValueError(
+                    f"segments sidecar entry {index}: segment_id must be a string: {entry!r}"
                 )
             if not (type(start) is int and type(end) is int):
                 raise ValueError(

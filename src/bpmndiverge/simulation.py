@@ -22,7 +22,7 @@ import csv
 import io
 import operator
 import re
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import Decimal
 from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
@@ -41,8 +41,6 @@ from .conditions import (
     format_value,
     to_text,
 )
-
-KPI_NAMES = ("NC", "HC", "RU", "HI", "CS")
 
 
 class SimulationError(Exception):
@@ -201,21 +199,22 @@ class KpiConfig(NamedTuple):
 
 
 class KpiVector(NamedTuple):
-    """Ordered kpi-name -> decimal map; NC, HC, RU, HI, CS by default."""
+    """A population's five KPIs, as exact decimals."""
 
-    values: tuple[tuple[str, Decimal], ...]
-
-    def quantized(self, round_decimals: int) -> "KpiVector":
-        exponent = Decimal(1).scaleb(-round_decimals)
-        return KpiVector(
-            tuple((k, v.quantize(exponent, rounding=ROUND_HALF_EVEN)) for k, v in self.values)
-        )
-
-    def label(self) -> str:
-        return ";".join(f"{k}={format_value(v)}" for k, v in self.values)
+    NC: Decimal
+    HC: Decimal
+    RU: Decimal
+    HI: Decimal
+    CS: Decimal
 
     def as_json_dict(self) -> dict[str, str]:
-        return {k: format_value(v) for k, v in self.values}
+        return {k: format_value(v) for k, v in zip(self._fields, self)}
+
+    def label(self) -> str:
+        return ";".join(f"{k}={v}" for k, v in self.as_json_dict().items())
+
+
+KPI_NAMES = KpiVector._fields
 
 
 class CasePath(NamedTuple):
@@ -388,15 +387,7 @@ def _kpi_vector(nc: int, hc: int, cases_total: int, config: KpiConfig) -> KpiVec
         ru = max(Decimal(0), Decimal(1) - config.overload_penalty_alpha * (load - Decimal(1)))
     hi = (Decimal(hc) * config.response_rate) / Decimal(cases_total)
     cs = Decimal(hc) * config.response_rate * config.cost_saving_per_improved_patient
-    return KpiVector(
-        (
-            ("NC", Decimal(nc)),
-            ("HC", Decimal(hc)),
-            ("RU", ru),
-            ("HI", hi),
-            ("CS", cs),
-        )
-    )
+    return KpiVector(Decimal(nc), Decimal(hc), ru, hi, cs)
 
 
 def _mask(bits: bytes) -> int:

@@ -49,17 +49,23 @@ def criterion(number: int, title: str):
 
 
 def vec(tag: int) -> KpiVector:
-    return KpiVector((("NC", Decimal(tag)),))
+    return KpiVector(Decimal(tag), *[Decimal(0)] * 4)
+
+
+def entropy(vectors) -> float:
+    """The normalized entropy of ``vectors``, each under its own model id."""
+    combos = build_distribution((f"m{index}", vector) for index, vector in enumerate(vectors))
+    return normalized_entropy([combo.count for combo in combos])
 
 
 def test_criterion_1_entropy_arithmetic():
     with criterion(1, "entropy arithmetic"):
         started = time.perf_counter()
         skewed = [vec(0)] * 90 + [vec(1)] * 5 + [vec(2)] * 5
-        h_skewed = normalized_entropy(build_distribution(skewed))
+        h_skewed = entropy(skewed)
         uniform = ([vec(0)] + [vec(1)] + [vec(2)] + [vec(3)]) * 25
-        h_uniform = normalized_entropy(build_distribution(uniform))
-        h_single = normalized_entropy(build_distribution([vec(0)] * 100))
+        h_uniform = entropy(uniform)
+        h_single = entropy([vec(0)] * 100)
         elapsed = time.perf_counter() - started
         assert abs(h_skewed - entropy_oracle([90, 5, 5])) <= 1e-12
         assert h_uniform == 1.0
@@ -281,9 +287,10 @@ def family_entropy(repo_root: Path, family: str, population) -> tuple[float, int
     vectors = []
     for path in files:
         model = parse_bpmn(path.read_text())
-        vectors.append(simulate_population(model, population, KpiConfig()).kpis)
-    distribution = build_distribution(vectors)
-    return normalized_entropy(distribution), len(files)
+        kpis = simulate_population(model, population, KpiConfig()).kpis
+        # Rounded as entropy rounds a KPI file when it reads it.
+        vectors.append(cli._parse_kpis(kpis._asdict(), path.name, 6))
+    return entropy(vectors), len(files)
 
 
 def test_criterion_7_family_consistency_shift(repo_root, population, tmp_path):

@@ -118,6 +118,23 @@ class TestSimulate:
         written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
         assert written == ["cases.csv", "models", "models/m.bpmn"]
 
+    def test_kpi_tags_in_the_config_file_give_untagged_tasks_their_kpis(self, out, tmp_path):
+        untagged = mk.model(
+            "untagged",
+            [mk.start("s"), mk.task("t", "Give guidance"), mk.end("e")],
+            [mk.flow("f1", "s", "t"), mk.flow("f2", "t", "e")],
+        )
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        (models_dir / "untagged.bpmn").write_text(serialize_bpmn(untagged))
+        for tags in ([], ["kpi_tag.HC = guidance", "kpi_tag.NC = notify"]):
+            cfg = tmp_path / "tags.cfg"
+            cfg.write_text("\n".join([Path(CONFIG).read_text(), *tags]) + "\n")
+            argv = ["--config", str(cfg), "--out", str(out), "--models", str(models_dir)]
+            assert run(*argv, "simulate") == 0
+            kpis = read_json(out / "kpis" / "untagged.json")["kpis"]
+            assert (kpis["NC"], kpis["HC"]) == (("0", "20") if tags else ("0", "0"))
+
     def test_a_cell_over_the_csv_field_limit_is_a_data_error(self, out, tmp_path, capsys):
         cases = tmp_path / "cases.csv"
         cases.write_text(f"case_id,HbA1c\nc1,{'7' * 140_000}\n")
@@ -255,6 +272,13 @@ class TestEntropy:
                 for big in ("1e999999999", "1e5000")
             ),
             ("kpis", {**STRICT_KPIS, "CS": 1e300}, "KPI CS value 1E+300 has too many digits"),
+            ("kpis", {**STRICT_KPIS, "HC": "many"}, "KPI HC must be a finite number, found 'many'"),
+            # Decimal() reads a (sign, digits, exponent) list as the number 8.
+            (
+                "kpis",
+                {**STRICT_KPIS, "HC": [0, [8], 0]},
+                "KPI HC must be a finite number, found [0, [8], 0]",
+            ),
         ],
     )
     def test_malformed_kpi_json_is_a_data_error(self, out, capsys, key, value, message):
@@ -398,6 +422,25 @@ class TestDiagnose:
         assert run_city1(out, "--models", str(models_dir), "diagnose") == 2
         assert "not in models_dir: city1_or_broad" in capsys.readouterr().err
 
+    def test_outputs_that_differ_without_a_gateway_are_unattributable(self, out, tmp_path):
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        for model_id, kpis in (("notify_nc", ("NC",)), ("notify_hc_nc", ("HC", "NC"))):
+            model = mk.model(
+                model_id,
+                [mk.start("s"), mk.task("t", "Notify", kpis), mk.end("e")],
+                [mk.flow("f1", "s", "t"), mk.flow("f2", "t", "e")],
+            )
+            (models_dir / f"{model_id}.bpmn").write_text(serialize_bpmn(model))
+        pair = ("notify_nc", "notify_hc_nc")
+        assert run_city1(out, "--models", str(models_dir), "diagnose", *pair) == 0
+        diagnosis = read_json(out / "diagnosis.json")
+        assert diagnosis["status"] == "diagnosed"
+        assert diagnosis["conflicts"] == []
+        row = {"kind": "incorrect_output", "index": 0, "t_last": None, "t_first": "Notify"}
+        case_ids = [f"c{i:02}" for i in range(1, 21)]
+        assert diagnosis["unattributable"] == [{"case_id": c, **row} for c in case_ids]
+
     def test_single_model_id_is_usage_error(self, out, capsys):
         assert run_city1(out, "diagnose", "city1_and_strict") == 1
         assert "exactly two" in capsys.readouterr().err
@@ -531,6 +574,16 @@ class TestReport:
                     {"segment_id": "p1", "start": 7, "end": 11},
                 ],
                 "segment id 'p1' is used twice",
+            ),
+            *(
+                (
+                    [
+                        {"segment_id": "p1", "start": 0, "end": 5},
+                        {"segment_id": bad, "start": 6, "end": 9},
+                    ],
+                    "entry 1: segment_id must be a string",
+                )
+                for bad in (None, True, 5)
             ),
         ],
     )
@@ -725,6 +778,7 @@ class TestRepair:
             ("provider_endpoint = file:///etc/hostname", "http or https"),
             ("provider_endpoint = ftp://127.0.0.1/rewrite", "http or https"),
             ('provider_endpoint = data:application/json,{"rationale": "x"}', "http or https"),
+            ("provider_endpoint =", "provider_endpoint is required for the http provider"),
         ],
     )
     def test_invalid_http_provider_setting_is_a_config_error(
@@ -781,6 +835,7 @@ def test_malformed_artifact_is_a_data_error(out, capsys, artifact, command, list
         ("reference_model", "gone_model", "gone_model"),
         ("refined_diagnoses", [{"gateways": ["n99"]}], "n99"),
         ("status", "pending", "pending"),
+        ("refined_diagnoses", [{"gateways": [5]}], "diagnosis.json: gateway ids must be strings"),
     ],
 )
 def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
@@ -893,6 +948,27 @@ class TestValidate:
         assert run_city1(out, "--models", str(models_dir), command) == 2
         err = capsys.readouterr().err
         assert "flow 'fy' from 'g': at offset 128: nested deeper than 32 levels" in err
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "x &gt;= 5",
+                "(x &gt;= 5",
+                "flow 'fy' from 'g': at offset 7: unexpected end of input (expected ')')",
+            ),
+            ('id="fy2"', 'id="fy"', "duplicate flow id 'fy'"),
+            (' sourceRef="s"', "", "flow 'f1' missing sourceRef/targetRef"),
+        ],
+        ids=["unclosed parenthesis", "duplicate flow id", "no sourceRef"],
+    )
+    def test_a_malformed_model_is_a_data_error(self, out, tmp_path, capsys, old, new, message):
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        text = serialize_bpmn(mk.branch_model("x >= 5", model_id="bad"))
+        (models_dir / "bad.bpmn").write_text(text.replace(old, new, 1))
+        assert run_city1(out, "--models", str(models_dir), "validate") == 2
+        assert capsys.readouterr().err == f"error: bad.bpmn: {message}\n"
 
 
 class TestExitCodes:
@@ -1033,6 +1109,22 @@ COMMAND_LINES = {
     "non-integer round_decimals": (
         ["--config", CONFIG, "--round-decimals", "1e3", "validate"],
         1, "err", "error: round_decimals: expected integer, got '1e3'",
+    ),
+    "negative round_decimals": (
+        ["--config", CONFIG, "--round-decimals", "-1", "validate"],
+        1, "err", "error: round_decimals must be in [0, 12]",
+    ),
+    "missing config file": (
+        ["--config", "no/such.cfg", "validate"],
+        1, "err", "error: config file not found: no/such.cfg",
+    ),
+    "models dir without models": (
+        ["--config", CONFIG, "--models", "fixtures", "validate"],
+        2, "err", "error: no .bpmn or .xml files in fixtures",
+    ),
+    "KPI dir without KPI files": (
+        ["--config", CONFIG, "--out", "OUT", "entropy", "--kpis", "fixtures"],
+        2, "err", "error: no KPI JSON files in fixtures",
     ),
 }
 
@@ -1277,6 +1369,23 @@ class TestModelLoading:
             assert "error: zz.bpmn: unsupported element <parallelGateway>" in (
                 capsys.readouterr().err
             )
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("models_dir fixtures/city1/models", "line 1: expected 'key = value'"),
+        ("= fixtures/city1/models", "line 1: empty key"),
+        ("max_diagnosis_cardinality = 0", "max_diagnosis_cardinality must be positive"),
+        ("localization_threshold = 2", "localization_threshold must be in [0, 1]"),
+        ("provider = other", "provider must be 'canned' or 'http'"),
+    ],
+)
+def test_a_bad_config_line_is_a_config_error(out, tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    assert run("--config", str(cfg), "--out", str(out), "validate") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_run_config_field_is_a_key():

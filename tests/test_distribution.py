@@ -1,4 +1,4 @@
-"""Quantized outcome distributions, entropy, and consistency categories."""
+"""Outcome combos, entropy, and consistency categories."""
 
 import math
 from decimal import Decimal
@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bpmndiverge import cli
 from bpmndiverge.distribution import (
     ConsistencyCategory,
-    EmptyInputError,
-    OutOfRangeError,
     SingleClassError,
     build_distribution,
     consistency_category,
@@ -23,74 +22,61 @@ from oracles import entropy_oracle
 
 
 def vec(nc: str, hc: str = "0") -> KpiVector:
-    return KpiVector((("NC", Decimal(nc)), ("HC", Decimal(hc))))
+    return KpiVector(Decimal(nc), Decimal(hc), Decimal(0), Decimal(0), Decimal(0))
+
+
+def entries(*vectors: KpiVector) -> list[tuple[str, KpiVector]]:
+    """Each vector under the model id ``m<position>``."""
+    return [(f"m{index:02}", vector) for index, vector in enumerate(vectors)]
+
+
+def entropy(vectors) -> float:
+    return normalized_entropy([combo.count for combo in build_distribution(entries(*vectors))])
 
 
 class TestBuild:
     def test_grouping_and_ordering(self):
         vectors = [vec("1")] * 3 + [vec("2")] * 5 + [vec("3")] * 3
-        dist = build_distribution(vectors)
-        assert dist.total == 11
-        assert [(dict(c.vector.values)["NC"], c.count) for c in dist.combos] == [
+        combos = build_distribution(entries(*vectors))
+        assert [(c.vector.NC, c.count) for c in combos] == [
             (Decimal("2"), 5),
             (Decimal("1"), 3),
             (Decimal("3"), 3),
         ]
-        assert dist.combos[0].probability == 5 / 11
 
     def test_tie_broken_by_label(self):
         # Counts equal, so the label ordering decides: "NC=1..." < "NC=2...".
-        dist = build_distribution([vec("2"), vec("1")])
-        assert [dict(c.vector.values)["NC"] for c in dist.combos] == [Decimal("1"), Decimal("2")]
+        combos = build_distribution(entries(vec("2"), vec("1")))
+        assert [c.vector.NC for c in combos] == [Decimal("1"), Decimal("2")]
 
-    def test_quantization_merges_nearby_vectors(self):
-        a = vec("0.1234564")
-        b = vec("0.1234561")
-        dist = build_distribution([a, b], round_decimals=6)
-        assert len(dist.combos) == 1
-        assert dict(dist.combos[0].vector.values)["NC"] == Decimal("0.123456")
+    def test_each_combo_lists_its_models_sorted(self):
+        combos = build_distribution([("m_b", vec("1")), ("m_c", vec("2")), ("m_a", vec("1"))])
+        assert [(c.count, c.models) for c in combos] == [(2, ("m_a", "m_b")), (1, ("m_c",))]
 
-    def test_round_half_even(self):
-        assert dict(vec("0.1234565").quantized(6).values)["NC"] == Decimal("0.123456")
-        assert dict(vec("0.1234575").quantized(6).values)["NC"] == Decimal("0.123458")
+    def test_vectors_that_differ_only_in_writing_share_a_combo(self):
+        combos = build_distribution(entries(vec("1.50", "-0"), vec("1.5", "0.000")))
+        assert [c.count for c in combos] == [2]
 
-    def test_combo_of_records_each_input(self):
-        # 1.0000001 rounds to 1 at six decimals, so it joins the larger combo.
-        dist = build_distribution([vec("1"), vec("2"), vec("1.0000001")])
-        assert [c.count for c in dist.combos] == [2, 1]
-        assert dist.combo_of == (0, 1, 0)
+    def test_reading_rounds_half_to_even(self):
+        def nc(text: str) -> Decimal:
+            return cli._parse_kpis({**vec("0")._asdict(), "NC": text}, "kpis.json", 6).NC
 
-    def test_a_value_past_the_decimal_exponent_limit_is_out_of_range(self):
-        vector = KpiVector((("NC", Decimal(1)), ("CS", Decimal("1e999999999"))))
-        with pytest.raises(OutOfRangeError, match=r"^KPI vector NC=1;CS=1E\+999999999 has too"):
-            build_distribution([vec("1"), vector])
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
-            build_distribution([])
-
-    @pytest.mark.parametrize("bad", [-1, 13])
-    def test_round_decimals_range(self, bad):
-        with pytest.raises(OutOfRangeError):
-            build_distribution([vec("1")], round_decimals=bad)
+        assert nc("0.1234565") == Decimal("0.123456")
+        assert nc("0.1234575") == Decimal("0.123458")
 
 
 class TestEntropy:
     def test_single_class_is_zero(self):
-        assert normalized_entropy(build_distribution([vec("1")] * 7)) == 0.0
+        assert normalized_entropy([7]) == 0.0
 
     def test_uniform_is_one(self):
-        vectors = [vec("1"), vec("2"), vec("3"), vec("4")] * 25
-        assert normalized_entropy(build_distribution(vectors)) == 1.0
+        assert normalized_entropy([25, 25, 25, 25]) == 1.0
 
     def test_skewed_matches_oracle(self):
-        vectors = [vec("1")] * 90 + [vec("2")] * 5 + [vec("3")] * 5
-        h = normalized_entropy(build_distribution(vectors))
-        assert abs(h - entropy_oracle([90, 5, 5])) <= 1e-12
+        assert abs(normalized_entropy([90, 5, 5]) - entropy_oracle([90, 5, 5])) <= 1e-12
 
     def test_two_class_even_split(self):
-        h = normalized_entropy(build_distribution([vec("1"), vec("2")]))
-        assert h == 1.0
+        assert entropy([vec("1"), vec("2")]) == 1.0
 
 
 class TestCategories:
@@ -109,11 +95,6 @@ class TestCategories:
     )
     def test_boundaries(self, h, expected):
         assert consistency_category(h) is expected
-
-    @pytest.mark.parametrize("bad", [-0.01, 1.01])
-    def test_out_of_range(self, bad):
-        with pytest.raises(OutOfRangeError):
-            consistency_category(bad)
 
     def test_category_values_are_stable_strings(self):
         assert ConsistencyCategory.VERY_HIGH.value == "very_high"
@@ -143,12 +124,9 @@ class TestProperties:
         st.randoms(use_true_random=False),
     )
     def test_input_order_is_irrelevant(self, vectors, rng):
-        shuffled = list(vectors)
+        shuffled = entries(*vectors)
         rng.shuffle(shuffled)
-        a = build_distribution(vectors)
-        b = build_distribution(shuffled)
-        assert a[:3] == b[:3]  # combo_of follows the input order
-        assert normalized_entropy(a) == normalized_entropy(b)
+        assert build_distribution(entries(*vectors)) == build_distribution(shuffled)
 
     @given(
         st.lists(
@@ -158,7 +136,7 @@ class TestProperties:
         )
     )
     def test_entropy_bounds(self, vectors):
-        h = normalized_entropy(build_distribution(vectors))
+        h = entropy(vectors)
         assert 0.0 <= h <= 1.0
         assert consistency_category(h) in ConsistencyCategory
 
@@ -167,5 +145,4 @@ class TestProperties:
         vectors = []
         for index, count in enumerate(counts):
             vectors.extend([vec(str(index))] * count)
-        h = normalized_entropy(build_distribution(vectors))
-        assert math.isclose(h, entropy_oracle(counts), abs_tol=1e-12)
+        assert math.isclose(entropy(vectors), entropy_oracle(counts), abs_tol=1e-12)

@@ -42,7 +42,8 @@ _NUMBER = re.compile(rb"(?<![\w.])\d+(\.\d+)?(?![\w.])")
 
 def damaged(data: bytes, damage: str) -> bytes:
     """``data`` emptied, cut at half, given a byte that is not UTF-8, or with
-    every standalone number replaced by ``damage`` (NaN, Infinity, 9e99)."""
+    every standalone number replaced by ``damage`` (NaN, Infinity, 9e99, or
+    a JSON value of another type, a bare word or -1)."""
     half = len(data) // 2
     if damage == "empty":
         return b""
@@ -98,7 +99,11 @@ def _prepare(work, repo_root):
 
 
 @pytest.mark.parametrize(
-    "damage", ["empty", "truncated", "non-UTF-8 byte", "NaN", "Infinity", "9e99"]
+    "damage",
+    [
+        "empty", "truncated", "non-UTF-8 byte", "NaN", "Infinity", "9e99",
+        "true", "null", "[]", "many", "-1",
+    ],
 )
 @pytest.mark.parametrize("name", INPUTS)
 def test_damaged_input_never_raises(intact, tmp_path, monkeypatch, capsys, name, damage):
@@ -122,6 +127,7 @@ def test_damaged_input_never_raises(intact, tmp_path, monkeypatch, capsys, name,
         ("empty model_id", "KPI CSV line 2: empty model_id"),
         ("extra cell", "KPI CSV line 2: expected 6 cells, got 7"),
         ("KPI named twice", "KPI CSV header must be model_id plus the five KPI names, each once"),
+        ("no rows", "KPI CSV has a header but no rows"),
     ],
 )
 def test_malformed_kpi_csv_is_a_data_error(intact, tmp_path, monkeypatch, capsys, fault, message):
@@ -130,6 +136,8 @@ def test_malformed_kpi_csv_is_a_data_error(intact, tmp_path, monkeypatch, capsys
         first = first[first.index(",") :]
     elif fault == "extra cell":
         first += ",0"
+    elif fault == "no rows":
+        first, rest = "", []
     else:
         header, first, rest = header + ",NC", first + ",0", [row + ",0" for row in rest]
     work = tmp_path / "work"

@@ -426,6 +426,7 @@ class TestProposeRepairs:
             ({"revised_excerpt": "x", "rationale": "r"}, "evidence_refs"),
             ({"revised_excerpt": "x", "rationale": "r", "evidence_refs": []}, "evidence_refs"),
             ({"revised_excerpt": "x", "rationale": "r", "evidence_refs": [" "]}, "blank evidence"),
+            (["x", "r", ["e"]], "canned response is not an object"),
         ],
     )
     def test_unsupported_records_rejected(

@@ -273,7 +273,7 @@ class TestExecution:
 class TestAggregation:
     def test_city1_strict_vector(self, strict_model, population, kpi_config):
         traces = [execute_case(strict_model, c) for c in population]
-        v = dict(aggregate_kpis(traces, len(population), kpi_config).values)
+        v = aggregate_kpis(traces, len(population), kpi_config)._asdict()
         assert v["NC"] == Decimal("8")
         assert v["HC"] == Decimal("4")
         assert v["RU"] == Decimal("0.08")
@@ -282,7 +282,7 @@ class TestAggregation:
 
     def test_city1_broad_vector(self, broad_model, population, kpi_config):
         traces = [execute_case(broad_model, c) for c in population]
-        v = dict(aggregate_kpis(traces, len(population), kpi_config).values)
+        v = aggregate_kpis(traces, len(population), kpi_config)._asdict()
         assert (v["NC"], v["HC"]) == (Decimal("17"), Decimal("13"))
         assert v["RU"] == Decimal("0.26")
         assert v["HI"] == Decimal("0.195")
@@ -300,7 +300,7 @@ class TestAggregation:
             "traces": [{"case_id": t.case_id, "emissions": t.emissions} for t in traces],
         }
         expected = recount(data, 50, Fraction(1, 2), Fraction(3, 10), Fraction(1000))
-        for name, value in v.values:
+        for name, value in v._asdict().items():
             assert Fraction(value) == Fraction(expected[name]), name
 
     def _hc_traces(self, n: int) -> list[Trace]:
@@ -309,34 +309,34 @@ class TestAggregation:
 
     def test_ru_below_capacity_is_load(self):
         cfg = KpiConfig(guidance_capacity=10)
-        v = dict(aggregate_kpis(self._hc_traces(4), 4, cfg).values)
+        v = aggregate_kpis(self._hc_traces(4), 4, cfg)._asdict()
         assert v["RU"] == Decimal("0.4")
 
     def test_ru_at_capacity(self):
         cfg = KpiConfig(guidance_capacity=10)
-        v = dict(aggregate_kpis(self._hc_traces(10), 10, cfg).values)
+        v = aggregate_kpis(self._hc_traces(10), 10, cfg)._asdict()
         assert v["RU"] == Decimal("1")
 
     def test_ru_overload_penalty(self):
         cfg = KpiConfig(guidance_capacity=10)
         # load 1.5, 1 - 0.5 * 0.5 -> 0.75
-        v = dict(aggregate_kpis(self._hc_traces(15), 15, cfg).values)
+        v = aggregate_kpis(self._hc_traces(15), 15, cfg)._asdict()
         assert v["RU"] == Decimal("0.75")
 
     def test_ru_clamped_at_zero(self):
         cfg = KpiConfig(guidance_capacity=2)
         # load 5, 1 - 0.5 * 4 = -1 -> clamped
-        v = dict(aggregate_kpis(self._hc_traces(10), 10, cfg).values)
+        v = aggregate_kpis(self._hc_traces(10), 10, cfg)._asdict()
         assert v["RU"] == Decimal("0")
 
     def test_hc_counts_distinct_cases_not_emissions(self):
         trace = Trace("c1", ("t", "t"), (), (("t", "HC"), ("t", "HC")))
-        v = dict(aggregate_kpis([trace], 1, KpiConfig()).values)
+        v = aggregate_kpis([trace], 1, KpiConfig())._asdict()
         assert v["HC"] == Decimal("1")
 
     def test_nc_counts_every_emission(self):
         trace = Trace("c1", ("t", "t"), (), (("t", "NC"), ("t", "NC")))
-        v = dict(aggregate_kpis([trace], 1, KpiConfig()).values)
+        v = aggregate_kpis([trace], 1, KpiConfig())._asdict()
         assert v["NC"] == Decimal("2")
 
     def test_nonpositive_population_rejected(self):
@@ -344,10 +344,10 @@ class TestAggregation:
             aggregate_kpis([], 0, KpiConfig())
 
     def test_vector_utilities(self):
-        v = KpiVector((("NC", Decimal("1.50")), ("HC", Decimal("-0"))))
-        assert [name for name, _ in v.values] == ["NC", "HC"]
-        assert v.label() == "NC=1.5;HC=0"
-        assert v.as_json_dict() == {"NC": "1.5", "HC": "0"}
+        v = KpiVector(*map(Decimal, ("1.50", "-0", "0.080", "2E+1", "3")))
+        assert KpiVector._fields == simulation.KPI_NAMES == ("NC", "HC", "RU", "HI", "CS")
+        assert v.label() == "NC=1.5;HC=0;RU=0.08;HI=20;CS=3"
+        assert v.as_json_dict() == {"NC": "1.5", "HC": "0", "RU": "0.08", "HI": "20", "CS": "3"}
 
     def test_config_rejects_bad_values(self):
         # KpiConfig is a plain record: the configuration it comes from is checked.
@@ -370,7 +370,7 @@ class TestPopulationRuns:
         assert case_id == "cXX"
         assert "Diabetes_Under_Treatment" in message
         # The failed case still widens HI's denominator.
-        assert dict(result.kpis.values)["HI"] == Decimal("4") * Decimal("0.30") / Decimal("21")
+        assert result.kpis._asdict()["HI"] == Decimal("4") * Decimal("0.30") / Decimal("21")
 
     def test_empty_population_rejected(self, strict_model):
         with pytest.raises(CaseDataError):
@@ -380,7 +380,7 @@ class TestPopulationRuns:
         cases = load_cases_csv("case_id,Flag\na,1\nb,0\n")
         m = mk.branch_model("Flag == 1")
         result = simulate_population(m, cases, KpiConfig())
-        assert dict(result.kpis.values)["NC"] == Decimal("2")
+        assert result.kpis._asdict()["NC"] == Decimal("2")
         assert result.errors == ()
 
 
@@ -621,7 +621,7 @@ class TestSetAtATime:
             CaseRecord("c2", {"x": Decimal(0)}),
         ]
         result = simulate_population(m, cases, KpiConfig())
-        kpis = dict(result.kpis.values)
+        kpis = result.kpis._asdict()
         assert (kpis["NC"], kpis["HC"]) == (Decimal(1), Decimal(1))
         assert [case_id for case_id, _ in result.errors] == ["c1", "c2"]
         assert_matches_walks(m, cases, KpiConfig())
@@ -647,7 +647,7 @@ class TestSetAtATime:
         )
         cases = [CaseRecord(f"c{v}", {"x": Decimal(v)}) for v in range(4)]
         result = simulate_population(m, cases, KpiConfig())
-        kpis = dict(result.kpis.values)
+        kpis = result.kpis._asdict()
         assert (kpis["NC"], kpis["HC"]) == (Decimal(1), Decimal(3))
         assert result.errors == ()
         assert_matches_walks(m, cases, KpiConfig())
@@ -686,7 +686,7 @@ class TestSetAtATime:
             f"case 'c{i}': loops through node 'g' and never reaches an end event"
             for i in range(1, 20, 2)
         ]
-        assert dict(result.kpis.values)["NC"] == Decimal(10)
+        assert result.kpis._asdict()["NC"] == Decimal(10)
 
     def test_a_long_acyclic_chain_walks_to_its_end(self):
         # 12,000 tasks in a row: a walk of any length ends if no node comes twice.
@@ -699,7 +699,7 @@ class TestSetAtATime:
         assert len(execute_case(chain, cases[0]).steps) == count + 2
         result = simulate_population(chain, cases, KpiConfig())
         assert result.errors == ()
-        assert dict(result.kpis.values)["NC"] == Decimal(2 * count)
+        assert result.kpis._asdict()["NC"] == Decimal(2 * count)
 
     def test_city1_and_families_match_per_case_walks(self, repo_root, population):
         for family in ("city1/models", "family_original", "family_repaired"):
