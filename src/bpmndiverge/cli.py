@@ -96,37 +96,48 @@ def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str
     return value
 
 
-def _load_models(
-    config: RunConfig, pair: Sequence[str] | None = None
-) -> list[tuple[bpmn.ProcessModel, str]]:
-    """(model, file name) pairs from the regular model files in ``models_dir``.
-
-    Every file must be UTF-8 XML with a ``<process>`` whose id is a plain
-    file name that no other file has; sorted file order keeps the duplicate
-    message deterministic.  Without ``pair`` every model is built, in model id
-    order, from one XML parse per file.  With ``pair``, only the two models
-    ``_pick_pair`` chooses for it are built, in its order, and the other files
-    are parsed for their id alone."""
+def _model_files(config: RunConfig, names: Sequence[object] = ()) -> list[Path]:
+    """The regular .bpmn and .xml files directly in ``models_dir``: all, or those ``names`` name."""
     models_dir = config.models_dir
     if models_dir is None:
         raise ConfigError("models_dir is not configured")
     if not models_dir.is_dir():
         raise DataError(f"models directory not found: {models_dir}")
-    files = sorted(
-        p for p in models_dir.iterdir() if p.suffix.lower() in (".bpmn", ".xml") and p.is_file()
-    )
+    named = [models_dir / n for n in names if isinstance(n, str) and Path(n).name == n]
+    paths = named if names else sorted(models_dir.iterdir())
+    return [p for p in paths if p.suffix.lower() in (".bpmn", ".xml") and p.is_file()]
+
+
+def _read_model(path: Path, config: RunConfig | None) -> Any:
+    """The model in file ``path`` built with ``config``'s KPI tags, or its id alone without it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        if config is None:
+            return bpmn.model_id(text)
+        return bpmn.parse_bpmn(text, config.kpi.kpi_task_tags)
+    except (UnicodeDecodeError, bpmn.ModelError) as exc:
+        raise DataError(f"{path.name}: {exc}")
+
+
+def _load_models(
+    config: RunConfig, pair: Sequence[str] | None = None
+) -> list[tuple[bpmn.ProcessModel, str]]:
+    """(model, file name) pairs from the regular model files in ``models_dir``,
+    for ``simulate``, ``validate`` and ``diagnose``.
+
+    Every file must be UTF-8 XML with a ``<process>`` whose id is a plain
+    file name that no other file has; sorted file order keeps the duplicate
+    message deterministic.  Without ``pair`` every model is built, in model id
+    order, from one XML parse per file.  With ``pair``, every file is read for
+    its id alone, then the two ``_pick_pair`` chooses are built, in its order."""
+    files = _model_files(config)
     if not files:
-        raise DataError(f"no .bpmn or .xml files in {models_dir}")
-    tags = config.kpi.kpi_task_tags or None
-    # model id -> (the model, or its text when only the id is read; file name)
-    found: dict[str, tuple[Any, str]] = {}
+        raise DataError(f"no .bpmn or .xml files in {config.models_dir}")
+    # model id -> (the model, or the id when only the id is read; its file)
+    found: dict[str, tuple[Any, Path]] = {}
     for path in files:
-        try:
-            text = path.read_text(encoding="utf-8")
-            entry = bpmn.parse_bpmn(text, tags) if pair is None else text
-            model_id = entry.model_id if pair is None else bpmn.model_id(text)
-        except (UnicodeDecodeError, bpmn.ModelError) as exc:
-            raise DataError(f"{path.name}: {exc}")
+        entry = _read_model(path, config if pair is None else None)
+        model_id = entry.model_id if pair is None else entry
         if not _MODEL_ID.fullmatch(model_id):
             raise DataError(
                 f"{path.name}: model id {model_id!r} is not a plain file name "
@@ -134,19 +145,13 @@ def _load_models(
             )
         if model_id in found:
             raise DataError(
-                f"duplicate model id {model_id!r} in {path.name} and {found[model_id][1]}"
+                f"duplicate model id {model_id!r} in {path.name} and {found[model_id][1].name}"
             )
-        found[model_id] = (entry, path.name)
+        found[model_id] = (entry, path)
     if pair is None:
-        return [found[model_id] for model_id in sorted(found)]
-    built = []
-    for model_id in _pick_pair(config, found.keys(), pair):
-        text, name = found[model_id]
-        try:
-            built.append((bpmn.parse_bpmn(text, tags), name))
-        except bpmn.ModelError as exc:
-            raise DataError(f"{name}: {exc}")
-    return built
+        return [(found[model_id][0], found[model_id][1].name) for model_id in sorted(found)]
+    picked = [found[model_id][1] for model_id in _pick_pair(config, found.keys(), pair)]
+    return [(_read_model(path, config), path.name) for path in picked]
 
 
 def _load_cases(config: RunConfig) -> simulation.CaseTable:
@@ -329,7 +334,7 @@ def _pick_pair(
 def cmd_diagnose(config: RunConfig, *requested: str) -> int:
     if requested and not len(requested) == len(set(requested)) == 2:
         raise ConfigError("pass no model ids (auto-pick) or exactly two distinct model ids")
-    (model_a, _), (model_b, _) = _load_models(config, requested)
+    (model_a, source_a), (model_b, source_b) = _load_models(config, requested)
     cases = _load_cases(config)
     path = config.out_dir / "diagnosis.json"
     try:
@@ -341,13 +346,14 @@ def cmd_diagnose(config: RunConfig, *requested: str) -> int:
         atomic_write(path, dump_json({"status": "no_divergence", "models": models_pair}))
         print(f"no divergence -> {path}")
         return 0
-    atomic_write(path, dump_json({"status": "diagnosed", **diagnosis.diagnosis_report(result)}))
     problem = result.chosen.problem
+    ref, tgt = problem.reference_model_id, problem.target_model_id
+    sources = {model_a.model_id: source_a, model_b.model_id: source_b}
+    payload = {"status": "diagnosed", "reference_model": ref, "target_model": tgt}
+    payload.update(reference_source=sources[ref], target_source=sources[tgt])
+    atomic_write(path, dump_json({**payload, **diagnosis.diagnosis_report(result)}))
     refined = [list(d) for d in result.chosen.refined]
-    print(
-        f"reference={problem.reference_model_id} target={problem.target_model_id} "
-        f"refined_diagnoses={refined} -> {path}"
-    )
+    print(f"reference={ref} target={tgt} refined_diagnoses={refined} -> {path}")
     return 0
 
 
@@ -381,8 +387,10 @@ def _load_narrative(config: RunConfig) -> repair.NarrativeDocument:
 
 
 def cmd_report(config: RunConfig) -> int:
+    """Localize diagnosis.json's refined diagnoses, reading only its two recorded model files."""
     dist_payload = _read_artifact(config.out_dir / "distribution.json", "entropy")
-    diagnosed = _diagnosed_pair(_read_artifact(config.out_dir / "diagnosis.json", "diagnose"))
+    diagnosis_payload = _read_artifact(config.out_dir / "diagnosis.json", "diagnose")
+    diagnosed = _diagnosed_pair(diagnosis_payload)
     source = "distribution.json"
     combo_fields = (("kpis", dict), ("count", int), ("probability", (int, float)))
     entropy_summary = {
@@ -397,13 +405,16 @@ def cmd_report(config: RunConfig) -> int:
     ambiguities, unlocalized = [], []
     if diagnosed is not None:
         reference, target, refined = diagnosed
-        (ref_model, _), (tgt_model, _) = _load_models(config, (reference, target))
+        names = [diagnosis_payload.get(f"{role}_source") for role in ("reference", "target")]
+        models = [_read_model(path, config) for path in _model_files(config, names)]
+        if [model.model_id for model in models] != [reference, target]:
+            raise DataError(
+                f"diagnosis.json: reference_source and target_source {names} are not the files "
+                f"of {reference!r} and {target!r} in {config.models_dir} (rerun diagnose)"
+            )
+        ref_model, tgt_model = models
         ambiguities, unlocalized = repair.localize_ambiguity(
-            refined,
-            tgt_model,
-            ref_model,
-            document,
-            threshold=config.localization_threshold,
+            refined, tgt_model, ref_model, document, threshold=config.localization_threshold
         )
     report_payload = repair.build_ambiguity_report(
         document.doc_id, ambiguities, unlocalized, entropy_summary, diagnosed

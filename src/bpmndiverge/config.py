@@ -99,6 +99,8 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
     updates: dict[str, object] = {}
     for key, value in values.items():
         if key.startswith("kpi_tag."):
+            if key not in ("kpi_tag.NC", "kpi_tag.HC") or not value:
+                raise ConfigError(f"{key}: expected NC or HC and a non-empty label fragment")
             kpi_tags[key[len("kpi_tag.") :]] = value
             continue
         kind = KEYS.get(key)

@@ -135,6 +135,20 @@ class TestSimulate:
             kpis = read_json(out / "kpis" / "untagged.json")["kpis"]
             assert (kpis["NC"], kpis["HC"]) == (("0", "20") if tags else ("0", "0"))
 
+    @pytest.mark.parametrize(
+        "line", ["kpi_tag.FOO = guidance", "kpi_tag. = guidance", "kpi_tag.HC ="]
+    )
+    def test_a_meaningless_kpi_tag_is_a_config_error(self, out, tmp_path, capsys, line):
+        # Only NC and HC are emitted by tasks, and an empty fragment would tag every task.
+        cfg = tmp_path / "tags.cfg"
+        cfg.write_text("\n".join([Path(CONFIG).read_text(), line]) + "\n")
+        assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
+        key = line.partition("=")[0].strip()
+        assert capsys.readouterr().err == (
+            f"error: {key}: expected NC or HC and a non-empty label fragment\n"
+        )
+        assert not out.exists()
+
     def test_a_cell_over_the_csv_field_limit_is_a_data_error(self, out, tmp_path, capsys):
         cases = tmp_path / "cases.csv"
         cases.write_text(f"case_id,HbA1c\nc1,{'7' * 140_000}\n")
@@ -836,16 +850,33 @@ def test_malformed_artifact_is_a_data_error(out, capsys, artifact, command, list
         ("refined_diagnoses", [{"gateways": ["n99"]}], "n99"),
         ("status", "pending", "pending"),
         ("refined_diagnoses", [{"gateways": [5]}], "diagnosis.json: gateway ids must be strings"),
+        ("reference_source", "../x.bpmn", "['../x.bpmn', 'city1_or_broad.bpmn']"),
+        (
+            "reference_source",
+            "../models/city1_and_strict.bpmn",
+            "['../models/city1_and_strict.bpmn', 'city1_or_broad.bpmn']",
+        ),
+        ("target_source", "missing.bpmn", "['city1_and_strict.bpmn', 'missing.bpmn']"),
+        ("target_source", 5, "['city1_and_strict.bpmn', 5]"),
+        ("reference_source", None, "[None, 'city1_or_broad.bpmn']"),
+        ("reference_source", "city1_or_broad.bpmn", "not the files of 'city1_and_strict'"),
     ],
 )
 def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
+    """A ``None`` source leaves the key out, as a diagnosis.json written
+    before the sources were recorded does."""
     full_pipeline(out)
     payload = read_json(out / "diagnosis.json")
     payload[key] = value
+    if value is None:
+        del payload[key]
     (out / "diagnosis.json").write_text(json.dumps(payload))
     capsys.readouterr()
     assert run_city1(out, "report") == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if key.endswith(("_model", "_source")):
+        assert err.startswith("error: diagnosis.json: ") and err.endswith(" (rerun diagnose)\n")
 
 
 @pytest.mark.parametrize("key", ["count", "h_norm"])
@@ -1279,7 +1310,8 @@ def city1_models(out, tmp_path, repo_root):
     return models
 
 
-PAIR_COMMANDS = [("diagnose",), ("diagnose", "city1_and_strict", "city1_or_broad"), ("report",)]
+DIAGNOSE_COMMANDS = [("diagnose",), ("diagnose", "city1_and_strict", "city1_or_broad")]
+PAIR_COMMANDS = [*DIAGNOSE_COMMANDS, ("report",)]
 
 STRICT_XML = (
     Path(__file__).resolve().parent.parent / "fixtures/city1/models/city1_and_strict.bpmn"
@@ -1305,7 +1337,10 @@ UNSCANNABLE = {
 
 
 class TestModelLoading:
-    def test_diagnose_and_report_build_only_the_pair(self, out, parse_calls):
+    def test_diagnose_and_report_build_only_the_pair(self, out, parse_calls, monkeypatch):
+        id_reads = []
+        model_id = bpmn.model_id
+        monkeypatch.setattr(bpmn, "model_id", lambda text: id_reads.append(text) or model_id(text))
         family = ("--models", "fixtures/family_original")
         counts = {}
         for command in (
@@ -1317,24 +1352,26 @@ class TestModelLoading:
             ("report",),
         ):
             parse_calls.clear()
+            id_reads.clear()
             assert run_city1(out, *family, *command) == 0
-            counts[" ".join(command)] = len(parse_calls)
+            counts[" ".join(command)] = (len(parse_calls), len(id_reads))
         assert counts == {
-            "simulate": 100,
-            "validate": 100,
-            "entropy": 0,
-            "diagnose fam_orig_000 fam_orig_001": 2,
-            "diagnose": 2,
-            "report": 2,
+            "simulate": (100, 0),
+            "validate": (100, 0),
+            "entropy": (0, 0),
+            "diagnose fam_orig_000 fam_orig_001": (2, 100),
+            "diagnose": (2, 100),
+            "report": (2, 0),
         }
         assert read_json(out / "diagnosis.json")["status"] == "diagnosed"
         diagnosis = {"status": "no_divergence", "models": ["fam_orig_000", "fam_orig_001"]}
         (out / "diagnosis.json").write_text(json.dumps(diagnosis))
         parse_calls.clear()
+        id_reads.clear()
         assert run_city1(out, *family, "report") == 0
-        assert parse_calls == []
+        assert parse_calls == id_reads == []
 
-    @pytest.mark.parametrize("command", PAIR_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("command", DIAGNOSE_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize("kind", sorted(UNSCANNABLE))
     def test_every_file_is_still_scanned(self, out, city1_models, capsys, command, kind):
         content, message = UNSCANNABLE[kind]
@@ -1342,6 +1379,29 @@ class TestModelLoading:
         capsys.readouterr()
         assert run_city1(out, "--models", str(city1_models), *command) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(UNSCANNABLE))
+    def test_report_reads_only_the_recorded_pair(self, out, city1_models, kind):
+        models = ("--models", str(city1_models))
+        assert run_city1(out, *models, "report") == 0
+        report = (out / "ambiguity_report.json").read_bytes()
+        (city1_models / "zz.bpmn").write_bytes(UNSCANNABLE[kind][0])
+        assert run_city1(out, *models, "report") == 0
+        assert (out / "ambiguity_report.json").read_bytes() == report
+
+    @pytest.mark.parametrize("suffix,code", [(".txt", 2), ("", 2), (".XML", 0)])
+    def test_report_reads_a_recorded_file_only_by_the_listing_rule(
+        self, out, city1_models, capsys, suffix, code
+    ):
+        # _load_models lists .bpmn and .xml files in any case, so report reads no other.
+        shutil.copy(city1_models / "city1_or_broad.bpmn", city1_models / f"broad{suffix}")
+        payload = read_json(out / "diagnosis.json")
+        payload["target_source"] = f"broad{suffix}"
+        (out / "diagnosis.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_city1(out, "--models", str(city1_models), "report") == code
+        err = capsys.readouterr().err
+        assert err.endswith(" (rerun diagnose)\n") if code else err == ""
 
     @pytest.mark.parametrize("command", PAIR_COMMANDS, ids=" ".join)
     def test_a_pair_model_that_fails_to_parse_is_named(self, out, city1_models, capsys, command):
