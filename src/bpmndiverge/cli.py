@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection, NoReturn, Sequence
 
 from . import bpmn, diagnosis, distribution, repair, simulation
-from .config import ConfigError, RunConfig, build_run_config, load_config, provider_auth_token
+from .config import ConfigError, RunConfig, build_run_config, load_config
 
 
 class DataError(Exception):
@@ -290,6 +290,8 @@ def _distribution_payload(
 
 
 def cmd_entropy(config: RunConfig, kpis: Path | None = None, from_csv: Path | None = None) -> int:
+    if kpis is not None and from_csv is not None:
+        raise ConfigError("entropy takes --kpis or --from-csv, not both")
     if from_csv is not None:
         entries = _read_kpi_csv(from_csv, config.round_decimals)
     else:
@@ -346,13 +348,62 @@ def cmd_diagnose(config: RunConfig, *requested: str) -> int:
         atomic_write(path, dump_json({"status": "no_divergence", "models": models_pair}))
         print(f"no divergence -> {path}")
         return 0
-    problem = result.chosen.problem
+    chosen = result.chosen
+    problem = chosen.problem
     ref, tgt = problem.reference_model_id, problem.target_model_id
     sources = {model_a.model_id: source_a, model_b.model_id: source_b}
-    payload = {"status": "diagnosed", "reference_model": ref, "target_model": tgt}
-    payload.update(reference_source=sources[ref], target_source=sources[tgt])
-    atomic_write(path, dump_json({**payload, **diagnosis.diagnosis_report(result)}))
-    refined = [list(d) for d in result.chosen.refined]
+    payload = {
+        "status": "diagnosed",
+        "reference_model": ref,
+        "target_model": tgt,
+        "reference_source": sources[ref],
+        "target_source": sources[tgt],
+        "orientation_note": (
+            "reference/target orientation is chosen for explanatory parsimony and does not "
+            "imply either model is correct"
+        ),
+        "components": list(problem.components),
+        "conflicts": [
+            {"gateways": list(c.gateways), "case_ids": list(c.case_ids)}
+            for c in problem.conflicts
+        ],
+        "diagnoses": [{"gateways": list(d)} for d in chosen.diagnoses],
+        "diagnoses_truncated": chosen.truncated,
+        "refined_diagnoses": [{"gateways": list(d)} for d in chosen.refined],
+        "unattributable": [
+            {
+                "case_id": case_id,
+                "kind": d.kind.value,
+                "index": d.index,
+                "t_last": d.t_last,
+                "t_first": d.t_first,
+            }
+            for case_id, d in problem.unattributable
+        ],
+        "failed_cases": [
+            {"case_id": case_id, "reason": reason} for case_id, reason in problem.failed_cases
+        ],
+        "observations": {
+            "total": len(result.observations),
+            "discrepant": [
+                {
+                    "case_id": o.case_id,
+                    "task_label": o.task_label,
+                    "kpi": o.kpi_name,
+                    "ref_emitted": o.ref_emitted,
+                    "tgt_emitted": o.tgt_emitted,
+                }
+                for o in result.observations
+                if o.discrepant
+            ],
+        },
+        "reverse_orientation": {
+            "reference_model": result.reverse.problem.reference_model_id,
+            "refined_diagnoses": [{"gateways": list(d)} for d in result.reverse.refined],
+        },
+    }
+    atomic_write(path, dump_json(payload))
+    refined = [list(d) for d in chosen.refined]
     print(f"reference={ref} target={tgt} refined_diagnoses={refined} -> {path}")
     return 0
 
@@ -371,7 +422,7 @@ def _diagnosed_pair(payload: object) -> tuple[str, str, list[list[str]]] | None:
         for entry in _field(payload, "refined_diagnoses", list, source)
     ]
     if not all(isinstance(gateway, str) for gateways in refined for gateway in gateways):
-        raise DataError(f"{source}: gateway ids must be strings")
+        raise DataError(f"{source}: gateway ids must be strings (rerun diagnose)")
     reference = _field(payload, "reference_model", str, source)
     return reference, _field(payload, "target_model", str, source), refined
 
@@ -387,7 +438,8 @@ def _load_narrative(config: RunConfig) -> repair.NarrativeDocument:
 
 
 def cmd_report(config: RunConfig) -> int:
-    """Localize diagnosis.json's refined diagnoses, reading only its two recorded model files."""
+    """Localize diagnosis.json's refined diagnoses, each id an exclusive gateway of
+    its target, reading only its two recorded model files."""
     dist_payload = _read_artifact(config.out_dir / "distribution.json", "entropy")
     diagnosis_payload = _read_artifact(config.out_dir / "diagnosis.json", "diagnose")
     diagnosed = _diagnosed_pair(diagnosis_payload)
@@ -403,6 +455,7 @@ def cmd_report(config: RunConfig) -> int:
     }
     document = _load_narrative(config)
     ambiguities, unlocalized = [], []
+    diagnosis_block: dict[str, object] = {"status": "no_divergence"}
     if diagnosed is not None:
         reference, target, refined = diagnosed
         names = [diagnosis_payload.get(f"{role}_source") for role in ("reference", "target")]
@@ -413,17 +466,30 @@ def cmd_report(config: RunConfig) -> int:
                 f"of {reference!r} and {target!r} in {config.models_dir} (rerun diagnose)"
             )
         ref_model, tgt_model = models
+        exclusive = {n.id for n in tgt_model.nodes if n.kind is bpmn.NodeKind.EXCLUSIVE_GATEWAY}
+        stray = next((g for gateways in refined for g in gateways if g not in exclusive), None)
+        if stray is not None:
+            raise DataError(
+                f"diagnosis.json: refined_diagnoses names {stray!r}, which is not an "
+                f"exclusive gateway of {target!r} (rerun diagnose)"
+            )
         ambiguities, unlocalized = repair.localize_ambiguity(
             refined, tgt_model, ref_model, document, threshold=config.localization_threshold
         )
-    report_payload = repair.build_ambiguity_report(
-        document.doc_id, ambiguities, unlocalized, entropy_summary, diagnosed
-    )
+        diagnosis_block = {
+            "reference": reference,
+            "target": target,
+            "minimal_diagnoses": [{"gateways": gateways} for gateways in refined],
+        }
+    report_payload = {
+        "doc_id": document.doc_id,
+        "entropy": entropy_summary,
+        "diagnosis": diagnosis_block,
+        "ambiguities": ambiguities,
+        "unlocalized_gateways": unlocalized,
+    }
     atomic_write(config.out_dir / "ambiguity_report.json", dump_json(report_payload))
-    print(
-        f"ambiguities={len(report_payload['ambiguities'])} "
-        f"-> {config.out_dir / 'ambiguity_report.json'}"
-    )
+    print(f"ambiguities={len(ambiguities)} -> {config.out_dir / 'ambiguity_report.json'}")
     return 0
 
 
@@ -438,11 +504,12 @@ def _build_provider(config: RunConfig) -> repair.RewriteProvider:
         endpoint = config.provider_endpoint
         if not endpoint:
             raise ConfigError("provider_endpoint is required for the http provider")
+        secret = config.provider_auth_env  # the environment variable that holds the token
         try:
             return repair.HttpRewriteProvider(
                 endpoint,
                 model=config.provider_model,
-                auth_token=provider_auth_token(config),
+                auth_token=os.environ.get(secret) if secret else None,
                 timeout=config.provider_timeout,
                 retries=config.provider_retries,
             )

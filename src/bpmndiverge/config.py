@@ -9,7 +9,6 @@ time.  ``build_run_config`` converts and checks every value, file or flag.
 
 from __future__ import annotations
 
-import os
 from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
@@ -155,10 +154,3 @@ def load_config(path: Path, base: RunConfig | None = None) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}")
     return build_run_config(parse_config_text(text), base)
-
-
-def provider_auth_token(config: RunConfig) -> str | None:
-    """Resolve the provider secret from the configured environment variable."""
-    if not config.provider_auth_env:
-        return None
-    return os.environ.get(config.provider_auth_env)

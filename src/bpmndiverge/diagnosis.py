@@ -51,11 +51,6 @@ TRACE_END = "<end-of-trace>"
 
 DEFAULT_MAX_CARDINALITY = 8
 
-ORIENTATION_NOTE = (
-    "reference/target orientation is chosen for explanatory parsimony and does not "
-    "imply either model is correct"
-)
-
 
 class NoDivergenceError(Exception):
     """The two models produce identical observations on every case."""
@@ -401,54 +396,3 @@ def choose_direction(
         for case_id in case_ids(cases, members)
     )
     return DirectionResult(chosen, reverse, tuple(compare_observations(compared)))
-
-
-def diagnosis_report(result: DirectionResult) -> dict:
-    """JSON-ready report: orientation, conflicts with provenance, diagnoses
-    before and after refinement, unattributable divergences, and the
-    discrepant observation table."""
-    problem = result.chosen.problem
-    discrepant = [o for o in result.observations if o.discrepant]
-    return {
-        "reference_model": problem.reference_model_id,
-        "target_model": problem.target_model_id,
-        "orientation_note": ORIENTATION_NOTE,
-        "components": list(problem.components),
-        "conflicts": [
-            {"gateways": list(c.gateways), "case_ids": list(c.case_ids)}
-            for c in problem.conflicts
-        ],
-        "diagnoses": [{"gateways": list(d)} for d in result.chosen.diagnoses],
-        "diagnoses_truncated": result.chosen.truncated,
-        "refined_diagnoses": [{"gateways": list(d)} for d in result.chosen.refined],
-        "unattributable": [
-            {
-                "case_id": case_id,
-                "kind": d.kind.value,
-                "index": d.index,
-                "t_last": d.t_last,
-                "t_first": d.t_first,
-            }
-            for case_id, d in problem.unattributable
-        ],
-        "failed_cases": [
-            {"case_id": case_id, "reason": reason} for case_id, reason in problem.failed_cases
-        ],
-        "observations": {
-            "total": len(result.observations),
-            "discrepant": [
-                {
-                    "case_id": o.case_id,
-                    "task_label": o.task_label,
-                    "kpi": o.kpi_name,
-                    "ref_emitted": o.ref_emitted,
-                    "tgt_emitted": o.tgt_emitted,
-                }
-                for o in discrepant
-            ],
-        },
-        "reverse_orientation": {
-            "reference_model": result.reverse.problem.reference_model_id,
-            "refined_diagnoses": [{"gateways": list(d)} for d in result.reverse.refined],
-        },
-    }

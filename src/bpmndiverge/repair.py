@@ -202,10 +202,10 @@ def localize_ambiguity(
     *,
     threshold: float = DEFAULT_LOCALIZATION_THRESHOLD,
 ) -> tuple[list[dict], list[str]]:
-    """Map each gateway of the refined diagnoses (sorted gateway-id lists of
-    the target model) to its best-scoring narrative segment.  Returns the
-    ambiguity report's entries, one per segment with every gateway that
-    localized there, and the unlocalized gateway ids.
+    """Map each gateway of the refined diagnoses (sorted lists of exclusive
+    gateway ids of the target model) to its best-scoring narrative segment.
+    Returns the ambiguity report's entries, one per segment with every
+    gateway that localized there, and the unlocalized gateway ids.
 
     The gateway token set is the union of its label tokens and the variable
     names (underscores split) from both models' branch conditions at the
@@ -224,10 +224,7 @@ def localize_ambiguity(
     found: dict[str, tuple[Segment, list[float], list[tuple], list[tuple]]] = {}
     unlocalized: list[str] = []
     for gateway_id in ordered_gateways:
-        try:
-            node = tgt_model.node(gateway_id)
-        except KeyError:
-            raise ValueError(f"gateway {gateway_id!r} is not in model {tgt_model.model_id!r}")
+        node = tgt_model.node(gateway_id)
         ref_gateway_id = _match_reference_gateway(ref_model, node.label)
         tokens = tokenize(node.label)
         for name in _gateway_condition_variables(tgt_model, gateway_id):
@@ -273,37 +270,6 @@ def localize_ambiguity(
         for counter, (segment, scores, refs, interpretations) in enumerate(found.values(), 1)
     ]
     return ambiguities, unlocalized
-
-
-def build_ambiguity_report(
-    doc_id: str,
-    ambiguities: Sequence[Mapping[str, object]],
-    unlocalized: Sequence[str],
-    entropy_summary: Mapping[str, object],
-    diagnosed: tuple[str, str, Sequence[Sequence[str]]] | None,
-) -> dict:
-    """Evidence-linked report tying entropy, diagnosis, and the narrative
-    spans of localize_ambiguity together.  ``entropy_summary`` carries h_norm,
-    category, and combos as produced by the distribution stage; ``diagnosed``
-    is the reference id, target id and refined gateway lists of the diagnosed
-    pair, or None when the pair showed no divergence."""
-    diagnosis_block: dict[str, object]
-    if diagnosed is None:
-        diagnosis_block = {"status": "no_divergence"}
-    else:
-        reference, target, refined = diagnosed
-        diagnosis_block = {
-            "reference": reference,
-            "target": target,
-            "minimal_diagnoses": [{"gateways": list(gateways)} for gateways in refined],
-        }
-    return {
-        "doc_id": doc_id,
-        "entropy": dict(entropy_summary),
-        "diagnosis": diagnosis_block,
-        "ambiguities": list(ambiguities),
-        "unlocalized_gateways": list(unlocalized),
-    }
 
 
 class RewriteProvider(Protocol):

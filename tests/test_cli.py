@@ -236,6 +236,14 @@ class TestEntropy:
         assert dist["h_norm"] == 1.0
         assert [c["count"] for c in dist["combos"]] == [2, 2]
 
+    def test_kpis_and_from_csv_exclude_each_other(self, out, tmp_path, capsys):
+        csv_path = tmp_path / "vectors.csv"
+        csv_path.write_text("model_id,NC,HC,RU,HI,CS\nm1,1,1,0.1,0.1,100\nm2,2,1,0.1,0.1,100\n")
+        argv = ("entropy", "--kpis", str(tmp_path / "nonexistent"), "--from-csv", str(csv_path))
+        assert run_city1(out, *argv) == 1
+        assert capsys.readouterr().err == "error: entropy takes --kpis or --from-csv, not both\n"
+        assert not out.exists()
+
     def test_from_csv_bad_header(self, out, tmp_path, capsys):
         csv_path = tmp_path / "vectors.csv"
         csv_path.write_text("model_id,NC\nm1,1\n")
@@ -359,6 +367,35 @@ class TestDiagnose:
         assert payload["observations"]["total"] == 30
         text = capsys.readouterr().out
         assert "reference=city1_and_strict target=city1_or_broad" in text
+
+    def test_diagnosis_json_shape(self, out):
+        assert run_city1(out, "diagnose", "city1_and_strict", "city1_or_broad") == 0
+        report = read_json(out / "diagnosis.json")
+        assert list(report) == [
+            "status", "reference_model", "target_model", "reference_source", "target_source",
+            "orientation_note", "components", "conflicts", "diagnoses", "diagnoses_truncated",
+            "refined_diagnoses", "unattributable", "failed_cases", "observations",
+            "reverse_orientation",
+        ]
+        assert report["reference_model"] == "city1_and_strict"
+        assert report["target_model"] == "city1_or_broad"
+        assert report["components"] == ["n3", "n5"]
+        assert report["conflicts"][0] == {
+            "gateways": ["n3"],
+            "case_ids": ["c09", "c10", "c11", "c12", "c13", "c14", "c15", "c16", "c17"],
+        }
+        assert report["diagnoses"] == [{"gateways": ["n3", "n5"]}]
+        assert report["diagnoses_truncated"] is False
+        assert report["refined_diagnoses"] == [{"gateways": ["n3", "n5"]}]
+        assert report["unattributable"] == []
+        assert report["failed_cases"] == []
+        assert report["observations"]["total"] == 30
+        assert len(report["observations"]["discrepant"]) == 18
+        assert report["reverse_orientation"] == {
+            "reference_model": "city1_or_broad",
+            "refined_diagnoses": [{"gateways": ["g_accept", "g_elig"]}],
+        }
+        assert "parsimony" in report["orientation_note"]
 
     def test_repeated_label_is_diagnosed(self, out, tmp_path):
         models_dir = tmp_path / "models"
@@ -486,6 +523,52 @@ class TestReport:
         assert payload["unlocalized_gateways"] == []
         assert "ambiguities=2" in capsys.readouterr().out
 
+    def test_ambiguity_report_shape(self, out):
+        jsonschema = pytest.importorskip("jsonschema")
+        full_pipeline(out)
+        report = read_json(out / "ambiguity_report.json")
+        schema = {
+            "type": "object",
+            "required": ["doc_id", "entropy", "diagnosis", "ambiguities", "unlocalized_gateways"],
+            "properties": {
+                "doc_id": {"type": "string"},
+                "entropy": {"type": "object"},
+                "diagnosis": {
+                    "type": "object",
+                    "required": ["reference", "target", "minimal_diagnoses"],
+                },
+                "ambiguities": {
+                    "type": "array",
+                    "items": {
+                        "type": "object",
+                        "required": [
+                            "id",
+                            "gateways",
+                            "segment_id",
+                            "excerpt",
+                            "score",
+                            "interpretations",
+                        ],
+                        "properties": {
+                            "gateways": {
+                                "type": "array",
+                                "items": {
+                                    "type": "object",
+                                    "required": ["role", "model_id", "gateway_id", "label"],
+                                },
+                                "minItems": 1,
+                            },
+                            "interpretations": {"type": "array", "minItems": 1},
+                        },
+                    },
+                },
+                "unlocalized_gateways": {"type": "array"},
+            },
+        }
+        jsonschema.validate(report, schema)
+        assert [a["id"] for a in report["ambiguities"]] == ["AMB-1", "AMB-2"]
+        assert report["diagnosis"]["minimal_diagnoses"] == [{"gateways": ["n3", "n5"]}]
+
     def test_report_requires_distribution(self, out, capsys):
         run_city1(out, "simulate")
         assert run_city1(out, "report") == 2
@@ -529,8 +612,13 @@ class TestReport:
         run_city1(out, *twin, "diagnose", "city1_and_strict", "city1_twin")
         assert run_city1(out, *twin, "report") == 0
         payload = read_json(out / "ambiguity_report.json")
+        assert list(payload) == [
+            "doc_id", "entropy", "diagnosis", "ambiguities", "unlocalized_gateways"
+        ]
+        assert payload["doc_id"] == "narrative"
         assert payload["diagnosis"] == {"status": "no_divergence"}
         assert payload["ambiguities"] == []
+        assert payload["unlocalized_gateways"] == []
 
     def test_segments_sidecar(self, out, tmp_path, repo_root):
         narrative = (repo_root / "fixtures" / "city1" / "narrative.txt").read_text()
@@ -860,6 +948,11 @@ def test_malformed_artifact_is_a_data_error(out, capsys, artifact, command, list
         ("target_source", 5, "['city1_and_strict.bpmn', 5]"),
         ("reference_source", None, "[None, 'city1_or_broad.bpmn']"),
         ("reference_source", "city1_or_broad.bpmn", "not the files of 'city1_and_strict'"),
+        (
+            "refined_diagnoses",
+            [{"gateways": ["n3"]}, {"gateways": ["n1", "n5"]}],
+            "names 'n1', which is not an exclusive gateway of 'city1_or_broad'",
+        ),
     ],
 )
 def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
@@ -875,7 +968,7 @@ def test_stale_diagnosis_is_a_data_error(out, capsys, key, value, message):
     assert run_city1(out, "report") == 2
     err = capsys.readouterr().err
     assert message in err
-    if key.endswith(("_model", "_source")):
+    if key != "status":
         assert err.startswith("error: diagnosis.json: ") and err.endswith(" (rerun diagnose)\n")
 
 
@@ -1153,6 +1246,11 @@ COMMAND_LINES = {
         ["--config", CONFIG, "--models", "fixtures", "validate"],
         2, "err", "error: no .bpmn or .xml files in fixtures",
     ),
+    "entropy with both KPI sources": (
+        ["--config", CONFIG, "--out", "OUT", "entropy", "--kpis", "/nonexistent"]
+        + ["--from-csv", "k.csv"],
+        1, "err", "error: entropy takes --kpis or --from-csv, not both",
+    ),
     "KPI dir without KPI files": (
         ["--config", CONFIG, "--out", "OUT", "entropy", "--kpis", "fixtures"],
         2, "err", "error: no KPI JSON files in fixtures",
@@ -1170,6 +1268,8 @@ def test_command_line_grammar(out, capsys, case):
         assert text.startswith("usage: bpmndiverge")
     for phrase in phrases:
         assert phrase.replace("OUT", str(out)) in text
+    if code:
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

@@ -18,7 +18,6 @@ from bpmndiverge.diagnosis import (
     choose_direction,
     compare_observations,
     conflict_from_divergence,
-    diagnosis_report,
     first_divergence,
     minimal_hitting_sets,
     refine_diagnoses,
@@ -393,7 +392,6 @@ class TestDirectionChoice:
         assert list(result.reverse.refined) == [
             ("g_accept", "g_elig")
         ]
-        assert "parsimony" in diagnosis_report(result)["orientation_note"]
 
     def test_argument_order_is_irrelevant(self, strict_model, broad_model, population):
         ab = choose_direction(strict_model, broad_model, population)
@@ -592,27 +590,3 @@ class TestClassPairs:
         assert locate.call_count == 2 * len(diverges) < len(cases)
         assert window.call_count == 2 * sum(diverges.values()) > 0
 
-
-class TestReport:
-    def test_report_shape(self, strict_model, broad_model, population):
-        result = choose_direction(strict_model, broad_model, population)
-        report = diagnosis_report(result)
-        assert report["reference_model"] == "city1_and_strict"
-        assert report["target_model"] == "city1_or_broad"
-        assert report["components"] == ["n3", "n5"]
-        assert report["conflicts"][0] == {
-            "gateways": ["n3"],
-            "case_ids": ["c09", "c10", "c11", "c12", "c13", "c14", "c15", "c16", "c17"],
-        }
-        assert report["diagnoses"] == [{"gateways": ["n3", "n5"]}]
-        assert report["diagnoses_truncated"] is False
-        assert report["refined_diagnoses"] == [{"gateways": ["n3", "n5"]}]
-        assert report["unattributable"] == []
-        assert report["failed_cases"] == []
-        assert report["observations"]["total"] == 30
-        assert len(report["observations"]["discrepant"]) == 18
-        assert report["reverse_orientation"] == {
-            "reference_model": "city1_or_broad",
-            "refined_diagnoses": [{"gateways": ["g_accept", "g_elig"]}],
-        }
-        assert "parsimony" in report["orientation_note"]

@@ -133,6 +133,32 @@ def test_malformed_population_yields_case_errors_and_failed_cases(work):
     assert diagnosed["status"] == "diagnosed" and diagnosed["failed_cases"]
 
 
+def test_report_accounts_for_every_refined_gateway_once(work):
+    """``report`` places each gateway of the refined diagnoses in exactly one
+    ambiguity, as the target's, or lists it as unlocalized."""
+    pipelines = sorted(path.parent for path in (work[0] / "out").glob("*/diagnosis.json"))
+    assert [path.name for path in pipelines] == [
+        "city1", "family_original", "family_repaired", "malformed_city1", "malformed_family"
+    ]
+    for out in pipelines:
+        diagnosed = json.loads((out / "diagnosis.json").read_text())
+        report = json.loads((out / "ambiguity_report.json").read_text())
+        assert diagnosed["status"] == "diagnosed", out.name
+        refined = {g for entry in diagnosed["refined_diagnoses"] for g in entry["gateways"]}
+        placed = [
+            ref["gateway_id"]
+            for ambiguity in report["ambiguities"]
+            for ref in ambiguity["gateways"]
+            if ref["role"] == "target" and ref["model_id"] == diagnosed["target_model"]
+        ]
+        assert sorted(placed + report["unlocalized_gateways"]) == sorted(refined), out.name
+        assert report["diagnosis"] == {
+            "reference": diagnosed["reference_model"],
+            "target": diagnosed["target_model"],
+            "minimal_diagnoses": diagnosed["refined_diagnoses"],
+        }, out.name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         fresh = artifact_digests(Path(scratch))

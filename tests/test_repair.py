@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpmndiverge.diagnosis import choose_direction, diagnosis_report
+from bpmndiverge.diagnosis import choose_direction
 from bpmndiverge.repair import (
     REPAIR_PROCEDURE,
     CannedRewriteProvider,
@@ -21,7 +21,6 @@ from bpmndiverge.repair import (
     ProviderUnavailableError,
     RepairOutcome,
     RepairRecord,
-    build_ambiguity_report,
     localize_ambiguity,
     propose_repairs,
     reconstruct_narrative,
@@ -34,11 +33,10 @@ from oracles import jaccard_oracle
 
 @pytest.fixture(scope="module")
 def diagnosed(strict_model, broad_model, population):
-    """(reference id, target id, refined gateway lists) as diagnosis.json
-    records them."""
-    payload = diagnosis_report(choose_direction(strict_model, broad_model, population))
-    refined = [entry["gateways"] for entry in payload["refined_diagnoses"]]
-    return payload["reference_model"], payload["target_model"], refined
+    """(reference id, target id, refined gateway lists) of the chosen orientation."""
+    chosen = choose_direction(strict_model, broad_model, population).chosen
+    refined = [list(gateways) for gateways in chosen.refined]
+    return chosen.problem.reference_model_id, chosen.problem.target_model_id, refined
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +47,9 @@ def localization(diagnosed, strict_model, broad_model, narrative_doc):
 
 
 @pytest.fixture(scope="module")
-def report(diagnosed, localization, narrative_doc):
-    entropy_summary = {"h_norm": 1.0, "category": "low", "combos": 2}
-    return build_ambiguity_report(
-        narrative_doc.doc_id, *localization, entropy_summary, diagnosed
-    )
+def ambiguities(localization):
+    """The ambiguity entries of the city1 report, as repair reads them."""
+    return localization[0]
 
 
 @pytest.fixture()
@@ -293,71 +289,14 @@ class TestOneAmbiguityPerSegment:
             if ref["role"] == "target"
         ]
         assert sorted(localized + unlocalized) == sorted(refined[0])
-        report = build_ambiguity_report(
-            doc.doc_id, ambiguities, unlocalized, {}, ("reference", "target", refined)
-        )
         response = {"revised_excerpt": revised, "rationale": "r", "evidence_refs": ["e"]}
         provider = CannedRewriteProvider({entry["segment_id"]: response for entry in ambiguities})
         supplemental = NarrativeDocument.from_text("s", "")
-        outcome = propose_repairs(report["ambiguities"], doc, supplemental, provider)
+        outcome = propose_repairs(ambiguities, doc, supplemental, provider)
         assert outcome.rejected == ()
         assert len(outcome.records) == len(ambiguities)
         # Every record applies: each ambiguity's whole segment becomes ``revised``.
         assert reconstruct_narrative(doc, outcome.records).count(revised) >= len(ambiguities)
-
-
-class TestReport:
-    def test_report_shape(self, report):
-        jsonschema = pytest.importorskip("jsonschema")
-        schema = {
-            "type": "object",
-            "required": ["doc_id", "entropy", "diagnosis", "ambiguities", "unlocalized_gateways"],
-            "properties": {
-                "doc_id": {"type": "string"},
-                "entropy": {"type": "object"},
-                "diagnosis": {
-                    "type": "object",
-                    "required": ["reference", "target", "minimal_diagnoses"],
-                },
-                "ambiguities": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": [
-                            "id",
-                            "gateways",
-                            "segment_id",
-                            "excerpt",
-                            "score",
-                            "interpretations",
-                        ],
-                        "properties": {
-                            "gateways": {
-                                "type": "array",
-                                "items": {
-                                    "type": "object",
-                                    "required": ["role", "model_id", "gateway_id", "label"],
-                                },
-                                "minItems": 1,
-                            },
-                            "interpretations": {"type": "array", "minItems": 1},
-                        },
-                    },
-                },
-                "unlocalized_gateways": {"type": "array"},
-            },
-        }
-        jsonschema.validate(report, schema)
-        assert [a["id"] for a in report["ambiguities"]] == ["AMB-1", "AMB-2"]
-        assert report["diagnosis"]["minimal_diagnoses"] == [{"gateways": ["n3", "n5"]}]
-        # The report must serialize cleanly.
-        json.dumps(report)
-
-    def test_no_divergence_report(self, localization, narrative_doc):
-        report = build_ambiguity_report(
-            narrative_doc.doc_id, *localization, {"h_norm": 0.0}, None
-        )
-        assert report["diagnosis"] == {"status": "no_divergence"}
 
 
 class CapturingProvider:
@@ -377,12 +316,12 @@ class CapturingProvider:
 
 
 class TestProposeRepairs:
-    def test_request_payload(self, report, narrative_doc, supplemental_doc):
+    def test_request_payload(self, ambiguities, narrative_doc, supplemental_doc):
         provider = CapturingProvider()
-        outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
+        outcome = propose_repairs(ambiguities, narrative_doc, supplemental_doc, provider)
         assert [r.ambiguity_id for r in outcome.records] == ["AMB-1", "AMB-2"]
         assert [(r.segment_id, r.excerpt) for r in outcome.records] == [
-            (entry["segment_id"], entry["excerpt"]) for entry in report["ambiguities"]
+            (entry["segment_id"], entry["excerpt"]) for entry in ambiguities
         ]
         assert outcome.rejected == ()
         first = provider.requests[0]
@@ -392,11 +331,11 @@ class TestProposeRepairs:
         assert first["excerpt"] == narrative_doc.segment("seg-2").text
         assert len(first["supplemental_excerpts"]) == 3
         assert first["procedure"] == list(REPAIR_PROCEDURE)
-        assert first["interpretations"] == report["ambiguities"][0]["interpretations"]
+        assert first["interpretations"] == ambiguities[0]["interpretations"]
 
-    def test_canned_round_trip(self, report, narrative_doc, supplemental_doc, canned_provider):
+    def test_canned_round_trip(self, ambiguities, narrative_doc, supplemental_doc, canned_provider):
         outcome = propose_repairs(
-            report["ambiguities"], narrative_doc, supplemental_doc, canned_provider
+            ambiguities, narrative_doc, supplemental_doc, canned_provider
         )
         assert len(outcome.records) == 2
         assert outcome.rejected == ()
@@ -406,12 +345,12 @@ class TestProposeRepairs:
             assert record.evidence_refs
 
     def test_missing_canned_key_rejects_that_ambiguity(
-        self, report, narrative_doc, supplemental_doc
+        self, ambiguities, narrative_doc, supplemental_doc
     ):
         provider = CannedRewriteProvider({"seg-2": {
             "revised_excerpt": "x", "rationale": "y", "evidence_refs": ["z"],
         }})
-        outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
+        outcome = propose_repairs(ambiguities, narrative_doc, supplemental_doc, provider)
         assert [r.ambiguity_id for r in outcome.records] == ["AMB-1"]
         assert [r.ambiguity_id for r in outcome.rejected] == ["AMB-2"]
         assert "no canned response" in outcome.rejected[0].reason
@@ -430,19 +369,19 @@ class TestProposeRepairs:
         ],
     )
     def test_unsupported_records_rejected(
-        self, report, narrative_doc, supplemental_doc, response, reason
+        self, ambiguities, narrative_doc, supplemental_doc, response, reason
     ):
         responses = {"seg-2": response, "seg-4": response}
         provider = CannedRewriteProvider(responses)
-        outcome = propose_repairs(report["ambiguities"], narrative_doc, supplemental_doc, provider)
+        outcome = propose_repairs(ambiguities, narrative_doc, supplemental_doc, provider)
         assert outcome.records == ()
         assert len(outcome.rejected) == 2
         assert reason in outcome.rejected[0].reason
 
     def test_stale_excerpt_rejected_before_provider_call(
-        self, report, narrative_doc, supplemental_doc
+        self, ambiguities, narrative_doc, supplemental_doc
     ):
-        tampered = json.loads(json.dumps(report["ambiguities"]))
+        tampered = json.loads(json.dumps(ambiguities))
         tampered[0]["excerpt"] = "text that never occurs"
         provider = CapturingProvider()
         outcome = propose_repairs(tampered, narrative_doc, supplemental_doc, provider)
@@ -450,8 +389,8 @@ class TestProposeRepairs:
         assert "anchored" in outcome.rejected[0].reason
         assert [req["ambiguity_id"] for req in provider.requests] == ["AMB-2"]
 
-    def test_unknown_segment_rejected(self, report, narrative_doc, supplemental_doc):
-        tampered = json.loads(json.dumps(report["ambiguities"]))
+    def test_unknown_segment_rejected(self, ambiguities, narrative_doc, supplemental_doc):
+        tampered = json.loads(json.dumps(ambiguities))
         tampered[1]["segment_id"] = "seg-99"
         outcome = propose_repairs(
             tampered, narrative_doc, supplemental_doc, CapturingProvider()
@@ -468,9 +407,9 @@ class TestProposeRepairs:
         assert provider.requests == []
 
     def test_repeated_id_is_refused_before_any_provider_call(
-        self, report, narrative_doc, supplemental_doc
+        self, ambiguities, narrative_doc, supplemental_doc
     ):
-        tampered = json.loads(json.dumps(report["ambiguities"]))
+        tampered = json.loads(json.dumps(ambiguities))
         tampered[1]["id"] = "AMB-1"
         provider = CapturingProvider()
         with pytest.raises(
@@ -481,15 +420,15 @@ class TestProposeRepairs:
 
     @pytest.mark.parametrize("second", [1, "AMB-2", {"segment_id": "seg-4"}, {"id": 2}])
     def test_malformed_entry_is_refused_before_any_provider_call(
-        self, report, narrative_doc, supplemental_doc, second
+        self, ambiguities, narrative_doc, supplemental_doc, second
     ):
-        ambiguities = [report["ambiguities"][0], second]
+        entries = [ambiguities[0], second]
         provider = CapturingProvider()
         with pytest.raises(
             ValueError,
             match="ambiguity_report.json: every ambiguity must be an object with a string id",
         ):
-            propose_repairs(ambiguities, narrative_doc, supplemental_doc, provider)
+            propose_repairs(entries, narrative_doc, supplemental_doc, provider)
         assert provider.requests == []
 
 
@@ -659,10 +598,10 @@ class TestHttpProvider:
 
 class TestReconstruction:
     def test_city1_splice(
-        self, report, narrative_doc, supplemental_doc, canned_provider, narrative_text
+        self, ambiguities, narrative_doc, supplemental_doc, canned_provider, narrative_text
     ):
         outcome = propose_repairs(
-            report["ambiguities"], narrative_doc, supplemental_doc, canned_provider
+            ambiguities, narrative_doc, supplemental_doc, canned_provider
         )
         repaired = reconstruct_narrative(narrative_doc, outcome.records)
         seg2 = narrative_doc.segment("seg-2")
