@@ -6,6 +6,8 @@ distinct path with the ``case_ids`` of the cases that took it, and the
 emissions of the path are counted once for each of those cases.  An entry
 may instead name a single ``case_id``.  The KPI arithmetic is redone in
 exact rational numbers, and each KPI is printed as a fraction string.
+The exit status is 1, with each KPI whose recount differs from the file's
+own ``kpis`` named on stderr, unless every KPI agrees exactly.
 Deliberately does not import the package's aggregation code.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 
@@ -66,7 +69,11 @@ def main() -> int:
         Fraction(args.cost_saving),
     )
     print(json.dumps(result, indent=2))
-    return 0
+    wrong = [name for name, value in result.items() if Fraction(data["kpis"][name]) != Fraction(value)]
+    for name in wrong:
+        print(f"{args.kpi_json}: {name} is {data['kpis'][name]} but recounts to {result[name]}",
+              file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

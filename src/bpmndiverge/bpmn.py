@@ -199,7 +199,11 @@ def _kpi_outputs(elem: ET.Element, label: str, kpi_task_tags: Mapping[str, str] 
     if raw is None:
         raw = elem.get("outputs")
     if raw is not None:
-        return tuple(part for part in (p.strip() for p in raw.split(";")) if part)
+        outputs = tuple(part for part in (p.strip() for p in raw.split(";")) if part)
+        for name in outputs:
+            if name not in ("NC", "HC"):  # the KPIs a task emits; the rest derive from HC
+                raise InvalidModelError(f"task {elem.get('id')!r}: kpi output {name!r} is not NC or HC")
+        return outputs
     if kpi_task_tags:
         matched = [
             kpi for kpi, rule in sorted(kpi_task_tags.items()) if rule.lower() in label.lower()

@@ -6,7 +6,8 @@ The grammar, in EBNF (also documented in the README):
     expr        = or_expr ;
     or_expr     = and_expr , { OR , and_expr } ;
     and_expr    = negation , { AND , negation } ;
-    negation    = NOT , negation | atom ;
+    negation    = NOT , negand | atom ;
+    negand      = NOT , negand | "(" , expr , ")" | var | TRUE | FALSE ;
     atom        = "(" , expr , ")" | comparison | var | TRUE | FALSE ;
     comparison  = operand , cmp_op , operand ;
     operand     = var | literal ;
@@ -31,17 +32,19 @@ conditions may be semantically equivalent yet canonically distinct.
 
 from __future__ import annotations
 
+import operator
 import re
-from decimal import Decimal, InvalidOperation
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from decimal import Decimal
+from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn, Union
 
 Value = Union[Decimal, bool, str]
 
-_CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 # Deep enough for any real condition, shallow enough that parsing and every
 # recursive walk of the AST stay far below the default recursion limit.
 MAX_NESTING = 32
 _MIRROR = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class ConditionParseError(Exception):
@@ -167,23 +170,18 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, expected: str) -> _Token:
+    def fail(self, expected: str) -> NoReturn:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ConditionParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.offset,
-                expected,
-            )
-        return self.advance()
+        found = f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input"
+        raise ConditionParseError(found, tok.offset, expected)
 
-    def _nested(self, parse: Callable[[], ConditionAst]) -> ConditionAst:
-        """Consume the "(" or NOT that opens a level, then ``parse()`` inside it."""
+    def _nested(self, parse: Callable[..., ConditionAst], *args: bool) -> ConditionAst:
+        """Consume the "(" or NOT that opens a level, then ``parse(*args)`` inside it."""
         tok = self.advance()
         if self.depth == MAX_NESTING:
             raise ConditionParseError(f"nested deeper than {MAX_NESTING} levels", tok.offset)
         self.depth += 1
-        inner = parse()
+        inner = parse(*args)
         self.depth -= 1
         return inner
 
@@ -191,9 +189,7 @@ class _Parser:
         ast = self.or_expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ConditionParseError(
-                f"trailing input {tok.text!r}", tok.offset, "end of input"
-            )
+            raise ConditionParseError(f"trailing input {tok.text!r}", tok.offset, "end of input")
         return ast
 
     def or_expr(self) -> ConditionAst:
@@ -214,102 +210,59 @@ class _Parser:
             return operands[0]
         return BoolOp("AND", tuple(operands))
 
-    def negation(self) -> ConditionAst:
-        if self.peek().kind == "not":
-            return Not(self._nested(self._negand))
-        return self.atom()
-
-    def _negand(self) -> ConditionAst:
-        # NOT binds tighter than comparison, so "NOT x >= 5" is rejected
-        # rather than silently negating the comparison.
-        if self.peek().kind == "not":
-            return Not(self._nested(self._negand))
+    def negation(self, negated: bool = False) -> ConditionAst:
+        """``negation`` of the grammar, or ``negand`` when ``negated``: NOT
+        binds tighter than comparison, so "NOT x >= 5" is rejected rather than
+        silently negating the comparison."""
         tok = self.peek()
+        if tok.kind == "not":
+            return Not(self._nested(self.negation, True))
         if tok.kind == "lparen":
-            return self._parenthesized()
-        if tok.kind in ("true", "false"):
+            inner = self._nested(self.or_expr)
+            if self.peek().kind != "rparen":
+                self.fail("')'")
             self.advance()
-            self._reject_comparison_continuation()
-            return Literal(tok.kind == "true")
-        if tok.kind == "ident":
-            self.advance()
-            self._reject_comparison_continuation()
-            return VarRef(tok.text)
-        raise ConditionParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.offset,
-            "variable, TRUE, FALSE, or parenthesized expression",
-        )
-
-    def _reject_comparison_continuation(self) -> None:
-        tok = self.peek()
-        if tok.kind == "op":
-            raise ConditionParseError(
-                "comparison under NOT must be parenthesized", tok.offset, "AND, OR, or end"
-            )
-
-    def _parenthesized(self) -> ConditionAst:
-        inner = self._nested(self.or_expr)
-        self.expect("rparen", "')'")
-        if self.peek().kind == "op":
-            tok = self.peek()
-            raise ConditionParseError(
-                "comparison operands must be a variable or a literal", tok.offset
-            )
-        return inner
-
-    def atom(self) -> ConditionAst:
-        tok = self.peek()
-        if tok.kind == "lparen":
-            return self._parenthesized()
-        left = self._operand()
-        if self.peek().kind != "op":
+            if self.peek().kind == "op":
+                raise ConditionParseError(
+                    "comparison operands must be a variable or a literal", self.peek().offset
+                )
+            return inner
+        if negated and tok.kind not in ("ident", "true", "false"):
+            self.fail("variable, TRUE, FALSE, or parenthesized expression")
+        is_var, left = self._operand()
+        op_tok = self.peek()
+        if op_tok.kind != "op":
             # Standalone operand: only a variable or boolean keyword is valid.
-            if left[0] == "var":
-                return VarRef(left[1])
-            if left[0] == "bool":
-                return Literal(left[1])
+            if is_var:
+                return VarRef(left)  # type: ignore[arg-type]
+            if isinstance(left, bool):
+                return Literal(left)
+            raise ConditionParseError("literal cannot stand alone", tok.offset, "comparison operator")
+        if negated:
             raise ConditionParseError(
-                "literal cannot stand alone", tok.offset, "comparison operator"
+                "comparison under NOT must be parenthesized", op_tok.offset, "AND, OR, or end"
             )
-        op_tok = self.advance()
-        right = self._operand()
-        left_is_var = left[0] == "var"
-        right_is_var = right[0] == "var"
-        if left_is_var and right_is_var:
-            raise ConditionParseError(
-                "comparison between two variables is not supported", op_tok.offset
-            )
-        if not left_is_var and not right_is_var:
-            raise ConditionParseError(
-                "comparison needs a variable on one side", op_tok.offset
-            )
-        if left_is_var:
-            return Compare(left[1], op_tok.text, right[1], var_on_left=True)  # type: ignore
-        return Compare(right[1], op_tok.text, left[1], var_on_left=False)  # type: ignore
+        self.advance()
+        right_is_var, right = self._operand()
+        if is_var == right_is_var:
+            both = "between two variables is not supported" if is_var else "needs a variable on one side"
+            raise ConditionParseError(f"comparison {both}", op_tok.offset)
+        var, literal = (left, right) if is_var else (right, left)
+        return Compare(var, op_tok.text, literal, var_on_left=is_var)  # type: ignore[arg-type]
 
-    def _operand(self) -> tuple[str, object]:
+    def _operand(self) -> tuple[bool, Value]:
+        """(is_variable, value) of a variable or literal token."""
         tok = self.peek()
+        if tok.kind not in ("ident", "number", "string", "true", "false"):
+            self.fail("variable or literal")
+        self.advance()
         if tok.kind == "ident":
-            self.advance()
-            return ("var", tok.text)
+            return True, tok.text
         if tok.kind == "number":
-            self.advance()
-            try:
-                return ("number", Decimal(tok.text))
-            except InvalidOperation:  # pragma: no cover - regex precludes this
-                raise ConditionParseError(f"bad number {tok.text!r}", tok.offset)
+            return False, Decimal(tok.text)
         if tok.kind == "string":
-            self.advance()
-            return ("string", tok.text[1:-1])
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return ("bool", tok.kind == "true")
-        raise ConditionParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.offset,
-            "variable or literal",
-        )
+            return False, tok.text[1:-1]
+        return False, tok.kind == "true"
 
 
 def parse_condition(text: str) -> ConditionAst:
@@ -446,22 +399,10 @@ def _compare(node: Compare, actual: Value) -> bool:
     left = _as_number(actual)
     right = _as_number(node.literal)
     if left is not None and right is not None:
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
+        return _OPERATORS[op](left, right)
     if isinstance(actual, str) and isinstance(node.literal, str):
-        if op == "==":
-            return actual == node.literal
-        if op == "!=":
-            return actual != node.literal
+        if op in ("==", "!="):
+            return _OPERATORS[op](actual, node.literal)
         raise TypeMismatchError(node.var, "number for ordering comparison", "string")
     raise TypeMismatchError(node.var, _type_name(node.literal), _type_name(actual))
 

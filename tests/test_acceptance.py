@@ -359,6 +359,23 @@ def test_criterion_8_simulation_oracle(repo_root, tmp_path, monkeypatch):
                 )
 
 
+def test_the_recount_fails_on_a_kpi_that_its_traces_do_not_give(repo_root, tmp_path):
+    config = str(repo_root / "fixtures" / "city1" / "config.cfg")
+    assert cli.main(["--config", config, "--out", str(tmp_path), "simulate", "--traces"]) == 0
+    path = tmp_path / "kpis" / "city1_or_broad.json"
+    recount = [sys.executable, str(repo_root / "scripts" / "recount_kpis.py"), str(path)]
+    agreed = subprocess.run(recount, capture_output=True, text=True)
+    assert (agreed.returncode, agreed.stderr) == (0, "")
+    data = json.loads(path.read_text())
+    data["kpis"]["HI"] = str(Decimal(data["kpis"]["HI"]) + Decimal("0.001"))
+    path.write_text(json.dumps(data))
+    differs = subprocess.run(recount, capture_output=True, text=True)
+    assert (differs.returncode, differs.stdout) == (1, agreed.stdout)
+    assert differs.stderr.splitlines() == [
+        f"{path}: HI is {data['kpis']['HI']} but recounts to {json.loads(agreed.stdout)['HI']}"
+    ]
+
+
 def test_criterion_9_model_round_trip(repo_root):
     with criterion(9, "model round-trip"):
         paths = sorted((repo_root / "fixtures" / "city1" / "models").glob("*.bpmn"))

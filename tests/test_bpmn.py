@@ -315,6 +315,12 @@ class TestTypeInvariants:
         "body, message",
         [
             (MINIMAL.replace('"NC;HC"', '"NC;HC;NC"'), "node 't': duplicate kpi outputs"),
+            (MINIMAL.replace('"NC;HC"', '"nc"'), "task 't': kpi output 'nc' is not NC or HC"),
+            (MINIMAL.replace('"NC;HC"', '"NC;RU"'), "task 't': kpi output 'RU' is not NC or HC"),
+            (
+                MINIMAL.replace('kpi:outputs="NC;HC"', 'outputs="HC; FOO"'),
+                "task 't': kpi output 'FOO' is not NC or HC",
+            ),
             (
                 MINIMAL.replace('sourceRef="s" targetRef="t"/>', 'sourceRef="s" targetRef="g"/>')
                 + '<bpmn:exclusiveGateway id="g" default="f3"/>'

@@ -149,6 +149,18 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_a_kpi_output_other_than_nc_or_hc_is_a_model_error(self, out, tmp_path, capsys):
+        # A task's "nc" would count toward no KPI, and the model's NC would read 0.
+        models_dir = tmp_path / "models"
+        models_dir.mkdir()
+        strict = Path("fixtures/city1/models/city1_and_strict.bpmn").read_text()
+        (models_dir / "strict.bpmn").write_text(strict.replace('outputs="NC"', 'outputs="nc"'))
+        assert run_city1(out, "--models", str(models_dir), "simulate") == 2
+        assert capsys.readouterr().err == (
+            "error: strict.bpmn: task 't_notify': kpi output 'nc' is not NC or HC\n"
+        )
+        assert not out.exists()
+
     def test_a_cell_over_the_csv_field_limit_is_a_data_error(self, out, tmp_path, capsys):
         cases = tmp_path / "cases.csv"
         cases.write_text(f"case_id,HbA1c\nc1,{'7' * 140_000}\n")

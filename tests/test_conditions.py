@@ -112,6 +112,43 @@ class TestParsing:
         with pytest.raises(ConditionParseError):
             parse_condition("")
 
+    NEGAND = "variable, TRUE, FALSE, or parenthesized expression"
+
+    @pytest.mark.parametrize(
+        "text,message,offset,expected",
+        [
+            ("a == $1", "unexpected character '$'", 5, None),
+            ("", "unexpected end of input", 0, "variable or literal"),
+            ("(a == 1", "unexpected end of input", 7, "')'"),
+            ("a == 1 b", "trailing input 'b'", 7, "end of input"),
+            ("NOT 5", "unexpected '5'", 4, NEGAND),
+            ("NOT", "unexpected end of input", 3, NEGAND),
+            ("NOT TRUE == x", "comparison under NOT must be parenthesized", 9, "AND, OR, or end"),
+            ("(a == 1) == 1", "comparison operands must be a variable or a literal", 9, None),
+            ("'a' AND x", "literal cannot stand alone", 0, "comparison operator"),
+            ("1 == 2", "comparison needs a variable on one side", 2, None),
+            ("a == b", "comparison between two variables is not supported", 2, None),
+            ("x AND", "unexpected end of input", 5, "variable or literal"),
+            ("(" * 33 + "x" + ")" * 33, f"nested deeper than {MAX_NESTING} levels", 32, None),
+            (
+                "NOT (x OR " * 11 + "x" + ")" * 11,
+                f"rendering nests deeper than {MAX_NESTING} levels",
+                0,
+                None,
+            ),
+        ],
+    )
+    def test_each_error_names_its_message_offset_and_expectation(
+        self, text, message, offset, expected
+    ):
+        with pytest.raises(ConditionParseError) as info:
+            parse_condition(text)
+        assert (info.value.message, info.value.offset, info.value.expected) == (
+            message,
+            offset,
+            expected,
+        )
+
 
 @contextmanager
 def frames_to_spare(count: int):
@@ -376,6 +413,21 @@ _condition_texts = st.recursive(
 @example("NOT (x OR " * 16 + "x" + ")" * 16)
 @example("NOT (" * 16 + "x" + ")" * 16)
 def test_every_accepted_condition_reparses_from_its_rendering(text):
+    try:
+        ast = parse_condition(text)
+    except ConditionParseError:
+        return
+    assert parse_condition(to_text(ast)) == ast
+
+
+_TOKENS = st.sampled_from(
+    ["NOT", "not", "AND", "OR", "(", ")", "==", "!=", "<=", ">=", "<", ">"]
+    + ["x", "Flag_A", "1", "-2.5", "'a'", '"b c"', "TRUE", "false"]
+)
+
+
+@given(st.lists(_TOKENS, max_size=12).map(" ".join))
+def test_any_token_string_is_refused_or_reparses_from_its_rendering(text):
     try:
         ast = parse_condition(text)
     except ConditionParseError:
