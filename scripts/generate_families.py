@@ -23,10 +23,14 @@ import argparse
 import random
 from pathlib import Path
 
-from bpmndiverge.bpmn import Node, NodeKind, ProcessModel, SequenceFlow, serialize_bpmn
+from bpmndiverge.bpmn import Node, NodeKind, ProcessModel, SequenceFlow
 from bpmndiverge.conditions import parse_condition
 
+from bpmn_writer import serialize_bpmn
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+PROCESS_NAME = "City 1 Health Guidance Program"
 
 LABELS = {
     "start": "Screening Results Received",
@@ -102,12 +106,7 @@ def build_model(
         SequenceFlow(fid[6], nid["g_accept"], nid["end_dec"], is_default=True),
         SequenceFlow(fid[7], nid["guide"], nid["end_ok"]),
     )
-    return ProcessModel(
-        model_id=model_id,
-        nodes=nodes,
-        flows=flows,
-        metadata={"name": "City 1 Health Guidance Program"},
-    )
+    return ProcessModel(model_id, nodes, flows)
 
 
 def generate(out_root: Path, seed: int, count: int) -> None:
@@ -126,7 +125,8 @@ def generate(out_root: Path, seed: int, count: int) -> None:
             eligibility_condition(rng, elig_reading),
             acceptance_condition(rng, accept_reading),
         )
-        (original_dir / f"{model_id}.bpmn").write_text(serialize_bpmn(model), encoding="utf-8")
+        xml = serialize_bpmn(model, PROCESS_NAME)
+        (original_dir / f"{model_id}.bpmn").write_text(xml, encoding="utf-8")
     for index in range(count):
         model_id = f"fam_rep_{index:03d}"
         rng = random.Random(f"{seed}:{model_id}")
@@ -137,7 +137,8 @@ def generate(out_root: Path, seed: int, count: int) -> None:
             eligibility_condition(rng, "and", hba1c_op=hba1c_op),
             acceptance_condition(rng, "strict"),
         )
-        (repaired_dir / f"{model_id}.bpmn").write_text(serialize_bpmn(model), encoding="utf-8")
+        xml = serialize_bpmn(model, PROCESS_NAME)
+        (repaired_dir / f"{model_id}.bpmn").write_text(xml, encoding="utf-8")
     print(f"wrote {count} models each to {original_dir} and {repaired_dir}")
 
 

@@ -1,4 +1,4 @@
-"""Executable BPMN subset: model types, XML parsing, serialization, validation.
+"""Executable BPMN subset: model types, XML parsing, validation.
 
 The supported vocabulary is startEvent, endEvent, task, exclusiveGateway and
 sequenceFlow.  Anything else in the BPMN model namespace is rejected; elements
@@ -13,47 +13,18 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 from xml.parsers import expat
 
-from .conditions import ConditionAst, ConditionParseError, parse_condition, to_text
+from .conditions import ConditionAst, ConditionParseError, parse_condition
 
 NS_MODEL = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 NS_KPI = "urn:bpmndiverge:kpi"
 
-_SUPPORTED = {"startEvent", "endEvent", "task", "exclusiveGateway", "sequenceFlow"}
-
 
 class ModelError(Exception):
-    """Base class for model construction and parsing failures."""
-
-
-class XmlSyntaxError(ModelError):
-    pass
-
-
-class UnsupportedElementError(ModelError):
-    def __init__(self, element: str):
-        self.element = element
-        super().__init__(f"unsupported element <{element}>")
-
-
-class DanglingReferenceError(ModelError):
-    pass
-
-
-class InvalidModelError(ModelError):
-    pass
-
-
-class GatewayConditionError(ModelError):
-    """Condition text on a flow failed to parse."""
-
-    def __init__(self, flow_id: str, source_id: str, cause: ConditionParseError):
-        self.flow_id = flow_id
-        self.source_id = source_id
-        self.cause = cause
-        super().__init__(f"flow {flow_id!r} from {source_id!r}: {cause}")
+    """A model that cannot be read or built: bad XML, an unsupported element,
+    a dangling reference, an unparsable condition or a broken invariant."""
 
 
 class NodeKind(str, Enum):
@@ -97,61 +68,52 @@ class GatewayView(NamedTuple):
 class ProcessModel:
     """Process graph; node and flow tuples preserve document order.  Treat it
     as immutable: its nodes and flows are checked, and its indexes built, at
-    construction.  Equality and hashing ignore ``metadata``."""
+    construction."""
 
-    __slots__ = ("model_id", "nodes", "flows", "start_node", "metadata", "_by_id", "_outgoing")
+    __slots__ = ("model_id", "nodes", "flows", "start_node", "_by_id", "_outgoing")
 
-    def __init__(
-        self,
-        model_id: str,
-        nodes: tuple[Node, ...],
-        flows: tuple[SequenceFlow, ...],
-        metadata: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, model_id: str, nodes: tuple[Node, ...], flows: tuple[SequenceFlow, ...]):
         self.model_id, self.nodes, self.flows = model_id, nodes, flows
-        self.metadata = {} if metadata is None else metadata
         by_id: dict[str, Node] = {}
         for node in self.nodes:
             if node.id in by_id:
-                raise InvalidModelError(f"duplicate node id {node.id!r}")
+                raise ModelError(f"duplicate node id {node.id!r}")
             if node.kpi_outputs and node.kind is not NodeKind.TASK:
-                raise InvalidModelError(f"node {node.id!r}: kpi outputs on non-task")
+                raise ModelError(f"node {node.id!r}: kpi outputs on non-task")
             if len(set(node.kpi_outputs)) != len(node.kpi_outputs):
-                raise InvalidModelError(f"node {node.id!r}: duplicate kpi outputs")
+                raise ModelError(f"node {node.id!r}: duplicate kpi outputs")
             by_id[node.id] = node
         outgoing: dict[str, list[SequenceFlow]] = {n.id: [] for n in self.nodes}
         flow_ids: set[str] = set()
         for flow in self.flows:
             if flow.is_default and flow.condition is not None:
-                raise InvalidModelError(f"flow {flow.id!r}: default flow cannot carry a condition")
+                raise ModelError(f"flow {flow.id!r}: default flow cannot carry a condition")
             if flow.id in flow_ids:
-                raise InvalidModelError(f"duplicate flow id {flow.id!r}")
+                raise ModelError(f"duplicate flow id {flow.id!r}")
             flow_ids.add(flow.id)
             for ref in (flow.source, flow.target):
                 if ref not in by_id:
-                    raise DanglingReferenceError(
-                        f"flow {flow.id!r} references unknown node {ref!r}"
-                    )
+                    raise ModelError(f"flow {flow.id!r} references unknown node {ref!r}")
             if flow.condition is not None and by_id[flow.source].kind is not NodeKind.EXCLUSIVE_GATEWAY:
-                raise InvalidModelError(
+                raise ModelError(
                     f"flow {flow.id!r}: condition on flow from non-gateway {flow.source!r}"
                 )
             outgoing[flow.source].append(flow)
         starts = [n for n in self.nodes if n.kind is NodeKind.START_EVENT]
         if len(starts) != 1:
-            raise InvalidModelError(f"model {self.model_id!r}: expected exactly one start event")
+            raise ModelError(f"model {self.model_id!r}: expected exactly one start event")
         self.start_node = starts[0].id
         if not any(n.kind is NodeKind.END_EVENT for n in self.nodes):
-            raise InvalidModelError(f"model {self.model_id!r}: no end event")
+            raise ModelError(f"model {self.model_id!r}: no end event")
         for node in self.nodes:
             if node.kind is not NodeKind.END_EVENT and not outgoing[node.id]:
-                raise InvalidModelError(f"node {node.id!r} has no outgoing flow")
+                raise ModelError(f"node {node.id!r} has no outgoing flow")
         for node in self.nodes:
             defaults = [f for f in outgoing[node.id] if f.is_default]
             if defaults and node.kind is not NodeKind.EXCLUSIVE_GATEWAY:
-                raise InvalidModelError(f"default flow on non-gateway {node.id!r}")
+                raise ModelError(f"default flow on non-gateway {node.id!r}")
             if len(defaults) > 1:
-                raise InvalidModelError(f"gateway {node.id!r} has multiple default flows")
+                raise ModelError(f"gateway {node.id!r} has multiple default flows")
         self._by_id = by_id
         self._outgoing = {k: tuple(v) for k, v in outgoing.items()}
 
@@ -165,7 +127,7 @@ class ProcessModel:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"ProcessModel{(*self._key(), self.metadata)!r}"
+        return f"ProcessModel{self._key()!r}"
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -202,7 +164,7 @@ def _kpi_outputs(elem: ET.Element, label: str, kpi_task_tags: Mapping[str, str] 
         outputs = tuple(part for part in (p.strip() for p in raw.split(";")) if part)
         for name in outputs:
             if name not in ("NC", "HC"):  # the KPIs a task emits; the rest derive from HC
-                raise InvalidModelError(f"task {elem.get('id')!r}: kpi output {name!r} is not NC or HC")
+                raise ModelError(f"task {elem.get('id')!r}: kpi output {name!r} is not NC or HC")
         return outputs
     if kpi_task_tags:
         matched = [
@@ -224,11 +186,11 @@ def _process(xml_text: str) -> ET.Element:
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
-        raise XmlSyntaxError(str(exc)) from exc
+        raise ModelError(str(exc)) from exc
     for depth, element in ((0, root), *((1, child) for child in root)):
         if _is_process(element.tag, depth):
             return element
-    raise InvalidModelError("no <process> element found")
+    raise ModelError("no <process> element found")
 
 
 def _process_id(process: Mapping[str, str] | ET.Element) -> str:
@@ -259,10 +221,18 @@ def model_id(xml_text: str) -> str:
     try:
         parser.Parse(xml_text, True)
     except expat.ExpatError as exc:
-        raise XmlSyntaxError(str(exc)) from exc
+        raise ModelError(str(exc)) from exc
     if not found:
-        raise InvalidModelError("no <process> element found")
+        raise ModelError("no <process> element found")
     return _process_id(found[0])
+
+
+_KIND_BY_TAG = {
+    "startEvent": NodeKind.START_EVENT,
+    "endEvent": NodeKind.END_EVENT,
+    "task": NodeKind.TASK,
+    "exclusiveGateway": NodeKind.EXCLUSIVE_GATEWAY,
+}
 
 
 def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) -> ProcessModel:
@@ -275,22 +245,21 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
     nodes: list[Node] = []
     flows: list[tuple[ET.Element, str]] = []  # element, id
     defaults: dict[str, str] = {}  # gateway id -> default flow id
-    kind_by_tag = {tag: kind for kind, tag in _TAG_BY_KIND.items()}
     for child in process:
         ns = _namespace(child.tag)
         if ns not in (NS_MODEL, ""):
             continue  # foreign namespace, e.g. diagram interchange
         local = _local(child.tag)
-        if local not in _SUPPORTED:
-            raise UnsupportedElementError(local)
+        kind = _KIND_BY_TAG.get(local)
+        if kind is None and local != "sequenceFlow":
+            raise ModelError(f"unsupported element <{local}>")
         elem_id = child.get("id")
         if not elem_id:
-            raise InvalidModelError(f"<{local}> without id")
-        if local == "sequenceFlow":
+            raise ModelError(f"<{local}> without id")
+        if kind is None:
             flows.append((child, elem_id))
             continue
         label = child.get("name", "")
-        kind = kind_by_tag[local]
         kpi = _kpi_outputs(child, label, kpi_task_tags) if kind is NodeKind.TASK else ()
         nodes.append(Node(elem_id, kind, label, kpi))
         if kind is NodeKind.EXCLUSIVE_GATEWAY:
@@ -303,103 +272,25 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
         source = elem.get("sourceRef")
         target = elem.get("targetRef")
         if not source or not target:
-            raise InvalidModelError(f"flow {flow_id!r} missing sourceRef/targetRef")
+            raise ModelError(f"flow {flow_id!r} missing sourceRef/targetRef")
         condition: ConditionAst | None = None
         for sub in elem:
             if _local(sub.tag) == "conditionExpression":
                 text = (sub.text or "").strip()
                 if not text:
-                    raise InvalidModelError(f"flow {flow_id!r}: empty condition expression")
+                    raise ModelError(f"flow {flow_id!r}: empty condition expression")
                 try:
                     condition = parse_condition(text)
                 except ConditionParseError as exc:
-                    raise GatewayConditionError(flow_id, source, exc) from exc
+                    raise ModelError(f"flow {flow_id!r} from {source!r}: {exc}") from exc
         is_default = defaults.get(source) == flow_id
         built_flows.append(SequenceFlow(flow_id, source, target, condition, is_default))
 
     for gateway_id, flow_ref in defaults.items():
         if not any(f.id == flow_ref and f.source == gateway_id for f in built_flows):
-            raise DanglingReferenceError(
-                f"gateway {gateway_id!r} default references unknown flow {flow_ref!r}"
-            )
+            raise ModelError(f"gateway {gateway_id!r} default references unknown flow {flow_ref!r}")
 
-    metadata: dict[str, str] = {}
-    name = process.get("name")
-    if name:
-        metadata["name"] = name
-    return ProcessModel(
-        model_id=_process_id(process),
-        nodes=tuple(nodes),
-        flows=tuple(built_flows),
-        metadata=metadata,
-    )
-
-
-def escape(text: str) -> str:
-    """``xml.sax.saxutils.escape`` without its ``urllib.request`` import."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
-def quoteattr(text: str) -> str:
-    """``xml.sax.saxutils.quoteattr``: an escaped attribute value with its
-    quotes, which are single when the value holds only a double quote."""
-    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
-    if '"' not in text:
-        return f'"{text}"'
-    if "'" not in text:
-        return f"'{text}'"
-    return '"' + text.replace('"', "&quot;") + '"'
-
-
-_TAG_BY_KIND = {
-    NodeKind.START_EVENT: "startEvent",
-    NodeKind.END_EVENT: "endEvent",
-    NodeKind.TASK: "task",
-    NodeKind.EXCLUSIVE_GATEWAY: "exclusiveGateway",
-}
-
-
-def serialize_bpmn(model: ProcessModel) -> str:
-    """Serialize to BPMN XML.  Reparsing yields an equal model, id for id and
-    condition AST for condition AST."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<bpmn:definitions xmlns:bpmn={quoteattr(NS_MODEL)} xmlns:kpi={quoteattr(NS_KPI)}'
-        f' targetNamespace="urn:bpmndiverge:process">',
-    ]
-    name = model.metadata.get("name")
-    name_attr = f" name={quoteattr(name)}" if name else ""
-    lines.append(f'  <bpmn:process id={quoteattr(model.model_id)}{name_attr} isExecutable="true">')
-    default_by_gateway = {
-        f.source: f.id for f in model.flows if f.is_default
-    }
-    for node in model.nodes:
-        tag = _TAG_BY_KIND[node.kind]
-        attrs = [f"id={quoteattr(node.id)}"]
-        if node.label:
-            attrs.append(f"name={quoteattr(node.label)}")
-        if node.kind is NodeKind.EXCLUSIVE_GATEWAY and node.id in default_by_gateway:
-            attrs.append(f"default={quoteattr(default_by_gateway[node.id])}")
-        if node.kpi_outputs:
-            attrs.append(f"kpi:outputs={quoteattr(';'.join(node.kpi_outputs))}")
-        lines.append(f"    <bpmn:{tag} {' '.join(attrs)}/>")
-    for flow in model.flows:
-        attrs = (
-            f"id={quoteattr(flow.id)} sourceRef={quoteattr(flow.source)}"
-            f" targetRef={quoteattr(flow.target)}"
-        )
-        if flow.condition is None:
-            lines.append(f"    <bpmn:sequenceFlow {attrs}/>")
-        else:
-            lines.append(f"    <bpmn:sequenceFlow {attrs}>")
-            lines.append(
-                f"      <bpmn:conditionExpression>{escape(to_text(flow.condition))}"
-                "</bpmn:conditionExpression>"
-            )
-            lines.append("    </bpmn:sequenceFlow>")
-    lines.append("  </bpmn:process>")
-    lines.append("</bpmn:definitions>")
-    return "\n".join(lines) + "\n"
+    return ProcessModel(_process_id(process), tuple(nodes), tuple(built_flows))
 
 
 def gateways(model: ProcessModel) -> list[GatewayView]:

@@ -330,6 +330,16 @@ def _pick_pair(
             f"{source} names model(s) not in models_dir: {', '.join(unknown)} "
             "(rerun simulate and entropy)"
         )
+    combo_of: dict[str, int] = {}
+    for index, ids in enumerate(members):
+        if not ids:
+            raise DataError(f"{source}: combo {index} lists no model (rerun entropy)")
+        for model_id in ids:
+            if combo_of.setdefault(model_id, index) != index:
+                raise DataError(
+                    f"{source}: model {model_id!r} is in combos {combo_of[model_id]} and {index} "
+                    "(rerun entropy)"
+                )
     return distribution.select_representatives(members)
 
 
@@ -725,14 +735,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         DataError,
         bpmn.ModelError,
         simulation.CaseDataError,
-        simulation.SimulationError,
         distribution.SingleClassError,
         repair.ExcerptNotFoundError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (repair.ProviderUnavailableError, repair.ProviderMalformedResponseError) as exc:
+    except repair.ProviderUnavailableError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 3
 

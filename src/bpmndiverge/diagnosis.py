@@ -376,7 +376,7 @@ def choose_direction(
 
     Each model walks the cases once, as path classes; both orientations are
     built from the same class pairs, and the observation table only for the
-    chosen one.  Ties fall back to the number of minimal diagnoses, then to
+    chosen one.  Ties fall back to the number of refined diagnoses, then to
     the lexicographically smaller reference model id.  Raises
     NoDivergenceError when no case that completes on both models diverges.
     """

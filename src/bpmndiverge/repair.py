@@ -275,7 +275,8 @@ def localize_ambiguity(
 class RewriteProvider(Protocol):
     """Provider contract: one request per ambiguity, one record-shaped dict
     back.  Implementations raise ProviderUnavailableError for transport
-    failures and ProviderMalformedResponseError for unusable payloads."""
+    failures and ProviderMalformedResponseError for unusable payloads, which
+    ``propose_repairs`` rejects."""
 
     def rewrite(self, request: Mapping[str, object]) -> Mapping[str, object]:
         ...
@@ -410,10 +411,11 @@ def _coerce_record(
         return None, "missing or empty rationale"
     if not isinstance(evidence, (list, tuple)) or not evidence:
         return None, "missing evidence_refs"
-    refs = tuple(str(item) for item in evidence)
-    if any(not ref.strip() for ref in refs):
+    if not all(isinstance(ref, str) for ref in evidence):
+        return None, "evidence reference is not a string"
+    if any(not ref.strip() for ref in evidence):
         return None, "blank evidence reference"
-    return RepairRecord(*anchor, revised, rationale, refs), None
+    return RepairRecord(*anchor, revised, rationale, tuple(evidence)), None
 
 
 def propose_repairs(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from bpmndiverge.repair import NarrativeDocument
 from bpmndiverge.simulation import KpiConfig, load_cases_csv
 
 ROOT = Path(__file__).resolve().parent.parent
+# The model writer and the family generator live in scripts/, outside the package.
+sys.path.insert(0, str(ROOT / "scripts"))
 
 # A longer search for CI (``--hypothesis-profile=ci``); plain runs keep the
 # default profile.

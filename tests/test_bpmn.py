@@ -1,4 +1,4 @@
-"""Model parsing, serialization, and structural validation."""
+"""Model parsing, serialization (the writer in scripts/), and structural validation."""
 
 from decimal import Decimal
 from xml.sax import saxutils
@@ -7,29 +7,23 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bpmndiverge.bpmn import (
-    DanglingReferenceError,
-    GatewayConditionError,
-    InvalidModelError,
     IssueCategory,
+    ModelError,
     Node,
     NodeKind,
     ProcessModel,
     SequenceFlow,
-    UnsupportedElementError,
-    XmlSyntaxError,
     _process,
     _process_id,
-    escape,
     gateways,
     model_id,
     parse_bpmn,
-    quoteattr,
-    serialize_bpmn,
     validate_structure,
 )
-from bpmndiverge.conditions import Compare
+from bpmndiverge.conditions import Compare, ConditionParseError
 
 import modelkit as mk
+from bpmn_writer import escape, quoteattr, serialize_bpmn
 
 
 def wrap(process_body: str, process_attrs: str = 'id="p1"') -> str:
@@ -59,7 +53,7 @@ def _tree_id(xml: str) -> str:
 def _id_outcome(read, xml: str):
     try:
         return read(xml)
-    except (XmlSyntaxError, InvalidModelError) as exc:
+    except ModelError as exc:
         return type(exc), str(exc)
 
 
@@ -85,7 +79,6 @@ class TestParsing:
 
     def test_city1_strict_structure(self, strict_model):
         assert strict_model.model_id == "city1_and_strict"
-        assert strict_model.metadata["name"].startswith("City 1")
         flows = {flow.id: flow for flow in strict_model.flows}
         assert flows["f_eligible"].condition is not None and not flows["f_eligible"].is_default
         assert flows["f_not_eligible"].is_default
@@ -112,9 +105,8 @@ class TestParsing:
 
     def test_unsupported_model_element_rejected(self):
         body = MINIMAL + '<bpmn:subProcess id="sub"/>'
-        with pytest.raises(UnsupportedElementError) as info:
+        with pytest.raises(ModelError, match="^unsupported element <subProcess>$"):
             parse_bpmn(wrap(body))
-        assert info.value.element == "subProcess"
 
     def test_no_namespace_accepted(self):
         xml = (
@@ -141,11 +133,11 @@ class TestParsing:
         assert parse_bpmn(xml).node("t").kpi_outputs == ()
 
     def test_bad_xml(self):
-        with pytest.raises(XmlSyntaxError):
+        with pytest.raises(ModelError):
             parse_bpmn("<definitions><process></definitions>")
 
     def test_missing_process(self):
-        with pytest.raises(InvalidModelError, match="process"):
+        with pytest.raises(ModelError, match="process"):
             parse_bpmn('<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')
 
     @pytest.mark.parametrize(
@@ -165,9 +157,9 @@ class TestParsing:
 
     def test_model_id_checks_only_the_xml_and_the_process(self):
         assert model_id(wrap(MINIMAL + '<bpmn:subProcess id="sub"/>')) == "p1"
-        with pytest.raises(XmlSyntaxError):
+        with pytest.raises(ModelError):
             model_id("<definitions><process></definitions>")
-        with pytest.raises(InvalidModelError, match="process"):
+        with pytest.raises(ModelError, match="process"):
             model_id('<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')
 
     @pytest.mark.parametrize(
@@ -206,7 +198,7 @@ class TestParsing:
             '<bpmn:sequenceFlow id="f2" sourceRef="t" targetRef="e">'
             "<bpmn:conditionExpression>  </bpmn:conditionExpression></bpmn:sequenceFlow>",
         )
-        with pytest.raises(InvalidModelError, match="empty condition"):
+        with pytest.raises(ModelError, match="empty condition"):
             parse_bpmn(wrap(body))
 
     def test_condition_parse_failure_carries_context(self):
@@ -222,23 +214,22 @@ class TestParsing:
 <bpmn:sequenceFlow id="f3" sourceRef="g" targetRef="e"/>
 <bpmn:sequenceFlow id="f4" sourceRef="t" targetRef="e"/>
 """
-        with pytest.raises(GatewayConditionError) as info:
+        with pytest.raises(ModelError, match="^flow 'f2' from 'g': at offset 5: unexpected '=='") as info:
             parse_bpmn(wrap(body))
-        assert info.value.flow_id == "f2"
-        assert info.value.source_id == "g"
-        assert info.value.cause.offset == 5
+        assert isinstance(info.value.__cause__, ConditionParseError)
+        assert info.value.__cause__.offset == 5
 
     def test_condition_nested_past_the_limit_names_its_flow(self):
         body = serialize_bpmn(mk.branch_model("x >= 5")).replace(
             "x &gt;= 5", "(" * 300 + "x &gt;= 5" + ")" * 300
         )
-        with pytest.raises(GatewayConditionError, match="nested deeper than") as info:
+        with pytest.raises(ModelError, match="^flow 'fy' from 'g': at offset 32: nested deeper than") as info:
             parse_bpmn(body)
-        assert (info.value.flow_id, info.value.source_id) == ("fy", "g")
+        assert isinstance(info.value.__cause__, ConditionParseError)
 
     def test_dangling_flow_reference(self):
         body = MINIMAL + '<bpmn:sequenceFlow id="f3" sourceRef="t" targetRef="ghost"/>'
-        with pytest.raises(DanglingReferenceError, match="ghost"):
+        with pytest.raises(ModelError, match="ghost"):
             parse_bpmn(wrap(body))
 
     def test_dangling_default_reference(self):
@@ -249,17 +240,17 @@ class TestParsing:
 <bpmn:sequenceFlow id="f1" sourceRef="s" targetRef="g"/>
 <bpmn:sequenceFlow id="f2" sourceRef="g" targetRef="e"/>
 """
-        with pytest.raises(DanglingReferenceError, match="nope"):
+        with pytest.raises(ModelError, match="nope"):
             parse_bpmn(wrap(body))
 
     def test_duplicate_node_id(self):
         body = MINIMAL + '<bpmn:task id="t"/>'
-        with pytest.raises(InvalidModelError, match="duplicate node id"):
+        with pytest.raises(ModelError, match="duplicate node id"):
             parse_bpmn(wrap(body))
 
     def test_two_start_events(self):
         body = MINIMAL + '<bpmn:startEvent id="s2"/>'
-        with pytest.raises(InvalidModelError, match="start event"):
+        with pytest.raises(ModelError, match="start event"):
             parse_bpmn(wrap(body))
 
     def test_missing_end_event(self):
@@ -268,7 +259,7 @@ class TestParsing:
             '<bpmn:sequenceFlow id="f1" sourceRef="s" targetRef="t"/>'
             '<bpmn:sequenceFlow id="f2" sourceRef="t" targetRef="s"/>'
         )
-        with pytest.raises(InvalidModelError, match="no end event"):
+        with pytest.raises(ModelError, match="no end event"):
             parse_bpmn(xml)
 
     def test_condition_on_non_gateway_flow_rejected(self):
@@ -277,18 +268,18 @@ class TestParsing:
             '<bpmn:sequenceFlow id="f2" sourceRef="t" targetRef="e">'
             "<bpmn:conditionExpression>x == 1</bpmn:conditionExpression></bpmn:sequenceFlow>",
         )
-        with pytest.raises(InvalidModelError, match="non-gateway"):
+        with pytest.raises(ModelError, match="non-gateway"):
             parse_bpmn(wrap(body))
 
     def test_element_without_id(self):
-        with pytest.raises(InvalidModelError, match="without id"):
+        with pytest.raises(ModelError, match="without id"):
             parse_bpmn(wrap(MINIMAL + "<bpmn:task/>"))
 
 
 class TestTypeInvariants:
     # Nodes and flows are plain records: the model built from them checks them.
     def test_default_flow_cannot_carry_condition(self):
-        with pytest.raises(InvalidModelError, match="flow 'f2': default flow cannot carry"):
+        with pytest.raises(ModelError, match="flow 'f2': default flow cannot carry"):
             mk.model(
                 "m",
                 [mk.start("s"), mk.gateway("g"), mk.end("e")],
@@ -296,7 +287,7 @@ class TestTypeInvariants:
             )
 
     def test_kpi_outputs_only_on_tasks(self):
-        with pytest.raises(InvalidModelError, match="node 'g': kpi outputs on non-task"):
+        with pytest.raises(ModelError, match="node 'g': kpi outputs on non-task"):
             mk.model(
                 "m",
                 [mk.start("s"), Node("g", NodeKind.EXCLUSIVE_GATEWAY, "", ("NC",)), mk.end("e")],
@@ -304,7 +295,7 @@ class TestTypeInvariants:
             )
 
     def test_duplicate_kpi_outputs(self):
-        with pytest.raises(InvalidModelError, match="node 't': duplicate kpi outputs"):
+        with pytest.raises(ModelError, match="node 't': duplicate kpi outputs"):
             mk.model(
                 "m",
                 [mk.start("s"), mk.task("t", "Work", ("NC", "NC")), mk.end("e")],
@@ -332,11 +323,11 @@ class TestTypeInvariants:
         ],
     )
     def test_parsed_models_are_checked_too(self, body, message):
-        with pytest.raises(InvalidModelError, match=message):
+        with pytest.raises(ModelError, match=message):
             parse_bpmn(wrap(body))
 
     def test_multiple_defaults_rejected(self):
-        with pytest.raises(InvalidModelError, match="multiple default"):
+        with pytest.raises(ModelError, match="multiple default"):
             mk.model(
                 "m",
                 [mk.start("s"), mk.gateway("g"), mk.end("e1"), mk.end("e2")],
@@ -348,7 +339,7 @@ class TestTypeInvariants:
             )
 
     def test_node_without_outgoing_rejected(self):
-        with pytest.raises(InvalidModelError, match="no outgoing"):
+        with pytest.raises(ModelError, match="no outgoing"):
             mk.model(
                 "m",
                 [mk.start("s"), mk.task("t", "Stuck"), mk.end("e")],
@@ -361,7 +352,6 @@ class TestSerialization:
         for original in (strict_model, broad_model):
             reparsed = parse_bpmn(serialize_bpmn(original))
             assert reparsed == original
-            assert dict(reparsed.metadata) == dict(original.metadata)
 
     def test_serialize_is_stable_on_its_own_output(self, strict_model):
         once = serialize_bpmn(strict_model)

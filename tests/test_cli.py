@@ -5,19 +5,22 @@ import os
 import shutil
 import socket
 import stat
+import subprocess
+import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from bpmndiverge import bpmn, cli, repair
-from bpmndiverge.bpmn import serialize_bpmn
 from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
 from bpmndiverge.repair import NarrativeDocument
 from bpmndiverge.simulation import KpiConfig
 
 import modelkit as mk
+from bpmn_writer import serialize_bpmn
 
 CONFIG = "fixtures/city1/config.cfg"
 
@@ -485,6 +488,30 @@ class TestDiagnose:
         assert run_city1(out, "--models", str(models_dir), "diagnose") == 2
         assert "not in models_dir: city1_or_broad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "models,message",
+        [
+            (
+                [["city1_or_broad"], ["city1_or_broad", "city1_and_strict"]],
+                "model 'city1_or_broad' is in combos 0 and 1",
+            ),
+            ([["city1_or_broad"], []], "combo 1 lists no model"),
+        ],
+        ids=["model in two combos", "empty combo"],
+    )
+    def test_auto_pick_rejects_a_malformed_distribution(self, out, capsys, models, message):
+        run_city1(out, "simulate")
+        run_city1(out, "entropy")
+        path = out / "distribution.json"
+        payload = read_json(path)
+        for combo, ids in zip(payload["combos"], models):
+            combo["models"] = ids
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_city1(out, "diagnose") == 2
+        assert capsys.readouterr().err == f"error: distribution.json: {message} (rerun entropy)\n"
+        assert not (out / "diagnosis.json").exists()
+
     def test_outputs_that_differ_without_a_gateway_are_unattributable(self, out, tmp_path):
         models_dir = tmp_path / "models"
         models_dir.mkdir()
@@ -731,6 +758,35 @@ def dead_endpoint() -> str:
         return f"http://127.0.0.1:{probe.getsockname()[1]}/rewrite"
 
 
+@contextmanager
+def serving(answer):
+    """The endpoint of a local server that answers each POST with the bytes
+    ``answer(headers, body)`` returns, where ``body`` is the request text."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers.get("Content-Length", 0))
+            payload = answer(self.headers, self.rfile.read(length).decode())
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    ).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/rewrite"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def full_pipeline(out) -> None:
     run_city1(out, "simulate")
     run_city1(out, "entropy")
@@ -831,49 +887,43 @@ class TestRepair:
     def test_http_provider_receives_env_token(self, out, tmp_path, monkeypatch):
         seen = []
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length))
-                seen.append({"auth": self.headers.get("Authorization"), "body": body})
-                payload = json.dumps(
-                    {
-                        "revised_excerpt": f"rewritten {body['ambiguity_id']}",
-                        "rationale": "confirmed by the office",
-                        "evidence_refs": ["supplemental:Q1"],
-                    }
-                ).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+        def answer(headers, text):
+            body = json.loads(text)
+            seen.append({"auth": headers.get("Authorization"), "body": body})
+            return json.dumps(
+                {
+                    "revised_excerpt": f"rewritten {body['ambiguity_id']}",
+                    "rationale": "confirmed by the office",
+                    "evidence_refs": ["supplemental:Q1"],
+                }
+            ).encode()
 
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        ).start()
-        try:
+        with serving(answer) as endpoint:
             cfg = http_config(
                 tmp_path,
-                f"provider_endpoint = http://127.0.0.1:{server.server_address[1]}/rewrite",
+                f"provider_endpoint = {endpoint}",
                 "provider_model = rewriter-1",
                 "provider_auth_env = REWRITE_TOKEN",
             )
             monkeypatch.setenv("REWRITE_TOKEN", "hunter2")
             full_pipeline(out)
             assert run("--config", str(cfg), "--out", str(out), "repair") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
         assert len(seen) == 2
         assert all(item["auth"] == "Bearer hunter2" for item in seen)
         assert seen[0]["body"]["model"] == "rewriter-1"
         repairs = read_json(out / "repairs.json")
         assert repairs["records"][0]["revised_excerpt"] == "rewritten AMB-1"
+
+    def test_a_body_that_is_not_json_is_a_rejection_not_exit_3(self, out, tmp_path, capsys):
+        with serving(lambda headers, text: b"<html>hi</html>") as endpoint:
+            cfg = http_config(tmp_path, f"provider_endpoint = {endpoint}")
+            full_pipeline(out)
+            assert run("--config", str(cfg), "--out", str(out), "repair") == 0
+        reason = "non-JSON body: Expecting value: line 1 column 1 (char 0)"
+        assert read_json(out / "repairs.json")["rejected"] == [
+            {"ambiguity_id": ambiguity_id, "reason": reason} for ambiguity_id in ("AMB-1", "AMB-2")
+        ]
+        assert "applied 0 repair(s), rejected 2" in capsys.readouterr().out
 
     def test_unreachable_http_provider_exits_3(self, out, tmp_path, capsys):
         cfg = http_config(tmp_path, f"provider_endpoint = {dead_endpoint()}", "provider_retries = 0")
@@ -1615,3 +1665,20 @@ def test_an_out_of_range_kpi_parameter_is_a_config_error(
     assert run("--config", str(cfg), "--out", str(out), "simulate") == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps(repo_root):
+    """``perfbench/tracer.py`` wraps the package's layer functions by name
+    (``diagnosis.execute_case``, ``simulation.aggregate_kpis``, ``cli.dump_json``
+    ...), so renaming one breaks the traced benchmark.  ``install`` patches
+    package modules and ``pathlib.Path.read_text``, so it runs in a child."""
+    paths = [str(repo_root / "perfbench"), str(repo_root / "src")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer('probe'))"],
+        cwd=repo_root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -366,6 +366,8 @@ class TestProposeRepairs:
             ({"revised_excerpt": "x", "rationale": "r", "evidence_refs": []}, "evidence_refs"),
             ({"revised_excerpt": "x", "rationale": "r", "evidence_refs": [" "]}, "blank evidence"),
             (["x", "r", ["e"]], "canned response is not an object"),
+            ({"revised_excerpt": "x", "rationale": "r", "evidence_refs": [None]}, "not a string"),
+            ({"revised_excerpt": "x", "rationale": "r", "evidence_refs": ["e", 5]}, "not a string"),
         ],
     )
     def test_unsupported_records_rejected(
