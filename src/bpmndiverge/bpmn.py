@@ -20,6 +20,8 @@ from .conditions import ConditionAst, ConditionParseError, parse_condition
 
 NS_MODEL = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 NS_KPI = "urn:bpmndiverge:kpi"
+# What an ElementTree tag in the model namespace, or in none, has before its "}".
+_MODEL_PREFIXES = ("{" + NS_MODEL, "")
 
 
 class ModelError(Exception):
@@ -146,22 +148,12 @@ class Issue(NamedTuple):
     detail: str
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
-def _namespace(tag: str) -> str:
-    if tag.startswith("{"):
-        return tag[1:].split("}", 1)[0]
-    return ""
-
-
 def _kpi_outputs(elem: ET.Element, label: str, kpi_task_tags: Mapping[str, str] | None) -> tuple[str, ...]:
     raw = elem.get(f"{{{NS_KPI}}}outputs")
     if raw is None:
         raw = elem.get("outputs")
     if raw is not None:
-        outputs = tuple(part for part in (p.strip() for p in raw.split(";")) if part)
+        outputs = tuple(filter(None, map(str.strip, raw.split(";"))))
         for name in outputs:
             if name not in ("NC", "HC"):  # the KPIs a task emits; the rest derive from HC
                 raise ModelError(f"task {elem.get('id')!r}: kpi output {name!r} is not NC or HC")
@@ -177,8 +169,8 @@ def _kpi_outputs(elem: ET.Element, label: str, kpi_task_tags: Mapping[str, str] 
 def _is_process(tag: str, depth: int) -> bool:
     """Whether ``tag`` at ``depth`` is a ``process`` root (0) or a ``process``
     child of it (1) in the model namespace or none; the first one is the model's."""
-    ns_ok = depth == 0 or depth == 1 and _namespace(tag) in (NS_MODEL, "")
-    return ns_ok and _local(tag) == "process"
+    prefix, _brace, local = tag.rpartition("}")
+    return (depth == 0 or depth == 1 and prefix in _MODEL_PREFIXES) and local == "process"
 
 
 def _process(xml_text: str) -> ET.Element:
@@ -235,21 +227,25 @@ _KIND_BY_TAG = {
 }
 
 
-def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) -> ProcessModel:
+def parse_bpmn(
+    xml_text: str, kpi_task_tags: Mapping[str, str] | None = None, conditions: dict | None = None
+) -> ProcessModel:
     """Parse BPMN XML into a ProcessModel.
 
     ``kpi_task_tags`` is the fallback mapping kpi-name -> label substring used
-    when a task has no explicit ``kpi:outputs`` attribute.
+    when a task has no explicit ``kpi:outputs`` attribute.  ``conditions``
+    maps condition texts to their ASTs; a text is parsed only when it is not
+    there and then added, so the models parsed with one dict share ASTs.
     """
     process = _process(xml_text)
+    conditions = {} if conditions is None else conditions
     nodes: list[Node] = []
     flows: list[tuple[ET.Element, str]] = []  # element, id
     defaults: dict[str, str] = {}  # gateway id -> default flow id
     for child in process:
-        ns = _namespace(child.tag)
-        if ns not in (NS_MODEL, ""):
+        prefix, _brace, local = child.tag.rpartition("}")
+        if prefix not in _MODEL_PREFIXES:
             continue  # foreign namespace, e.g. diagram interchange
-        local = _local(child.tag)
         kind = _KIND_BY_TAG.get(local)
         if kind is None and local != "sequenceFlow":
             raise ModelError(f"unsupported element <{local}>")
@@ -275,19 +271,20 @@ def parse_bpmn(xml_text: str, kpi_task_tags: Mapping[str, str] | None = None) ->
             raise ModelError(f"flow {flow_id!r} missing sourceRef/targetRef")
         condition: ConditionAst | None = None
         for sub in elem:
-            if _local(sub.tag) == "conditionExpression":
+            if sub.tag.rpartition("}")[2] == "conditionExpression":
                 text = (sub.text or "").strip()
                 if not text:
                     raise ModelError(f"flow {flow_id!r}: empty condition expression")
-                try:
-                    condition = parse_condition(text)
+                try:  # an AST is a non-empty tuple, so a cached one is true
+                    condition = conditions[text] = conditions.get(text) or parse_condition(text)
                 except ConditionParseError as exc:
                     raise ModelError(f"flow {flow_id!r} from {source!r}: {exc}") from exc
         is_default = defaults.get(source) == flow_id
         built_flows.append(SequenceFlow(flow_id, source, target, condition, is_default))
 
+    default_sources = {flow.source for flow in built_flows if flow.is_default}
     for gateway_id, flow_ref in defaults.items():
-        if not any(f.id == flow_ref and f.source == gateway_id for f in built_flows):
+        if gateway_id not in default_sources:
             raise ModelError(f"gateway {gateway_id!r} default references unknown flow {flow_ref!r}")
 
     return ProcessModel(_process_id(process), tuple(nodes), tuple(built_flows))

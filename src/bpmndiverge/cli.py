@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import Any, Callable, Collection, NoReturn, Sequence
 
@@ -32,19 +33,43 @@ _MODEL_ID = re.compile(r"\w[\w.-]*")
 
 
 def dump_json(payload: object) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """The text of ``json.dumps(payload, indent=2, ensure_ascii=False)`` and a
+    newline.  ``json`` encodes with an indent in Python, a generator step per
+    item; this encodes each string with its C ``encode_basestring`` and joins
+    each container once."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value: object, indent: str) -> str:
+    """``value`` as ``dump_json`` writes it where its lines start with ``indent``."""
+    if isinstance(value, str):
+        return _string(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_string(item) if type(item) is str else _json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        # json.dumps converts a key that is not a string, or raises its TypeError.
+        keys = [_string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4] for k in value]
+        items = [f"{key}: {_json(item, inner)}" for key, item in zip(keys, value.values())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    return json.dumps(value)  # a number, a bool or None; anything else raises json's TypeError
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a new temp file beside it, made with
-    mode 0o666 less the umask as ``open`` would; failing to is a config error."""
+    """Write ``text`` to ``path`` as UTF-8 through a new temp file beside it,
+    which ``open`` gives mode 0o666 less the umask; failing to is a config
+    error.  The directory is made only when the temp file cannot be opened."""
     temp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            handle = open(temp_name, "xb")
+        except OSError:  # mkdir raises what stands in the way, or makes the directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(temp_name, "xb")
+        try:
+            with handle:
+                handle.write(text.encode())
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -58,15 +83,15 @@ def atomic_write(path: Path, text: str) -> None:
 
 def _read_input(path: Path | None, key: str, hint: str = "") -> str:
     """The text of the UTF-8 file ``path``, configured as ``key``; ``hint``
-    follows "not found" when the file is missing."""
+    follows "not found" when the file cannot be opened."""
     if path is None:
         raise ConfigError(f"{key} is not configured")
-    if not path.is_file():
-        raise DataError(f"{key} not found{hint}: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}")
+    except OSError:  # no such file, a directory, or a name the OS rejects
+        raise DataError(f"{key} not found{hint}: {path}")
 
 
 def _parse_json(text: str, source: str, parse_float: Callable[[str], Any] = float) -> Any:
@@ -97,24 +122,28 @@ def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str
 
 
 def _model_files(config: RunConfig, names: Sequence[object] = ()) -> list[Path]:
-    """The regular .bpmn and .xml files directly in ``models_dir``: all, or those ``names`` name."""
+    """The regular .bpmn and .xml files directly in ``models_dir``: all, in
+    name order, or those ``names`` name."""
     models_dir = config.models_dir
     if models_dir is None:
         raise ConfigError("models_dir is not configured")
-    if not models_dir.is_dir():
+    try:
+        with os.scandir(models_dir) as entries:
+            found = {e.name for e in entries if e.is_file()}
+    except OSError:  # no such directory, not a directory, or a name the OS rejects
         raise DataError(f"models directory not found: {models_dir}")
-    named = [models_dir / n for n in names if isinstance(n, str) and Path(n).name == n]
-    paths = named if names else sorted(models_dir.iterdir())
-    return [p for p in paths if p.suffix.lower() in (".bpmn", ".xml") and p.is_file()]
+    named = [n for n in names if isinstance(n, str) and n in found] if names else sorted(found)
+    return [p for p in map(models_dir.joinpath, named) if p.suffix.lower() in (".bpmn", ".xml")]
 
 
-def _read_model(path: Path, config: RunConfig | None) -> Any:
-    """The model in file ``path`` built with ``config``'s KPI tags, or its id alone without it."""
+def _read_model(path: Path, config: RunConfig | None, conditions: dict | None = None) -> Any:
+    """The model in file ``path`` built with ``config``'s KPI tags, or its id
+    alone without it; ``conditions`` is ``bpmn.parse_bpmn``'s."""
     try:
         text = path.read_text(encoding="utf-8")
         if config is None:
             return bpmn.model_id(text)
-        return bpmn.parse_bpmn(text, config.kpi.kpi_task_tags)
+        return bpmn.parse_bpmn(text, config.kpi.kpi_task_tags, conditions)
     except (UnicodeDecodeError, bpmn.ModelError) as exc:
         raise DataError(f"{path.name}: {exc}")
 
@@ -129,14 +158,16 @@ def _load_models(
     file name that no other file has; sorted file order keeps the duplicate
     message deterministic.  Without ``pair`` every model is built, in model id
     order, from one XML parse per file.  With ``pair``, every file is read for
-    its id alone, then the two ``_pick_pair`` chooses are built, in its order."""
+    its id alone, then the two ``_pick_pair`` chooses are built, in its order.
+    The models share one ``conditions`` dict: each distinct text is parsed once."""
     files = _model_files(config)
     if not files:
         raise DataError(f"no .bpmn or .xml files in {config.models_dir}")
+    conditions: dict[str, Any] = {}
     # model id -> (the model, or the id when only the id is read; its file)
     found: dict[str, tuple[Any, Path]] = {}
     for path in files:
-        entry = _read_model(path, config if pair is None else None)
+        entry = _read_model(path, config if pair is None else None, conditions)
         model_id = entry.model_id if pair is None else entry
         if not _MODEL_ID.fullmatch(model_id):
             raise DataError(
@@ -151,7 +182,7 @@ def _load_models(
     if pair is None:
         return [(found[model_id][0], found[model_id][1].name) for model_id in sorted(found)]
     picked = [found[model_id][1] for model_id in _pick_pair(config, found.keys(), pair)]
-    return [(_read_model(path, config), path.name) for path in picked]
+    return [(_read_model(path, config, conditions), path.name) for path in picked]
 
 
 def _load_cases(config: RunConfig) -> simulation.CaseTable:
@@ -228,14 +259,15 @@ def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.Kp
 
 def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
     """(model_id, vector) per KPI JSON file, in file name order."""
-    if not path.is_dir():
+    try:
+        with os.scandir(path) as found:
+            # A directory entry knows whether it is a file, so this costs no stat call.
+            names = sorted(e.name for e in found if e.name.endswith(".json") and e.is_file())
+    except OSError:  # no such directory, not a directory, or a name the OS rejects
         raise DataError(f"KPI directory not found: {path}")
     entries: list[tuple[str, simulation.KpiVector]] = []
     files: dict[str, str] = {}
-    # A directory entry knows whether it is a file, so skipping subdirectories
-    # costs no stat call.
-    names = (e.name for e in os.scandir(path) if e.name.endswith(".json") and e.is_file())
-    for file in (path / name for name in sorted(names)):
+    for file in (path / name for name in names):
         data = _read_artifact(file, "simulate", Decimal)  # a KPI number is read exactly
         model_id = _field(data, "model_id", str, file.name)
         if model_id in files:

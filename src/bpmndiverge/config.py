@@ -147,10 +147,10 @@ def build_run_config(values: dict[str, str], base: RunConfig | None = None) -> R
 
 
 def load_config(path: Path, base: RunConfig | None = None) -> RunConfig:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    except OSError:  # no such file, a directory, or a name the OS rejects
+        raise ConfigError(f"config file not found: {path}")
     return build_run_config(parse_config_text(text), base)

@@ -72,13 +72,10 @@ def consistency_category(h_norm: float) -> ConsistencyCategory:
 def select_representatives(members: Sequence[Sequence[str]]) -> tuple[str, str]:
     """Pick one model from each of the two most frequent combos.
 
-    ``members`` lists the model ids of each combo, in combo order (most
-    frequent first).  Within a combo the lexicographically smallest model id
+    ``members`` lists the model ids of each combo, at least one each, in
+    combo order (most frequent first).  Within a combo the lexicographically smallest model id
     wins, making the choice deterministic.
     """
     if len(members) < 2:
         raise SingleClassError("all models fall into a single outcome class")
-    for index in (0, 1):
-        if not members[index]:
-            raise ValueError(f"no member model ids for combo {index}")
     return min(members[0]), min(members[1])

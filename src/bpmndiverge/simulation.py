@@ -24,6 +24,7 @@ import operator
 import re
 from decimal import Decimal
 from functools import reduce
+from itertools import compress
 from types import MappingProxyType
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
@@ -101,6 +102,8 @@ class CaseTable(Sequence[CaseRecord]):
     equality nor the normal form would do: ``x == TRUE`` equals ``x == 1``
     as a tuple but fails with another message on a string cell, and
     normalizing reorders operands, which changes which error comes first.
+    Models built together share ASTs, so an AST is first looked up by
+    identity, and kept so that its id is not reused.
     """
 
     def __init__(self, ids: list[str], columns: dict[str, list[Value | None]]):
@@ -108,6 +111,7 @@ class CaseTable(Sequence[CaseRecord]):
         self.everyone = (1 << len(ids)) - 1
         self._grouped: dict[str, tuple[list[dict[str, Value]], list[int]]] = {}
         self._tables: dict[str, Table] = {}
+        self._by_object: dict[int, tuple[ConditionAst, Table]] = {}
 
     @classmethod
     def of(cls, cases: Sequence[CaseRecord]) -> "CaseTable":
@@ -138,11 +142,12 @@ class CaseTable(Sequence[CaseRecord]):
         return self._grouped[name]
 
     def table(self, ast: ConditionAst) -> Table:
-        key = to_text(ast)
-        found = self._tables.get(key)
-        if found is None:
-            found = self._tables[key] = self._build(ast)
-        return found
+        pinned = self._by_object.get(id(ast))
+        if pinned is None:
+            key = to_text(ast)  # a table is a non-empty tuple, so a memoized one is true
+            table = self._tables[key] = self._tables.get(key) or self._build(ast)
+            pinned = self._by_object[id(ast)] = ast, table
+        return pinned[1]
 
     def _build(self, ast: ConditionAst) -> Table:
         if isinstance(ast, Not):
@@ -395,20 +400,19 @@ def _mask(bits: bytes) -> int:
     return int(b"0" + bits[::-1], 2)
 
 
+def _bits(mask: int) -> bytes:
+    """Byte ``i`` is bit ``i`` of ``mask`` (0 or 1), up to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+
+
 def _indices(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
-    bits = bin(mask)[:1:-1]
-    indices: list[int] = []
-    index = bits.find("1")
-    while index >= 0:
-        indices.append(index)
-        index = bits.find("1", index + 1)
-    return indices
+    """The set bits of ``mask``, lowest first, picked in C from its ``_bits``."""
+    return list(compress(range(mask.bit_length()), _bits(mask)))
 
 
 def case_ids(cases: CaseTable, members: int) -> tuple[str, ...]:
     """The ids of the cases whose bits are set in ``members``, in case order."""
-    return tuple(map(cases.ids.__getitem__, _indices(members)))
+    return tuple(compress(cases.ids, _bits(members)))
 
 
 def _walk_paths(model: ProcessModel, cases: CaseTable) -> tuple[list[CasePath], dict[int, str]]:

@@ -219,6 +219,21 @@ class TestParsing:
         assert isinstance(info.value.__cause__, ConditionParseError)
         assert info.value.__cause__.offset == 5
 
+    def test_models_parsed_with_one_dict_share_each_condition_that_parses(self):
+        conditions = {}
+        first, second = (
+            parse_bpmn(serialize_bpmn(mk.branch_model("x >= 5", model_id=m)), None, conditions)
+            for m in ("a", "b")
+        )
+        assert first.flows[1].condition is second.flows[1].condition
+        assert list(conditions) == ["x >= 5"]
+        # A text that fails is not kept, so each model's error names its own flow.
+        bad = serialize_bpmn(mk.branch_model("x >= 5")).replace("x &gt;= 5", "x == == 1")
+        for flow_id in ("fy", "fz"):
+            with pytest.raises(ModelError, match=f"^flow '{flow_id}' from 'g': at offset 5: "):
+                parse_bpmn(bad.replace('"fy"', f'"{flow_id}"'), None, conditions)
+        assert list(conditions) == ["x >= 5"]
+
     def test_condition_nested_past_the_limit_names_its_flow(self):
         body = serialize_bpmn(mk.branch_model("x >= 5")).replace(
             "x &gt;= 5", "(" * 300 + "x &gt;= 5" + ")" * 300

@@ -2,17 +2,21 @@
 
 import json
 import os
+import re
 import shutil
 import socket
 import stat
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bpmndiverge import bpmn, cli, repair
 from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
@@ -204,6 +208,50 @@ class TestKpiJson:
             os.umask(previous)
         for path in [*(out / "kpis").iterdir(), out / "distribution.json", out / "histogram.csv"]:
             assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+# Every key type json accepts; floats include -0.0, the infinities and NaN.
+_json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324]),
+    st.text(),  # any character but a surrogate: non-ASCII, quotes, backslashes, controls
+    st.sampled_from(bpmn.NodeKind),  # a str-valued Enum member
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=4),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumpJson:
+    @given(_json_values)
+    @example({"q\"b\\\n\x00\x1f\u2028é€😀": ["\x7f", "", ("\t",)], -0.0: {}, 1e16: [], 5e-324: ()})
+    @example({True: None, False: 1, None: 2.5, 7: float("inf"), float("nan"): -float("inf")})
+    @example(bpmn.Node("n1", bpmn.NodeKind.TASK, "Notify", ("NC", "HC")))
+    def test_dump_json_writes_what_json_dumps_would(self, value):
+        assert cli.dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("value", [{(1, 2): 0}, {b"k": 0}, [{1, 2}], {"x": object()}])
+    def test_dump_json_raises_the_type_error_json_raises(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            cli.dump_json(value)
 
 
 class TestEntropy:
@@ -1334,6 +1382,31 @@ def test_command_line_grammar(out, capsys, case):
         assert not out.exists()
 
 
+# One path component longer than a file system allows (ENAMETOOLONG).
+LONG_NAME = "x" * 300
+
+# Each input flag given an over-long path: the command line (OUT the output
+# directory, KPIS a KPI directory that simulate wrote), exit code and message.
+LONG_PATHS = {
+    "--config": (["--config", LONG_NAME, "validate"], 1, "config file not found"),
+    "--cases": (["--cases", LONG_NAME, "simulate"], 2, "cases_csv not found"),
+    "--models": (["--models", LONG_NAME, "simulate"], 2, "models directory not found"),
+    "--kpis": (["entropy", "--kpis", LONG_NAME], 2, "KPI directory not found"),
+    "--before": (["verify", "--before", LONG_NAME, "--after", "KPIS"], 2, "KPI directory not found"),
+    "--after": (["verify", "--before", "KPIS", "--after", LONG_NAME], 2, "KPI directory not found"),
+}
+
+
+@pytest.mark.parametrize("flag", LONG_PATHS)
+def test_an_over_long_input_path_is_an_error_that_names_it(out, capsys, flag):
+    assert run_city1(out, "simulate") == 0
+    argv, code, message = LONG_PATHS[flag]
+    argv = [str(out / "kpis") if arg == "KPIS" else arg for arg in argv]
+    capsys.readouterr()
+    assert run(*(argv if flag == "--config" else ["--config", CONFIG, "--out", str(out), *argv])) == code
+    assert capsys.readouterr().err == f"error: {message}: {LONG_NAME}\n"
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is a configuration error (exit
     1) that names it, not a traceback."""
@@ -1572,6 +1645,33 @@ class TestModelLoading:
         capsys.readouterr()
         assert run_city1(out, "--models", str(city1_models), *command) == 2
         assert "error: city1_or_broad.bpmn: flow 'e6' from 'n5'" in capsys.readouterr().err
+
+    def test_simulate_parses_each_distinct_condition_text_once(self, out, monkeypatch, repo_root):
+        calls = []
+        parse = bpmn.parse_condition
+        monkeypatch.setattr(bpmn, "parse_condition", lambda text: calls.append(text) or parse(text))
+        models = repo_root / "fixtures" / "family_original"
+        tag = f"{{{bpmn.NS_MODEL}}}conditionExpression"
+        texts = [e.text.strip() for path in models.iterdir() for e in ET.parse(path).iter(tag)]
+        assert run_city1(out, "--models", str(models), "simulate") == 0
+        assert (len(texts), len(calls)) == (200, 68)
+        assert sorted(calls) == sorted(set(texts))
+
+    def test_a_bad_condition_in_a_later_model_names_its_file_and_flow(
+        self, out, tmp_path, repo_root, capsys
+    ):
+        models = tmp_path / "family"
+        shutil.copytree(repo_root / "fixtures" / "family_original", models)
+        last = models / "fam_orig_099.bpmn"
+        # Earlier models parse this text; the last one breaks it.
+        text = ">1 == Consent_Submitted<"
+        assert text in (models / "fam_orig_001.bpmn").read_text() and text in last.read_text()
+        last.write_text(last.read_text().replace(text, ">1 == == Consent_Submitted<"))
+        assert run_city1(out, "--models", str(models), "simulate") == 2
+        assert capsys.readouterr().err == (
+            "error: fam_orig_099.bpmn: flow 'qf6' from 'q5': at offset 5: unexpected '==' "
+            "(expected variable or literal)\n"
+        )
 
     def test_an_invalid_model_outside_the_pair_fails_only_the_stages_that_build_it(
         self, out, city1_models, capsys

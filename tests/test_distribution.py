@@ -109,10 +109,6 @@ class TestRepresentatives:
         with pytest.raises(SingleClassError):
             select_representatives([["m_a", "m_b"]])
 
-    def test_missing_members_rejected(self):
-        with pytest.raises(ValueError, match="combo 1"):
-            select_representatives([["m_a"], []])
-
 
 class TestProperties:
     @given(

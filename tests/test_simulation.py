@@ -3,6 +3,7 @@ population runs checked against per-case walks."""
 
 import importlib.util
 import json
+import random
 import re
 from collections import Counter
 from decimal import Decimal
@@ -457,6 +458,9 @@ class TestMasks:
     @example((CaseTable([], {}), 0))
     @example((_WIDE, (1 << len(_WIDE)) - 1))
     @example((_WIDE, 1 << (len(_WIDE) - 1) | 1))
+    @example((_WIDE, 1))
+    @example((_WIDE, random.Random(1).getrandbits(len(_WIDE))))
+    @example((_WIDE, random.Random(2).getrandbits(len(_WIDE)) & random.Random(3).getrandbits(len(_WIDE))))
     def test_indices_and_case_ids_list_the_set_bits_lowest_first(self, drawn):
         cases, mask = drawn
         expected = [index for index in range(mask.bit_length()) if mask >> index & 1]
@@ -541,6 +545,18 @@ class TestCaseTableConditions:
         assert 0 < first == calls["evaluate"]
         simulate_population(broad_model, CaseTable.of(list(population)), KpiConfig())
         assert calls["evaluate"] > first
+
+    def test_an_ast_object_is_rendered_once_per_table(self, monkeypatch):
+        rendered = []
+        render = simulation.to_text
+        monkeypatch.setattr(simulation, "to_text", lambda ast: rendered.append(ast) or render(ast))
+        tables = CaseTable.of([CaseRecord("c0", {"x": Decimal(2)}), CaseRecord("c1", {"x": "s"})])
+        shared, twin = parse_condition("x > 1"), parse_condition("x > 1")
+        first = tables.table(shared)
+        assert tables.table(shared) is first and rendered == [shared]
+        # An equal AST that is another object is rendered, and finds the same table.
+        assert tables.table(twin) is first and rendered == [shared, twin]
+        assert first == (0b01, 0b10, {1: "variable 'x': expected number, found string"})
 
     def test_tables_never_cross_populations(self):
         ast = parse_condition("x > 1")
