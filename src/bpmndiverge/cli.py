@@ -4,7 +4,7 @@ validate.
 Every command reads its inputs from the merged configuration (config file,
 then flags) and writes deterministic artifacts into the output directory via
 atomic temp-file renames, so reruns on unchanged inputs are byte-identical.
-``entropy`` and ``verify`` round each KPI value once, as they read it.
+``entropy`` and ``verify`` round each distinct set of KPI texts once.
 Exit codes: 0 success or benign status, 1 usage error, 2 data error,
 3 provider error.
 """
@@ -94,23 +94,37 @@ def _read_input(path: Path | None, key: str, hint: str = "") -> str:
         raise DataError(f"{key} not found{hint}: {path}")
 
 
-def _parse_json(text: str, source: str, parse_float: Callable[[str], Any] = float) -> Any:
-    """The JSON value in ``text``, its fractions read by ``parse_float``.  The
-    non-standard ``NaN``, ``Infinity`` and ``-Infinity`` tokens are rejected."""
+class _NonFinite(Exception):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` token, which JSON does not allow."""
 
-    def non_finite(token: str) -> NoReturn:
-        raise DataError(f"{source}: non-finite number {token}")
 
+def _non_finite(token: str) -> NoReturn:
+    raise _NonFinite(token)
+
+
+# One decoder per number kind, built once: json.loads builds one per call.
+_DECODERS = {
+    kind: json.JSONDecoder(parse_float=kind, parse_constant=_non_finite) for kind in (float, Decimal)
+}
+
+
+def _parse_json(text: str, source: str, parse_float: type = float) -> Any:
+    """The JSON value in ``text`` as ``json.loads`` reads it, fractions as ``parse_float``
+    (float or Decimal), but with no ``NaN``, ``Infinity`` or ``-Infinity`` token."""
     try:
-        return json.loads(text, parse_float=parse_float, parse_constant=non_finite)
+        if text.startswith("\ufeff"):  # json.loads's check, which the decoder lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODERS[parse_float].decode(text)
+    except _NonFinite as exc:
+        raise DataError(f"{source}: non-finite number {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{source}: invalid JSON: {exc}")
 
 
-def _read_artifact(path: Path, producer: str, parse_float: Callable[[str], Any] = float) -> Any:
+def _read_artifact(path: Path, producer: str) -> Any:
     """The JSON value an earlier stage wrote to ``path``."""
     text = _read_input(path, path.name, f" (run {producer} first)")
-    return _parse_json(text, path.name, parse_float)
+    return _parse_json(text, path.name)
 
 
 def _field(payload: object, key: str, kind: type | tuple[type, ...], source: str):
@@ -257,24 +271,46 @@ def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.Kp
     return simulation.KpiVector(*rounded)
 
 
+def _kpi_reader(round_decimals: int) -> Callable[[dict, str], simulation.KpiVector]:
+    """``_parse_kpis`` at ``round_decimals``, rounding each distinct set of five
+    KPI texts (as ``simulate`` writes them) once.  Other values are parsed each
+    time, so an error names the first source that has it."""
+    vectors: dict[tuple, simulation.KpiVector] = {}
+
+    def read(values: dict, source: str) -> simulation.KpiVector:
+        texts = tuple(map(values.get, simulation.KPI_NAMES))
+        if not all(type(text) is str for text in texts):
+            return _parse_kpis(values, source, round_decimals)
+        if texts not in vectors:
+            vectors[texts] = _parse_kpis(values, source, round_decimals)
+        return vectors[texts]
+
+    return read
+
+
 def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
     """(model_id, vector) per KPI JSON file, in file name order."""
     try:
         with os.scandir(path) as found:
             # A directory entry knows whether it is a file, so this costs no stat call.
-            names = sorted(e.name for e in found if e.name.endswith(".json") and e.is_file())
+            files = sorted((e.name, e.path) for e in found if e.name.endswith(".json") and e.is_file())
     except OSError:  # no such directory, not a directory, or a name the OS rejects
         raise DataError(f"KPI directory not found: {path}")
+    read_kpis = _kpi_reader(round_decimals)
     entries: list[tuple[str, simulation.KpiVector]] = []
-    files: dict[str, str] = {}
-    for file in (path / name for name in names):
-        data = _read_artifact(file, "simulate", Decimal)  # a KPI number is read exactly
-        model_id = _field(data, "model_id", str, file.name)
-        if model_id in files:
-            raise DataError(f"{file.name}: model_id {model_id!r} is also in {files[model_id]}")
-        files[model_id] = file.name
-        vector = _parse_kpis(_field(data, "kpis", dict, file.name), file.name, round_decimals)
-        entries.append((model_id, vector))
+    seen: dict[str, str] = {}
+    for name, file in files:
+        try:  # text mode, as Path.read_text reads, without a Path per file
+            with open(file, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError):  # read again for _read_input's message
+            text = _read_input(path / name, name, " (run simulate first)")
+        data = _parse_json(text, name, Decimal)  # a KPI number is read exactly
+        model_id = _field(data, "model_id", str, name)
+        if model_id in seen:
+            raise DataError(f"{name}: model_id {model_id!r} is also in {seen[model_id]}")
+        seen[model_id] = name
+        entries.append((model_id, read_kpis(_field(data, "kpis", dict, name), name)))
     if not entries:
         raise DataError(f"no KPI JSON files in {path}")
     return entries
@@ -282,18 +318,13 @@ def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation
 
 def _read_kpi_csv(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
     """(model_id, vector) per row of a CSV with model_id plus one column per KPI."""
+    text = _read_input(path, "KPI CSV")
     header, rows = simulation.read_csv_table(
-        _read_input(path, "KPI CSV"),
-        "KPI CSV",
-        "model_id",
-        "the five KPI names, each once",
-        simulation.KPI_NAMES,
+        text, "KPI CSV", "model_id", "the five KPI names, each once", simulation.KPI_NAMES
     )
+    read_kpis = _kpi_reader(round_decimals)
     return [
-        (
-            row[0].strip(),
-            _parse_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}", round_decimals),
-        )
+        (row[0].strip(), read_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}"))
         for row in rows
     ]
 
@@ -571,27 +602,20 @@ def cmd_repair(config: RunConfig) -> int:
     provider = _build_provider(config)
     outcome = repair.propose_repairs(ambiguities, document, supplemental, provider)
     repaired_text = repair.reconstruct_narrative(document, outcome.records)
-    atomic_write(
-        config.out_dir / "repairs.json",
-        dump_json(
+    payload = {
+        "doc_id": document.doc_id,
+        "records": [
             {
-                "doc_id": document.doc_id,
-                "records": [
-                    {
-                        "ambiguity_id": record.ambiguity_id,
-                        "revised_excerpt": record.revised_excerpt,
-                        "rationale": record.rationale,
-                        "evidence_refs": list(record.evidence_refs),
-                    }
-                    for record in outcome.records
-                ],
-                "rejected": [
-                    {"ambiguity_id": r.ambiguity_id, "reason": r.reason}
-                    for r in outcome.rejected
-                ],
+                "ambiguity_id": record.ambiguity_id,
+                "revised_excerpt": record.revised_excerpt,
+                "rationale": record.rationale,
+                "evidence_refs": record.evidence_refs,
             }
-        ),
-    )
+            for record in outcome.records
+        ],
+        "rejected": [rejected._asdict() for rejected in outcome.rejected],
+    }
+    atomic_write(config.out_dir / "repairs.json", dump_json(payload))
     atomic_write(config.out_dir / "narrative_repaired.txt", repaired_text)
     print(
         f"applied {len(outcome.records)} repair(s), rejected {len(outcome.rejected)} "
@@ -605,12 +629,8 @@ def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
     for key, path in (("before", before), ("after", after)):
         entries = _read_kpi_dir(path, config.round_decimals)
         block, _combos = _distribution_payload(entries, config.round_decimals)
-        payload[key] = {
-            "kpi_dir": str(path),
-            "total": block["total"],
-            "h_norm": block["h_norm"],
-            "category": block["category"],
-        }
+        summary = {name: block[name] for name in ("total", "h_norm", "category")}
+        payload[key] = {"kpi_dir": str(path), **summary}
     payload["delta_h_norm"] = payload["after"]["h_norm"] - payload["before"]["h_norm"]
     atomic_write(config.out_dir / "verify.json", dump_json(payload))
     print(

@@ -80,8 +80,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
         if not (key in KEYS or key.startswith("kpi_tag.")):
@@ -153,4 +152,4 @@ def load_config(path: Path, base: RunConfig | None = None) -> RunConfig:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}")
     except OSError:  # no such file, a directory, or a name the OS rejects
         raise ConfigError(f"config file not found: {path}")
-    return build_run_config(parse_config_text(text), base)
+    return build_run_config(parse_config_text(text.removeprefix("\ufeff")), base)

@@ -176,7 +176,7 @@ class CaseTable(Sequence[CaseRecord]):
                 fails[number] = ord("1")
                 failures[number] = str(exc)
         error = _mask(bytes(map(fails.__getitem__, codes))) if failures else 0
-        messages = {index: failures[codes[index]] for index in _indices(error)}
+        messages = {index: failures[codes[index]] for index in _indices(error)} if error else {}
         return _mask(bytes(map(holds.__getitem__, codes))), error, messages
 
 
@@ -260,8 +260,10 @@ def read_csv_table(
     """The stripped header and the non-blank rows of a CSV table.  The header
     must be ``key`` followed by distinct, non-empty column names (exactly
     ``columns``, when given), which ``rule`` states; every row has one cell
-    per column and a distinct, non-empty ``key`` cell.  Errors are
-    ``CaseDataError`` messages that start with ``source``."""
+    per column and a distinct, non-empty ``key`` cell.  One leading byte-order
+    mark is dropped.  Errors are ``CaseDataError`` messages that start with
+    ``source`` and name the line on which a record starts."""
+    text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
@@ -280,16 +282,15 @@ def read_csv_table(
         raise CaseDataError(f"{source} header must be {key} plus {rule}")
     table: list[list[str]] = []
     seen: set[str] = set()
-    for line_no, row in enumerate(rows[1:], start=2):
+    for index, row in enumerate(rows[1:], start=1):
         if not "".join(row).strip():
             continue
         if len(row) != len(header):
-            raise CaseDataError(
-                f"{source} line {line_no}: expected {len(header)} cells, got {len(row)}"
-            )
+            line = _line_of(text, index)
+            raise CaseDataError(f"{source} line {line}: expected {len(header)} cells, got {len(row)}")
         row_key = row[0].strip()
         if not row_key:
-            raise CaseDataError(f"{source} line {line_no}: empty {key}")
+            raise CaseDataError(f"{source} line {_line_of(text, index)}: empty {key}")
         if row_key in seen:
             raise CaseDataError(f"{source} row {row[0]!r}: duplicate {key}")
         seen.add(row_key)
@@ -297,6 +298,15 @@ def read_csv_table(
     if not table:
         raise CaseDataError(f"{source} has a header but no rows")
     return header, table
+
+
+def _line_of(text: str, index: int) -> int:
+    """The line on which record ``index`` of CSV ``text`` starts, as a quoted
+    cell may span lines; read again only for an error message."""
+    reader = csv.reader(io.StringIO(text))
+    for _ in range(index):
+        next(reader)
+    return reader.line_num + 1
 
 
 def load_cases_csv(text: str, source: str = "case population") -> CaseTable:
@@ -460,7 +470,8 @@ def _walk_paths(model: ProcessModel, cases: CaseTable) -> tuple[list[CasePath], 
                 rest = 0
             elif rest:
                 true, error, messages = cases.table(flow.condition)
-                fail(rest & error, messages.__getitem__)
+                if rest & error:
+                    fail(rest & error, messages.__getitem__)
                 taken.append((flow, rest & true))
                 rest &= ~(true | error)
         if rest and default is not None:

@@ -12,20 +12,28 @@ target trace, against the package's single pass.
 The loop oracle walks a case with a set of the nodes it has visited,
 against the package's bound of one step per node of the model.
 The KPI recount oracle is ``scripts/recount_kpis.py``.
+The KPI directory oracle reads each file through a ``Path`` and a fresh
+``json.loads``, and parses the KPIs of every file on their own, against the
+package's reader, which rounds each distinct set of KPI texts once.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+from decimal import Decimal
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Sequence
 
-from bpmndiverge import diagnosis
+from bpmndiverge import cli, diagnosis
 from bpmndiverge.bpmn import NodeKind, ProcessModel
 from bpmndiverge.conditions import evaluate
 from bpmndiverge.simulation import (
     CASE_ERRORS,
     CaseRecord,
+    KpiVector,
     Trace,
     execute_case,
     kpi_sequence,
@@ -43,6 +51,42 @@ def load_cases_per_row(text: str) -> list[CaseRecord]:
         CaseRecord(row[0].strip(), {name: parse_cell(cell) for name, cell in zip(names, row[1:])})
         for row in rows
     ]
+
+
+def read_kpi_dir_per_file(path: Path, round_decimals: int) -> list[tuple[str, KpiVector]]:
+    """(model_id, vector) per KPI JSON file of ``path``, in file name order,
+    or the ``cli.DataError`` of the first file that is wrong."""
+    try:
+        with os.scandir(path) as found:
+            names = sorted(e.name for e in found if e.name.endswith(".json") and e.is_file())
+    except OSError:
+        raise cli.DataError(f"KPI directory not found: {path}")
+    entries: list[tuple[str, KpiVector]] = []
+    files: dict[str, str] = {}
+    for file in (path / name for name in names):
+        try:
+            text = file.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise cli.DataError(f"{file}: not UTF-8 text: {exc}")
+        except OSError:
+            raise cli.DataError(f"{file.name} not found (run simulate first): {file}")
+
+        def non_finite(token: str):
+            raise cli.DataError(f"{file.name}: non-finite number {token}")
+
+        try:
+            data = json.loads(text, parse_float=Decimal, parse_constant=non_finite)
+        except json.JSONDecodeError as exc:
+            raise cli.DataError(f"{file.name}: invalid JSON: {exc}")
+        model_id = cli._field(data, "model_id", str, file.name)
+        if model_id in files:
+            raise cli.DataError(f"{file.name}: model_id {model_id!r} is also in {files[model_id]}")
+        files[model_id] = file.name
+        kpis = cli._field(data, "kpis", dict, file.name)
+        entries.append((model_id, cli._parse_kpis(kpis, file.name, round_decimals)))
+    if not entries:
+        raise cli.DataError(f"no KPI JSON files in {path}")
+    return entries
 
 
 def loop_of(model: ProcessModel, case: CaseRecord) -> frozenset[str] | None:

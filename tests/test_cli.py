@@ -8,6 +8,7 @@ import socket
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -16,14 +17,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bpmndiverge import bpmn, cli, repair
 from bpmndiverge.config import KEYS, ConfigError, RunConfig, build_run_config
 from bpmndiverge.repair import NarrativeDocument
-from bpmndiverge.simulation import KpiConfig
+from bpmndiverge.simulation import KPI_NAMES, KpiConfig
 
 import modelkit as mk
+import oracles
 from bpmn_writer import serialize_bpmn
 
 CONFIG = "fixtures/city1/config.cfg"
@@ -1143,6 +1145,115 @@ class TestVerify:
         assert "required" in capsys.readouterr().err
 
 
+# KPI texts as simulate writes them, few enough that files share whole sets,
+# and any other decimal text; then what a hand-edited file may hold instead:
+# JSON numbers (2.675 and 1e300 read as decimals; 1e300 has too many digits
+# to round), booleans, lists, null, and the NaN and Infinity tokens that
+# json.dumps writes for the float ones.
+_KPI_TEXTS = st.sampled_from(["8", "4", "0.08", "2.675", "1200", "-0", "0.0000005"]) | (
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,8})?(e-?[0-9])?", fullmatch=True)
+)
+_KPI_ODD = st.sampled_from(
+    [1, 2.675, 1e300, True, None, [8], {"NC": "8"}, "NaN", "1e30", "é"]
+    + [float("nan"), float("inf"), -float("inf")]
+)
+_KPI_TEXT_SETS = st.fixed_dictionaries({name: _KPI_TEXTS for name in KPI_NAMES})
+_KPI_SETS = st.one_of(
+    *[_KPI_TEXT_SETS] * 3,
+    st.fixed_dictionaries({name: _KPI_TEXTS | _KPI_ODD for name in KPI_NAMES}),
+)
+
+
+@st.composite
+def _kpi_dirs(draw) -> dict[str, bytes | None]:
+    """File name -> bytes of a KPI directory, or None for a subdirectory.
+    Files share model ids and KPI sets from small pools."""
+    pool = draw(st.lists(_KPI_SETS, min_size=1, max_size=3))
+    names = [*(f"{letter}.json" for letter in "abcdef"), "g.txt", "h.JSON", "i.json.bak"]
+    files: dict[str, bytes | None] = {}
+    for name in draw(st.lists(st.sampled_from(names), unique=True, min_size=2, max_size=7)):
+        if draw(st.integers(0, 11)) == 0:
+            files[name] = None
+            continue
+        model_id = draw(st.sampled_from(["m1", "m2", "m3", "m4", "m5", "m6", "m7", "mé", None]))
+        kpis = draw(st.one_of(st.sampled_from(pool), st.sampled_from(pool), _KPI_SETS))
+        text = json.dumps({"model_id": model_id, "kpis": kpis}, indent=2, ensure_ascii=False)
+        data = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"]))).encode()
+        damage = draw(st.sampled_from([None] * 12 + ["truncate", "byte", "mark"]))
+        if damage == "truncate":  # invalid JSON, or a UTF-8 sequence cut short
+            data = data[: draw(st.integers(0, len(data) - 1))]
+        elif damage == "byte":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        elif damage == "mark":  # json.loads names a leading byte-order mark
+            data = b"\xef\xbb\xbf" + data
+        files[name] = data
+    return files
+
+
+def _kpi_file(model_id: str, **kpis) -> bytes:
+    return json.dumps({"model_id": model_id, "kpis": {**STRICT_KPIS, **kpis}}).encode()
+
+
+def _outcome(read, path: Path, round_decimals: int):
+    """What ``read`` returns, each KPI as written, or the error it raises."""
+    try:
+        entries = read(path, round_decimals)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(model_id, [str(value) for value in vector]) for model_id, vector in entries]
+
+
+class TestKpiDirReader:
+    """``_read_kpi_dir`` against ``oracles.read_kpi_dir_per_file``, which reads
+    each file with a ``Path`` and ``json.loads`` and parses every file's KPIs."""
+
+    @settings(deadline=None)
+    @given(_kpi_dirs(), st.sampled_from([0, 2, 6]))
+    # Equal JSON values that round apart: True is not a number, though True == 1,
+    # and -0.0 == 0.0 rounds to -0.000000.
+    @example({"a.json": _kpi_file("m1", NC=1), "b.json": _kpi_file("m2", NC=True)}, 6)
+    @example({"a.json": _kpi_file("m1", CS=0.0), "b.json": _kpi_file("m2", CS=-0.0)}, 6)
+    # Text mode reads CRLF as one newline, which moves the position an error names.
+    @example({"a.json": b'{\r\n  "model_id": "m1",\r\n  "kpis"'}, 6)
+    def test_it_reads_what_the_per_file_reader_reads(self, files, round_decimals):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work)
+            for name, data in files.items():
+                if data is None:
+                    (path / name).mkdir()
+                else:
+                    (path / name).write_bytes(data)
+            expected = _outcome(oracles.read_kpi_dir_per_file, path, round_decimals)
+            assert _outcome(cli._read_kpi_dir, path, round_decimals) == expected
+
+    @pytest.mark.parametrize("value", ["many", "1e5000", "NaN"])
+    def test_a_bad_kpi_in_two_files_is_named_in_the_first(self, tmp_path, value):
+        for name in ("b.json", "a.json"):
+            kpis = {**STRICT_KPIS, "HC": value}
+            (tmp_path / name).write_text(json.dumps({"model_id": name[0], "kpis": kpis}))
+        with pytest.raises(cli.DataError, match=r"^a\.json: KPI HC "):
+            cli._read_kpi_dir(tmp_path, 6)
+
+    def test_each_distinct_kpi_set_is_rounded_once(self, out, monkeypatch):
+        family = ("--models", "fixtures/family_original")
+        assert run_city1(out, *family, "simulate") == 0
+        files = sorted((out / "kpis").glob("*.json"))
+        sets = {tuple(read_json(path)["kpis"].items()) for path in files}
+        assert (len(files), len(sets)) == (100, 4)
+        calls = []
+
+        def parse_kpis(values, source, round_decimals):
+            calls.append(source)
+            return parse(values, source, round_decimals)
+
+        parse = cli._parse_kpis
+        monkeypatch.setattr(cli, "_parse_kpis", parse_kpis)
+        assert run_city1(out, *family, "entropy") == 0
+        assert len(calls) == 4
+        assert read_json(out / "distribution.json")["total"] == 100
+
+
 class TestValidate:
     def test_clean_models(self, out, capsys):
         assert run_city1(out, "validate") == 0
@@ -1484,6 +1595,28 @@ class TestInputFiles:
         cases.write_text(f"{header}\nc1,1,2\n")
         assert run_city1(out, "--cases", str(cases), "simulate") == 2
         assert f"{cases} header must be case_id plus distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["cases CSV", "KPI CSV", "config"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, kind):
+        """Spreadsheets save "CSV UTF-8" with a byte-order mark in front; the
+        file reads as it does without one."""
+        vectors = "model_id,NC,HC,RU,HI,CS\nm1,1,1,0.1,0.1,100\nm2,2,1,0.1,0.1,100\n"
+        text, argv = {
+            "cases CSV": (
+                Path("fixtures/city1/population.csv").read_text(),
+                ["--config", CONFIG, "--cases", "{}", "simulate"],
+            ),
+            "KPI CSV": (vectors, ["--config", CONFIG, "entropy", "--from-csv", "{}"]),
+            "config": (Path(CONFIG).read_text(), ["--config", "{}", "simulate"]),
+        }[kind]
+        artifacts = []
+        for mark in ("", "\ufeff"):
+            path, out = tmp_path / f"input{len(mark)}", tmp_path / f"out{len(mark)}"
+            path.write_text(mark + text, encoding="utf-8")
+            assert run("--out", str(out), *(arg.format(path) for arg in argv)) == 0
+            found = sorted(p for p in out.rglob("*") if p.is_file())
+            artifacts.append({p.relative_to(out): p.read_bytes() for p in found})
+        assert artifacts[0] == artifacts[1] != {}
 
     def test_case_csv_that_is_not_utf8_names_the_file(self, out, tmp_path, capsys):
         cases = tmp_path / "cases.csv"

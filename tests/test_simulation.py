@@ -116,6 +116,19 @@ class TestCaseLoading:
         with pytest.raises(CaseDataError, match="empty case_id"):
             load_cases_csv("case_id,x\n,1\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('case_id,x\nc1,"a\nb"\nc2,1,2\n', "line 4: expected 2 cells, got 3"),
+            ('case_id,x\nc1,"a\n\nb"\n\n,1\n', "line 6: empty case_id"),
+            ('case_id,x\r\nc1,"a\r\nb"\r\nc2\r\n', "line 4: expected 2 cells, got 1"),
+        ],
+    )
+    def test_an_error_names_the_line_its_record_starts_on(self, text, message):
+        # A quoted cell spans lines, so a record's line is not its row number.
+        with pytest.raises(CaseDataError, match=f"^case population {message}$"):
+            load_cases_csv(text)
+
     def test_header_only(self):
         with pytest.raises(CaseDataError, match="no rows"):
             load_cases_csv("case_id,x\n")
@@ -762,6 +775,23 @@ def _leaves(ast):
     if isinstance(ast, BoolOp):
         return [leaf for operand in ast.operands for leaf in _leaves(operand)]
     return [ast]
+
+
+def test_simulate_lists_the_failing_cases_of_no_empty_mask(repo_root, tmp_path, monkeypatch):
+    """No city1 case fails a condition of the family, so every error mask is
+    empty, and simulate looks up the members of none of them."""
+    masks = []
+
+    def indices(mask):
+        masks.append(mask)
+        return simulation_indices(mask)
+
+    simulation_indices = simulation._indices
+    monkeypatch.setattr(simulation, "_indices", indices)
+    monkeypatch.chdir(repo_root)
+    argv = ["--config", "fixtures/city1/config.cfg", "--models", "fixtures/family_original"]
+    assert cli.main(argv + ["--out", str(tmp_path), "simulate"]) == 0
+    assert 0 not in masks
 
 
 def test_acyclic_simulate_evaluates_each_leaf_once_per_case(
