@@ -271,23 +271,6 @@ def _parse_kpis(values: dict, source: str, round_decimals: int) -> simulation.Kp
     return simulation.KpiVector(*rounded)
 
 
-def _kpi_reader(round_decimals: int) -> Callable[[dict, str], simulation.KpiVector]:
-    """``_parse_kpis`` at ``round_decimals``, rounding each distinct set of five
-    KPI texts (as ``simulate`` writes them) once.  Other values are parsed each
-    time, so an error names the first source that has it."""
-    vectors: dict[tuple, simulation.KpiVector] = {}
-
-    def read(values: dict, source: str) -> simulation.KpiVector:
-        texts = tuple(map(values.get, simulation.KPI_NAMES))
-        if not all(type(text) is str for text in texts):
-            return _parse_kpis(values, source, round_decimals)
-        if texts not in vectors:
-            vectors[texts] = _parse_kpis(values, source, round_decimals)
-        return vectors[texts]
-
-    return read
-
-
 def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
     """(model_id, vector) per KPI JSON file, in file name order."""
     try:
@@ -296,9 +279,10 @@ def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation
             files = sorted((e.name, e.path) for e in found if e.name.endswith(".json") and e.is_file())
     except OSError:  # no such directory, not a directory, or a name the OS rejects
         raise DataError(f"KPI directory not found: {path}")
-    read_kpis = _kpi_reader(round_decimals)
     entries: list[tuple[str, simulation.KpiVector]] = []
     seen: dict[str, str] = {}
+    # Five KPI texts are rounded once per distinct tuple; other values every time.
+    vectors: dict[tuple, simulation.KpiVector] = {}
     for name, file in files:
         try:  # text mode, as Path.read_text reads, without a Path per file
             with open(file, encoding="utf-8") as handle:
@@ -310,7 +294,15 @@ def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation
         if model_id in seen:
             raise DataError(f"{name}: model_id {model_id!r} is also in {seen[model_id]}")
         seen[model_id] = name
-        entries.append((model_id, read_kpis(_field(data, "kpis", dict, name), name)))
+        kpis = _field(data, "kpis", dict, name)
+        texts = tuple(map(kpis.get, simulation.KPI_NAMES))
+        if all(type(text) is str for text in texts):
+            if texts not in vectors:
+                vectors[texts] = _parse_kpis(kpis, name, round_decimals)
+            vector = vectors[texts]
+        else:
+            vector = _parse_kpis(kpis, name, round_decimals)
+        entries.append((model_id, vector))
     if not entries:
         raise DataError(f"no KPI JSON files in {path}")
     return entries
@@ -318,13 +310,18 @@ def _read_kpi_dir(path: Path, round_decimals: int) -> list[tuple[str, simulation
 
 def _read_kpi_csv(path: Path, round_decimals: int) -> list[tuple[str, simulation.KpiVector]]:
     """(model_id, vector) per row of a CSV with model_id plus one column per KPI."""
-    text = _read_input(path, "KPI CSV")
     header, rows = simulation.read_csv_table(
-        text, "KPI CSV", "model_id", "the five KPI names, each once", simulation.KPI_NAMES
+        _read_input(path, "KPI CSV"),
+        "KPI CSV",
+        "model_id",
+        "the five KPI names, each once",
+        simulation.KPI_NAMES,
     )
-    read_kpis = _kpi_reader(round_decimals)
     return [
-        (row[0].strip(), read_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}"))
+        (
+            row[0].strip(),
+            _parse_kpis(dict(zip(header[1:], row[1:])), f"KPI CSV row {row[0]!r}", round_decimals),
+        )
         for row in rows
     ]
 
@@ -602,20 +599,27 @@ def cmd_repair(config: RunConfig) -> int:
     provider = _build_provider(config)
     outcome = repair.propose_repairs(ambiguities, document, supplemental, provider)
     repaired_text = repair.reconstruct_narrative(document, outcome.records)
-    payload = {
-        "doc_id": document.doc_id,
-        "records": [
+    atomic_write(
+        config.out_dir / "repairs.json",
+        dump_json(
             {
-                "ambiguity_id": record.ambiguity_id,
-                "revised_excerpt": record.revised_excerpt,
-                "rationale": record.rationale,
-                "evidence_refs": record.evidence_refs,
+                "doc_id": document.doc_id,
+                "records": [
+                    {
+                        "ambiguity_id": record.ambiguity_id,
+                        "revised_excerpt": record.revised_excerpt,
+                        "rationale": record.rationale,
+                        "evidence_refs": list(record.evidence_refs),
+                    }
+                    for record in outcome.records
+                ],
+                "rejected": [
+                    {"ambiguity_id": r.ambiguity_id, "reason": r.reason}
+                    for r in outcome.rejected
+                ],
             }
-            for record in outcome.records
-        ],
-        "rejected": [rejected._asdict() for rejected in outcome.rejected],
-    }
-    atomic_write(config.out_dir / "repairs.json", dump_json(payload))
+        ),
+    )
     atomic_write(config.out_dir / "narrative_repaired.txt", repaired_text)
     print(
         f"applied {len(outcome.records)} repair(s), rejected {len(outcome.rejected)} "
@@ -629,8 +633,12 @@ def cmd_verify(config: RunConfig, before: Path, after: Path) -> int:
     for key, path in (("before", before), ("after", after)):
         entries = _read_kpi_dir(path, config.round_decimals)
         block, _combos = _distribution_payload(entries, config.round_decimals)
-        summary = {name: block[name] for name in ("total", "h_norm", "category")}
-        payload[key] = {"kpi_dir": str(path), **summary}
+        payload[key] = {
+            "kpi_dir": str(path),
+            "total": block["total"],
+            "h_norm": block["h_norm"],
+            "category": block["category"],
+        }
     payload["delta_h_norm"] = payload["after"]["h_norm"] - payload["before"]["h_norm"]
     atomic_write(config.out_dir / "verify.json", dump_json(payload))
     print(

@@ -80,7 +80,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key = key.strip()
+        value = value.strip()
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
         if not (key in KEYS or key.startswith("kpi_tag.")):

@@ -301,8 +301,7 @@ def read_csv_table(
 
 
 def _line_of(text: str, index: int) -> int:
-    """The line on which record ``index`` of CSV ``text`` starts, as a quoted
-    cell may span lines; read again only for an error message."""
+    """The line on which CSV record ``index`` starts (a quoted cell may span lines)."""
     reader = csv.reader(io.StringIO(text))
     for _ in range(index):
         next(reader)
